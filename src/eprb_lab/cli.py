@@ -20,16 +20,23 @@ analyzer angles ``a``, ``a_prime``, ``b``, ``b_prime`` in degrees are
 required; ``step`` (grid step in degrees, default 10), ``n`` (sample
 count, default 1000000), ``seed`` (default 0), ``format`` ("csv" or
 "json", default "csv"), and ``out`` (output path, default stdout) are
-optional. Unknown keys are rejected.
+optional. Unknown keys are rejected. The flags that were given replace
+their keys in the document before it is checked, so a flag meets the same
+rules and messages as the config key it overrides.
 
 Angles are degrees at this boundary and radians everywhere inside the
 library. Reports contain no timestamps or machine identifiers: a given
 artifact version, subcommand, and configuration produce byte-identical
-output. CSV numbers carry 17 significant digits.
+output. CSV numbers carry 17 significant digits. JSON reports are strict
+JSON: they never contain NaN or infinities. CSV is rendered only when it
+is written, line by line.
+
+Run as ``eprb-lab`` or as ``python -m eprb_lab.cli``.
 
 Exit status: 0 success; 2 input error (bad flags, malformed config,
-unwritable output, wrong mode for the subcommand); 3 sequential-mode
-bound violation (a defect signal, see ``chsh-scan``); 1 internal failure.
+unwritable output, wrong mode for the subcommand), with a one-line
+message; 3 sequential-mode bound violation (a defect signal, see
+``chsh-scan``); 1 internal failure.
 """
 
 from __future__ import annotations
@@ -40,7 +47,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any, Callable, Iterable, Iterator
 
 from . import __version__
 from .errors import BoundViolationError, ConfigError, EprbLabError
@@ -58,15 +65,15 @@ from .inequality import (
     scan_grid,
 )
 from .quantum import (
+    CROSS_PAIRS,
     Mode,
-    QUADRUPLES,
     Scenario,
     closed_form_correlators,
     correlator_pair,
     grand_joint_quantum,
     marginal_pair,
 )
-from .sampler import COUNTS_CSV_HEADER, empirical_correlators, sample
+from .sampler import counts_to_csv, empirical_correlators, sample
 
 SUBCOMMANDS = ("exact", "sample", "chsh-scan", "chsh-max", "hvm-check", "joint-feasibility")
 
@@ -74,16 +81,6 @@ EXIT_OK = 0
 EXIT_INTERNAL = 1
 EXIT_INPUT = 2
 EXIT_BOUND_VIOLATION = 3
-
-_REQUIRED_KEYS = ("mode", "a", "a_prime", "b", "b_prime")
-_DEFAULTS: dict[str, Any] = {
-    "step": 10.0,
-    "n": 1_000_000,
-    "seed": 0,
-    "format": "csv",
-    "out": None,
-}
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -115,11 +112,18 @@ class RunConfig:
         return doc
 
 
+_FIELDS = dataclasses.fields(RunConfig)
+_REQUIRED_KEYS = tuple(f.name for f in _FIELDS if f.default is dataclasses.MISSING)
+_DEFAULTS: dict[str, Any] = {
+    f.name: f.default for f in _FIELDS if f.default is not dataclasses.MISSING
+}
+
+
 def _require_number(doc: dict[str, Any], key: str) -> float:
     value = doc[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"field {key!r} must be a number, got {value!r}")
-    if not math.isfinite(value):
+    if not abs(value) <= sys.float_info.max:  # false for NaN, infinities and huge ints
         raise ConfigError(f"field {key!r} must be finite, got {value!r}")
     return float(value)
 
@@ -133,14 +137,19 @@ def _require_int(doc: dict[str, Any], key: str, minimum: int, maximum: int | Non
     return value
 
 
-def parse_config(text: str) -> RunConfig:
-    """Parse the JSON configuration document."""
+def parse_config(text: str, overrides: dict[str, Any] | None = None) -> RunConfig:
+    """Parse the JSON configuration document.
+
+    ``overrides`` (the command-line flags that were given) replace their
+    keys in the document before any check.
+    """
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also too many digits or too deep
         raise ConfigError(f"configuration is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("configuration must be a JSON object")
+    doc.update(overrides or {})
     allowed = set(_REQUIRED_KEYS) | set(_DEFAULTS)
     for key in doc:
         if key not in allowed:
@@ -198,7 +207,7 @@ class Report:
             "config": self.config,
             "payload": self.payload,
         }
-        return json.dumps(doc, indent=2) + "\n"
+        return json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
 
 def _fmt(x: float) -> str:
@@ -207,18 +216,28 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _correlator_doc(correlators) -> dict[str, float]:
-    return correlators.as_dict()
+def _cell(value: Any) -> str:
+    if isinstance(value, bool):
+        return str(value).lower()
+    return _fmt(value) if isinstance(value, float) else str(value)
 
 
-def _payload_exact(config: RunConfig) -> tuple[dict[str, Any], str]:
+def _csv_lines(header: str, rows: Iterable[Iterable[str]]) -> Iterator[str]:
+    """CSV lines; a row is formatted only when its line is read."""
+    yield header + "\n"
+    for cells in rows:
+        yield ",".join(cells) + "\n"
+
+
+#: A payload builder returns the JSON payload and the CSV lines, unread.
+_Payload = tuple[dict[str, Any], Iterable[str]]
+
+
+def _payload_exact(config: RunConfig) -> _Payload:
     scenario = config.scenario()
     distribution = grand_joint_quantum(scenario)
     pairs = {
-        "A1,B1": marginal_pair(distribution, ("A1", "B1")),
-        "A1,B2": marginal_pair(distribution, ("A1", "B2")),
-        "A2,B1": marginal_pair(distribution, ("A2", "B1")),
-        "A2,B2": marginal_pair(distribution, ("A2", "B2")),
+        ",".join(pair): marginal_pair(distribution, pair) for pair in CROSS_PAIRS.values()
     }
     correlators = closed_form_correlators(scenario)
     report = chsh_report(correlators)
@@ -229,37 +248,28 @@ def _payload_exact(config: RunConfig) -> tuple[dict[str, Any], str]:
         ],
         "pair_marginals": {k: list(v.probs) for k, v in pairs.items()},
         "pair_correlators": {k: correlator_pair(v) for k, v in pairs.items()},
-        "correlators": _correlator_doc(correlators),
+        "correlators": correlators.as_dict(),
         "s_value": report.s_value,
         "bound_satisfied": report.bound_satisfied,
     }
-    lines = ["a1,b1,a2,b2,probability"]
-    lines += [
-        f"{q.a1},{q.b1},{q.a2},{q.b2},{_fmt(p)}" for q, p in distribution.items()
-    ]
-    return payload, "\n".join(lines) + "\n"
+    rows = (map(_cell, (*q, p)) for q, p in distribution.items())
+    return payload, _csv_lines("a1,b1,a2,b2,probability", rows)
 
 
-def _payload_sample(config: RunConfig) -> tuple[dict[str, Any], str]:
+def _payload_sample(config: RunConfig) -> _Payload:
     scenario = config.scenario()
     distribution = grand_joint_quantum(scenario)
     counts = sample(distribution, config.n, config.seed)
-    estimated = empirical_correlators(counts) if counts.n > 0 else None
     payload: dict[str, Any] = {
         "counts": list(counts.counts),
         "n": counts.n,
         "seed": counts.seed,
     }
-    if estimated is not None:
-        payload["estimates"] = _correlator_doc(estimated.estimates)
-        payload["std_errors"] = {
-            "e_ab": estimated.std_errors[0],
-            "e_ab_prime": estimated.std_errors[1],
-            "e_a_prime_b": estimated.std_errors[2],
-            "e_a_prime_b_prime": estimated.std_errors[3],
-        }
-    row = ",".join(str(c) for c in (*counts.counts, counts.n))
-    return payload, COUNTS_CSV_HEADER + "\n" + row + "\n"
+    if counts.n > 0:
+        estimated = empirical_correlators(counts)
+        payload["estimates"] = estimated.estimates.as_dict()
+        payload["std_errors"] = dict(zip(payload["estimates"], estimated.std_errors))
+    return payload, map(counts_to_csv, [counts])
 
 
 _SCAN_COLUMNS = {
@@ -268,7 +278,7 @@ _SCAN_COLUMNS = {
 }
 
 
-def _payload_chsh_scan(config: RunConfig) -> tuple[dict[str, Any], str]:
+def _payload_chsh_scan(config: RunConfig) -> _Payload:
     report = scan_grid(config.mode, math.radians(config.step))
     payload = {
         "mode": config.mode.value,
@@ -278,16 +288,14 @@ def _payload_chsh_scan(config: RunConfig) -> tuple[dict[str, Any], str]:
         "argmax_deg": [math.degrees(v) for v in report.argmax_angles],
         "bound_satisfied": True,
     }
-    columns = _SCAN_COLUMNS[config.mode]
-    lines = [",".join(columns) + ",s"]
-    for row, s in zip(report.angles, report.s_values):
-        cells = [_fmt(math.degrees(v)) for v in row]
-        cells.append(_fmt(float(s)))
-        lines.append(",".join(cells))
-    return payload, "\n".join(lines) + "\n"
+    rows = (
+        [*map(_fmt, map(math.degrees, angles)), _fmt(float(s))]
+        for angles, s in zip(report.angles, report.s_values)
+    )
+    return payload, _csv_lines(",".join(_SCAN_COLUMNS[config.mode]) + ",s", rows)
 
 
-def _payload_chsh_max(config: RunConfig) -> tuple[dict[str, Any], str]:
+def _payload_chsh_max(config: RunConfig) -> _Payload:
     scenario = config.scenario()
     if config.mode is Mode.SEQUENTIAL:
         init = (scenario.theta_ab, scenario.theta_aa_prime, scenario.theta_bb_prime)
@@ -305,21 +313,13 @@ def _payload_chsh_max(config: RunConfig) -> tuple[dict[str, Any], str]:
         "tol": report.tol,
         "converged": report.converged,
     }
-    columns = _SCAN_COLUMNS[config.mode]
-    lines = [",".join(columns) + ",s_value,abs_s,iterations,grad_norm,converged"]
-    cells = [_fmt(v) for v in angles_deg]
-    cells += [
-        _fmt(report.s_value),
-        _fmt(report.abs_s),
-        str(report.iterations),
-        _fmt(report.grad_norm),
-        str(report.converged).lower(),
-    ]
-    lines.append(",".join(cells))
-    return payload, "\n".join(lines) + "\n"
+    tail = ("s_value", "abs_s", "iterations", "grad_norm", "converged")
+    header = ",".join((*_SCAN_COLUMNS[config.mode], *tail))
+    row = (*angles_deg, *(payload[key] for key in tail))
+    return payload, _csv_lines(header, [map(_cell, row)])
 
 
-def _payload_hvm_check(config: RunConfig) -> tuple[dict[str, Any], str]:
+def _payload_hvm_check(config: RunConfig) -> _Payload:
     scenario = config.scenario()
     model = build_contextual_model(scenario)
     fact = check_factorizability(model)
@@ -347,51 +347,41 @@ def _payload_hvm_check(config: RunConfig) -> tuple[dict[str, Any], str]:
         "reconstruction_max_deviation": reconstruction_dev,
         "passed": passed,
     }
-    lines = [
+    header = (
         "passed,factorizability_passed,factorizability_max_deviation,"
-        "reconstruction_max_deviation",
-        ",".join(
-            [
-                str(passed).lower(),
-                str(fact.passed).lower(),
-                _fmt(fact.max_deviation),
-                _fmt(reconstruction_dev),
-            ]
-        ),
-    ]
-    return payload, "\n".join(lines) + "\n"
+        "reconstruction_max_deviation"
+    )
+    row = (passed, fact.passed, fact.max_deviation, reconstruction_dev)
+    return payload, _csv_lines(header, [map(_cell, row)])
 
 
-def _payload_joint_feasibility(config: RunConfig) -> tuple[dict[str, Any], str]:
+def _payload_joint_feasibility(config: RunConfig) -> _Payload:
     scenario = config.scenario()
     targets = pair_targets_from_scenario(scenario)
     result = noncontextual_feasibility(targets)
     payload: dict[str, Any] = {
         "verdict": result.verdict.value,
-        "target_correlators": _correlator_doc(targets.correlators()),
+        "target_correlators": targets.correlators().as_dict(),
     }
-    sign_cells = ["", "", "", ""]
-    value_cell = ""
     if result.verdict is Verdict.FEASIBLE:
         payload["witness"] = list(result.joint.probs)
         payload["certificate"] = None
+        row = (result.verdict.value, "", "", "", "", "")
     else:
         payload["witness"] = None
         payload["certificate"] = {
             "signs": list(result.certificate.signs),
             "value": result.certificate.value,
         }
-        sign_cells = [str(s) for s in result.certificate.signs]
-        value_cell = _fmt(result.certificate.value)
-    lines = [
+        row = (result.verdict.value, *result.certificate.signs, result.certificate.value)
+    header = (
         "verdict,sign_ab,sign_ab_prime,sign_a_prime_b,sign_a_prime_b_prime,"
-        "certificate_value",
-        ",".join([result.verdict.value, *sign_cells, value_cell]),
-    ]
-    return payload, "\n".join(lines) + "\n"
+        "certificate_value"
+    )
+    return payload, _csv_lines(header, [map(_cell, row)])
 
 
-_PAYLOAD_BUILDERS: dict[str, Callable[[RunConfig], tuple[dict[str, Any], str]]] = {
+_PAYLOAD_BUILDERS: dict[str, Callable[[RunConfig], _Payload]] = {
     "exact": _payload_exact,
     "sample": _payload_sample,
     "chsh-scan": _payload_chsh_scan,
@@ -402,30 +392,41 @@ _PAYLOAD_BUILDERS: dict[str, Callable[[RunConfig], tuple[dict[str, Any], str]]] 
 
 
 def run(subcommand: str, config: RunConfig) -> Report:
-    """Execute a subcommand, write its report, and return it."""
+    """Execute a subcommand, write its report, and return it.
+
+    The JSON report and the CSV lines are the two outputs; only the one
+    asked for is rendered, and CSV goes to the output as it is formatted.
+    """
     if subcommand not in _PAYLOAD_BUILDERS:
         raise ConfigError(f"unknown subcommand: {subcommand!r}")
-    payload, csv_text = _PAYLOAD_BUILDERS[subcommand](config)
+    payload, csv_lines = _PAYLOAD_BUILDERS[subcommand](config)
     report = Report(
         version=__version__,
         subcommand=subcommand,
         config=config.echo(),
         payload=payload,
     )
-    text = report.to_json() if config.format == "json" else csv_text
-    if config.out is None:
-        sys.stdout.write(text)
-    else:
-        try:
+    lines = [report.to_json()] if config.format == "json" else csv_lines
+    try:
+        if config.out is None:
+            sys.stdout.writelines(lines)
+        else:
             with open(config.out, "w", encoding="utf-8", newline="") as handle:
-                handle.write(text)
-        except OSError as exc:
-            raise ConfigError(f"cannot write output path {config.out!r}: {exc}") from exc
+                handle.writelines(lines)
+    except OSError as exc:  # also a reader that closed the pipe early
+        target = "standard output" if config.out is None else f"output path {config.out!r}"
+        raise ConfigError(f"cannot write {target}: {exc}") from exc
     return report
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str) -> None:
+        """Exit 2 with a one-line message, like every other input error."""
+        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="eprb-lab",
         description="Exact statistics, CHSH scans, and hidden-variable "
         "feasibility for a two-time EPRB experiment.",
@@ -445,24 +446,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _load_config(args: argparse.Namespace) -> RunConfig:
     try:
-        text = open(args.config, "r", encoding="utf-8").read()
-    except OSError as exc:
+        with open(args.config, "r", encoding="utf-8") as handle:
+            text = handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read configuration {args.config!r}: {exc}") from exc
-    config = parse_config(text)
-    overrides: dict[str, Any] = {}
-    for field in ("out", "format", "seed", "step", "n"):
-        value = getattr(args, field)
-        if value is not None:
-            overrides[field] = value
-    if overrides:
-        config = dataclasses.replace(config, **overrides)
-        if config.step <= 0.0 or config.step > 360.0:
-            raise ConfigError(f"step must be in (0, 360] degrees, got {config.step!r}")
-        if config.n < 0:
-            raise ConfigError(f"sample count must be nonnegative, got {config.n!r}")
-        if not 0 <= config.seed <= 2**64 - 1:
-            raise ConfigError(f"seed must fit in 64 bits, got {config.seed!r}")
-    return config
+    # Every optional config key has a flag of the same name.
+    overrides = {key: getattr(args, key) for key in _DEFAULTS if getattr(args, key) is not None}
+    return parse_config(text, overrides)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -481,3 +471,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     return EXIT_OK
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -18,8 +18,9 @@ trivially.
 Dropping the second time step yields the EPRB limit, where the four
 pairwise distributions become targets for a single joint distribution
 over four outcomes. :func:`noncontextual_feasibility` decides whether
-such a joint exists via linear feasibility over the 16 deterministic
-assignments, and certifies failure with a violated CHSH sign variant.
+such a joint exists by Fine's eight CHSH inequalities, certifies failure
+with the violated CHSH sign variant, and finds a witness by linear
+feasibility over the 16 deterministic assignments.
 
 Model file schema (JSON, one object):
 
@@ -57,7 +58,10 @@ from .errors import (
 )
 from .linfeas import solve_equality_feasibility
 from .quantum import (
+    CROSS_PAIRS,
+    OBSERVABLES,
     PAIR_INDEX,
+    PAIR_SLOTS,
     QUADRUPLES,
     SIGN_PAIRS,
     CorrelatorSet,
@@ -207,9 +211,11 @@ def induced_distribution(model: HVModel) -> GrandJointDistribution:
 class FactorizabilityReport:
     """Outcome of the factorizability and locality checks.
 
-    ``max_deviation`` is the worst violation of the two substantive
-    properties: product structure of the per-atom joint, and invariance
-    of each side's table under changes to the other side's analyzers.
+    ``max_deviation`` is the worst violation of locality: invariance of
+    each side's table under changes to the other side's analyzers.
+    ``product_deviation`` is always 0.0: a model stores one response table
+    per side and its per-atom joint is their product by construction, so
+    the product structure cannot fail. The field keeps the report schema.
     ``normalization_error`` tracks how far weights and response tables
     stray from exact normalization; it gates ``passed`` but is reported
     separately because it measures validity, not factorizability.
@@ -222,29 +228,17 @@ class FactorizabilityReport:
     normalization_error: float
 
 
-def _compose_atom_joint(
-    t1: ResponseTable, t2: ResponseTable
-) -> tuple[float, ...]:
-    """Joint over quadruples for one atom: product of the side responses."""
-    return tuple(
-        t1[PAIR_INDEX[(q.a1, q.a2)]] * t2[PAIR_INDEX[(q.b1, q.b2)]]
-        for q in QUADRUPLES
-    )
-
-
 #: Fixed offsets (radians) used to probe setting independence.
 _PROBE_OFFSETS = (0.9, 2.1, 3.3)
 
 
 def check_factorizability(model: HVModel, tol: float = 1e-12) -> FactorizabilityReport:
-    """Verify product structure and setting independence of a model.
+    """Verify setting independence and normalization of a model.
 
-    For every atom the composed joint over the four outcomes must equal
-    the product of the two side responses, and each side's response table
-    must be unchanged when the other side's analyzers are displaced by
-    fixed probe offsets. Models built by :func:`build_contextual_model`
-    satisfy both with deviation exactly zero; the check guards hand-built
-    or file-loaded models.
+    Each side's response table must be unchanged when the other side's
+    analyzers are displaced by fixed probe offsets. Models built by
+    :func:`build_contextual_model` pass with deviation exactly zero; the
+    check guards hand-built or file-loaded models.
     """
     side1 = model.side1_table()
     side2 = model.side2_table()
@@ -255,17 +249,6 @@ def check_factorizability(model: HVModel, tol: float = 1e-12) -> Factorizability
             if not math.isfinite(p) or p < -tol:
                 raise DistributionError(f"response probability is invalid: {p!r}")
         normalization = max(normalization, abs(math.fsum(table) - 1.0))
-
-    # The per-atom joint is composed as the product of the side responses,
-    # so this comparison is exact for any model this representation can
-    # express; it pins the contract should composition and storage ever
-    # diverge (e.g. a loader that stores per-atom joints directly).
-    product_dev = 0.0
-    for t1, t2 in zip(side1, side2):
-        composed = _compose_atom_joint(t1, t2)
-        for idx, q in enumerate(QUADRUPLES):
-            expected = t1[PAIR_INDEX[(q.a1, q.a2)]] * t2[PAIR_INDEX[(q.b1, q.b2)]]
-            product_dev = max(product_dev, abs(composed[idx] - expected))
 
     locality_dev = 0.0
     sc = model.scenario
@@ -289,11 +272,10 @@ def check_factorizability(model: HVModel, tol: float = 1e-12) -> Factorizability
                     locality_dev, max(abs(x - y) for x, y in zip(base, moved))
                 )
 
-    max_dev = max(product_dev, locality_dev)
     return FactorizabilityReport(
-        passed=max_dev <= tol and normalization <= tol,
-        max_deviation=max_dev,
-        product_deviation=product_dev,
+        passed=locality_dev <= tol and normalization <= tol,
+        max_deviation=locality_dev,
+        product_deviation=0.0,
         locality_deviation=locality_dev,
         normalization_error=normalization,
     )
@@ -459,13 +441,7 @@ class PairTargets:
     a_prime_b_prime: PairDistribution
 
     def __post_init__(self) -> None:
-        expected = {
-            "ab": ("A1", "B1"),
-            "ab_prime": ("A1", "B2"),
-            "a_prime_b": ("A2", "B1"),
-            "a_prime_b_prime": ("A2", "B2"),
-        }
-        for field, (first, second) in expected.items():
+        for field, (first, second) in CROSS_PAIRS.items():
             pd = getattr(self, field)
             if (pd.first, pd.second) != (first, second):
                 raise UnknownPairError(
@@ -475,27 +451,20 @@ class PairTargets:
 
     def correlators(self) -> CorrelatorSet:
         return CorrelatorSet(
-            e_ab=correlator_pair(self.ab),
-            e_ab_prime=correlator_pair(self.ab_prime),
-            e_a_prime_b=correlator_pair(self.a_prime_b),
-            e_a_prime_b_prime=correlator_pair(self.a_prime_b_prime),
+            **{f"e_{name}": correlator_pair(getattr(self, name)) for name in CROSS_PAIRS}
         )
 
 
 def pair_targets_from_correlators(correlators: CorrelatorSet) -> PairTargets:
     """Targets with unbiased marginals: p(s1, s2) = (1 + s1*s2*e) / 4."""
 
-    def pd(first: str, second: str, e: float) -> PairDistribution:
+    def pd(name: str) -> PairDistribution:
+        e = getattr(correlators, f"e_{name}")
         return PairDistribution(
-            first, second, tuple(0.25 * (1.0 + s1 * s2 * e) for s1, s2 in SIGN_PAIRS)
+            *CROSS_PAIRS[name], tuple(0.25 * (1.0 + s1 * s2 * e) for s1, s2 in SIGN_PAIRS)
         )
 
-    return PairTargets(
-        ab=pd("A1", "B1", correlators.e_ab),
-        ab_prime=pd("A1", "B2", correlators.e_ab_prime),
-        a_prime_b=pd("A2", "B1", correlators.e_a_prime_b),
-        a_prime_b_prime=pd("A2", "B2", correlators.e_a_prime_b_prime),
-    )
+    return PairTargets(**{name: pd(name) for name in CROSS_PAIRS})
 
 
 def pair_targets_from_scenario(scenario: Scenario) -> PairTargets:
@@ -506,12 +475,7 @@ def pair_targets_from_scenario(scenario: Scenario) -> PairTargets:
     """
     if scenario.mode is Mode.SEQUENTIAL:
         d = grand_joint_quantum(scenario)
-        return PairTargets(
-            ab=marginal_pair(d, ("A1", "B1")),
-            ab_prime=marginal_pair(d, ("A1", "B2")),
-            a_prime_b=marginal_pair(d, ("A2", "B1")),
-            a_prime_b_prime=marginal_pair(d, ("A2", "B2")),
-        )
+        return PairTargets(**{name: marginal_pair(d, pair) for name, pair in CROSS_PAIRS.items()})
     return pair_targets_from_correlators(closed_form_correlators(scenario))
 
 
@@ -562,30 +526,18 @@ def chsh_variant_values(correlators: CorrelatorSet) -> dict[tuple[int, int, int,
 
 _CONSISTENCY_TOL = 1e-9
 
-_SHARED_MARGINALS = (
-    ("A1", "ab", "ab_prime"),
-    ("A2", "a_prime_b", "a_prime_b_prime"),
-    ("B1", "ab", "a_prime_b"),
-    ("B2", "ab_prime", "a_prime_b_prime"),
-)
-
 
 def _check_consistency(targets: PairTargets) -> None:
-    for obs, field1, field2 in _SHARED_MARGINALS:
-        m1 = getattr(targets, field1).marginal(obs, 1)
-        m2 = getattr(targets, field2).marginal(obs, 1)
+    for obs in OBSERVABLES:
+        m1, m2 = (
+            getattr(targets, name).marginal(obs, 1)
+            for name, pair in CROSS_PAIRS.items()
+            if obs in pair
+        )
         if abs(m1 - m2) > _CONSISTENCY_TOL:
             raise InconsistentTargetsError(
                 f"targets disagree on P({obs}=+1): {m1!r} vs {m2!r}"
             )
-
-
-_PAIR_SLOTS = {
-    "ab": (0, 1),
-    "ab_prime": (0, 3),
-    "a_prime_b": (2, 1),
-    "a_prime_b_prime": (2, 3),
-}
 
 
 def noncontextual_feasibility(
@@ -594,16 +546,26 @@ def noncontextual_feasibility(
     """Does one joint distribution over (A1, A2, B1, B2) match all four
     pairwise targets?
 
-    Solved as linear feasibility over the 16 outcome quadruples (the
-    mixture weights of the deterministic assignments). Infeasibility is
-    certified by the CHSH sign variant with the largest value, which
-    exceeds 2 exactly when no joint exists for consistent targets.
+    Fine's theorem decides (A. Fine, PRL 48, 291, 1982): for consistent
+    targets a joint exists exactly when no CHSH sign variant exceeds 2.
+    The verdict is "feasible" when every variant is at most ``2 + tol``;
+    otherwise the largest variant is the certificate. A feasible verdict
+    carries a witness from linear feasibility over the 16 outcome
+    quadruples (the mixture weights of the deterministic assignments).
     """
     _check_consistency(targets)
+    variants = chsh_variant_values(targets.correlators())
+    best_signs = max(variants, key=lambda signs: variants[signs])
+    if variants[best_signs] > 2.0 + tol:
+        return FeasibilityResult(
+            verdict=Verdict.INFEASIBLE,
+            joint=None,
+            certificate=ChshCertificate(signs=best_signs, value=variants[best_signs]),
+        )
 
     rows: list[np.ndarray] = []
     rhs: list[float] = []
-    for field, (slot1, slot2) in _PAIR_SLOTS.items():
+    for field, (slot1, slot2) in PAIR_SLOTS.items():
         pd = getattr(targets, field)
         for s1, s2 in SIGN_PAIRS:
             coeff = np.array(
@@ -613,26 +575,25 @@ def noncontextual_feasibility(
             rhs.append(pd.prob(s1, s2))
     rows.append(np.ones(16))
     rhs.append(1.0)
+    a, b = np.array(rows), np.array(rhs)
 
-    result = solve_equality_feasibility(np.array(rows), np.array(rhs), tol=tol)
-    if result.feasible:
-        probs = result.x / result.x.sum()
-        return FeasibilityResult(
-            verdict=Verdict.FEASIBLE,
-            joint=GrandJointDistribution(tuple(probs.tolist())),
-            certificate=None,
-        )
-
-    variants = chsh_variant_values(targets.correlators())
-    best_signs = max(variants, key=lambda signs: variants[signs])
-    best_value = variants[best_signs]
-    if best_value <= 2.0:
+    result = solve_equality_feasibility(a, b, tol=tol)
+    if not result.feasible:
+        # Within tol above a facet the phase-1 residual is about 2.5 times
+        # the CHSH excess, so it can exceed tol. Mixing in a fraction tol/2
+        # of the uniform pair distribution scales every variant by
+        # 1 - tol/2, to at most 2, and moves each target cell by at most
+        # 0.375 * tol.
+        b[:-1] += 0.5 * tol * (0.25 - b[:-1])
+        result = solve_equality_feasibility(a, b, tol=tol)
+    if not result.feasible:
         raise RuntimeError(
-            "infeasible targets without a violated CHSH variant; "
-            "this contradicts the polytope's facet structure"
+            "no joint distribution although no CHSH variant exceeds 2; "
+            "this contradicts Fine's theorem"
         )
+    probs = result.x / result.x.sum()
     return FeasibilityResult(
-        verdict=Verdict.INFEASIBLE,
-        joint=None,
-        certificate=ChshCertificate(signs=best_signs, value=best_value),
+        verdict=Verdict.FEASIBLE,
+        joint=GrandJointDistribution(tuple(probs.tolist())),
+        certificate=None,
     )

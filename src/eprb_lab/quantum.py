@@ -55,6 +55,20 @@ OBSERVABLES: tuple[str, str, str, str] = ("A1", "B1", "A2", "B2")
 
 _OBS_SLOT: dict[str, int] = {name: i for i, name in enumerate(OBSERVABLES)}
 
+#: The four cross-particle pairs in correlator order, keyed by the suffix
+#: of their correlator name (``ab`` gives ``e_ab``).
+CROSS_PAIRS: dict[str, tuple[str, str]] = {
+    "ab": ("A1", "B1"),
+    "ab_prime": ("A1", "B2"),
+    "a_prime_b": ("A2", "B1"),
+    "a_prime_b_prime": ("A2", "B2"),
+}
+
+#: Positions of each cross pair's two observables in an outcome quadruple.
+PAIR_SLOTS: dict[str, tuple[int, int]] = {
+    name: (_OBS_SLOT[first], _OBS_SLOT[second]) for name, (first, second) in CROSS_PAIRS.items()
+}
+
 
 class OutcomeQuadruple(NamedTuple):
     """One joint outcome of the four measurements, each +1 or -1."""

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DistributionError, EmptySampleError
-from .quantum import QUADRUPLES, CorrelatorSet, GrandJointDistribution
+from .quantum import PAIR_SLOTS, QUADRUPLES, CorrelatorSet, GrandJointDistribution
 
 GOLDEN = 0x9E3779B97F4A7C15
 _MIX_1 = 0xBF58476D1CE4E5B9
@@ -130,16 +130,13 @@ class EstimatedCorrelators:
     n: int
 
 
-_PAIR_SLOTS = (("ab", 0, 1), ("ab_prime", 0, 3), ("a_prime_b", 2, 1), ("a_prime_b_prime", 2, 3))
-
-
 def empirical_correlators(counts: OutcomeCounts) -> EstimatedCorrelators:
     """Estimate the four cross-particle correlators from a tally."""
     if counts.n == 0:
         raise EmptySampleError("correlators are undefined for an empty sample")
     estimates: dict[str, float] = {}
     errors: list[float] = []
-    for name, slot1, slot2 in _PAIR_SLOTS:
+    for name, (slot1, slot2) in PAIR_SLOTS.items():
         total = sum(
             c * q[slot1] * q[slot2] for c, q in zip(counts.counts, QUADRUPLES)
         )

@@ -2,15 +2,26 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import math
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from eprb_lab import __version__
+import eprb_lab
+from eprb_lab import __version__, cli
 from eprb_lab.cli import (
     EXIT_INPUT,
     EXIT_OK,
+    Report,
     RunConfig,
     SUBCOMMANDS,
     _fmt,
@@ -26,7 +37,7 @@ from eprb_lab.quantum import (
     closed_form_correlators,
     grand_joint_quantum,
 )
-from eprb_lab.sampler import sample
+from eprb_lab.sampler import COUNTS_CSV_HEADER, sample
 
 TSIRELSON = 2.0 * math.sqrt(2.0)
 
@@ -446,3 +457,211 @@ class TestRunConfigEcho:
         doc = config.echo()
         assert doc["mode"] == "eprb"
         assert doc["n"] == 1_000_000
+
+
+class TestOneConfigPath:
+    @pytest.mark.parametrize(
+        "flag, value, key, doc_value",
+        [
+            ("--step", "nan", "step", float("nan")),
+            ("--step", "inf", "step", float("inf")),
+            ("--step", "0", "step", 0.0),
+            ("--seed", "-3", "seed", -3),
+            ("--seed", str(2**64), "seed", 2**64),
+            ("--n", "-1", "n", -1),
+        ],
+    )
+    def test_flag_errors_match_config_errors(
+        self, tmp_path, capsys, flag, value, key, doc_value
+    ):
+        path = write_config(tmp_path)
+        code = main(["exact", "--config", path, "--format", "json", flag, value])
+        captured = capsys.readouterr()
+        with pytest.raises(ConfigError) as excinfo:
+            parse_config(config_text(**{key: doc_value}))
+        assert code == EXIT_INPUT
+        assert captured.out == ""
+        assert captured.err == f"error: {excinfo.value}\n"
+
+    def test_flag_replaces_an_invalid_config_value(self, tmp_path, capsys):
+        path = write_config(tmp_path, step=0.0)
+        assert main(["exact", "--config", path, "--step", "5"]) == EXIT_OK
+        capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "text, match",
+        [
+            (config_text().replace('"a": 0.0', '"a": 1' + "0" * 400), "'a' must be finite"),
+            (config_text().replace('"a": 0.0', '"a": 1' + "0" * 5000), "JSON"),
+            ("[" * 100_000 + "]" * 100_000, "JSON"),
+        ],
+        ids=["beyond-float-range", "too-many-digits", "too-deep"],
+    )
+    def test_documents_past_number_and_nesting_limits(self, text, match):
+        with pytest.raises(ConfigError, match=match):
+            parse_config(text)
+
+    def test_undecodable_config_file_is_an_input_error(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_bytes(b'{"mode": "\xff"}')
+        assert main(["exact", "--config", str(path)]) == EXIT_INPUT
+        assert capsys.readouterr().err.startswith("error: cannot read configuration")
+
+    def test_parser_errors_are_one_line(self, tmp_path, capsys):
+        path = write_config(tmp_path)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sample", "--config", path, "--n", "many"])
+        assert excinfo.value.code == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "--n" in err
+
+
+class TestOneWritePath:
+    @pytest.mark.parametrize("subcommand", SUBCOMMANDS)
+    def test_json_report_formats_no_csv_row(self, tmp_path, monkeypatch, subcommand):
+        def refuse(x):
+            raise AssertionError("a CSV cell was formatted for a JSON report")
+
+        monkeypatch.setattr(cli, "_fmt", refuse)
+        _, text = run_to_file(tmp_path, subcommand, fmt="json", n=1000, step=30.0)
+        assert json.loads(text)["subcommand"] == subcommand
+
+    def test_closed_stdout_is_an_input_error(self, tmp_path, capsys, monkeypatch):
+        class ClosedPipe:
+            def writelines(self, lines):
+                next(iter(lines))
+                raise BrokenPipeError(32, "Broken pipe")
+
+        path = write_config(tmp_path)
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        assert main(["chsh-scan", "--config", path, "--step", "30"]) == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            "error: cannot write standard output: [Errno 32] Broken pipe\n"
+        )
+
+    def test_report_json_rejects_nan(self):
+        report = Report("0", "exact", {}, {"s_value": float("nan")})
+        with pytest.raises(ValueError):
+            report.to_json()
+
+    def test_module_entry_point_matches_main(self, tmp_path, capsys):
+        path = write_config(tmp_path)
+        assert main(["exact", "--config", path]) == EXIT_OK
+        expected = capsys.readouterr().out
+        env = {**os.environ, "PYTHONPATH": str(Path(eprb_lab.__file__).parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "eprb_lab.cli", "exact", "--config", path],
+            capture_output=True,
+            env=env,
+            timeout=60,
+        )
+        assert proc.returncode == EXIT_OK
+        assert proc.stdout == expected.encode("utf-8")
+
+
+_CSV_HEADERS = {
+    "exact": "a1,b1,a2,b2,probability",
+    "sample": COUNTS_CSV_HEADER,
+    "hvm-check": "passed,factorizability_passed,factorizability_max_deviation,"
+    "reconstruction_max_deviation",
+    "joint-feasibility": "verdict,sign_ab,sign_ab_prime,sign_a_prime_b,"
+    "sign_a_prime_b_prime,certificate_value",
+}
+_BAD_VALUES = [
+    float("nan"), float("inf"), float("-inf"), -1, -0.5, 2**64, 2**1100,
+    True, False, None, "1", [], {},
+]
+#: Bad sample counts leave out large integers: each draw costs memory.
+_BAD_COUNTS = [float("nan"), -1, 1.5, True, None, "5", []]
+_BAD_FLAGS = {
+    "--step": ["nan", "inf", "-inf", "0", "-5", "361", "1e400", "x"],
+    "--seed": ["-3", str(2**64), "1.5", "true"],
+    "--n": ["-1", "nan", "1e3", "true"],
+    "--format": ["yaml", ""],
+}
+_BAD_TEXTS = ["", "{", "[1, 2]", "null", '{"mode": NaN}', "[" * 100_000]
+
+_fuzz_angles = st.floats(-1e6, 1e6) | st.integers(-720, 720)
+_fuzz_docs = st.fixed_dictionaries(
+    {
+        "mode": st.sampled_from(["sequential", "eprb"]),
+        "a": _fuzz_angles,
+        "a_prime": _fuzz_angles,
+        "b": _fuzz_angles,
+        "b_prime": _fuzz_angles,
+        "n": st.integers(0, 10_000),
+    },
+    optional={
+        "step": st.floats(0.01, 360.0),
+        "seed": st.integers(0, 2**64 - 1),
+        "format": st.sampled_from(["csv", "json"]),
+        "out": st.none(),
+    },
+)
+_fuzz_flags = st.fixed_dictionaries(
+    {},
+    optional={
+        "--step": st.floats(0.01, 360.0).map(repr),
+        "--seed": st.integers(0, 2**64 - 1).map(str),
+        "--n": st.integers(0, 10_000).map(str),
+        "--format": st.sampled_from(["csv", "json"]),
+    },
+)
+#: One thing wrong with an otherwise valid run: a bad config value, an
+#: unknown or missing key, a bad flag value, or a document that is not a
+#: config object.
+_fuzz_faults = st.one_of(
+    st.sampled_from(["mode", "a", "a_prime", "b", "b_prime", "step", "seed", "format", "out"])
+    .flatmap(lambda key: st.tuples(st.just("doc"), st.just(key), st.sampled_from(_BAD_VALUES))),
+    st.tuples(st.just("doc"), st.just("n"), st.sampled_from(_BAD_COUNTS)),
+    st.tuples(st.just("doc"), st.just("unknown"), st.integers()),
+    st.tuples(st.just("drop"), st.sampled_from(["mode", "a", "b_prime"]), st.none()),
+    st.sampled_from(sorted(_BAD_FLAGS))
+    .flatmap(lambda flag: st.tuples(st.just("flag"), st.just(flag), st.sampled_from(_BAD_FLAGS[flag]))),
+    st.tuples(st.just("text"), st.none(), st.sampled_from(_BAD_TEXTS)),
+)
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+class TestFuzz:
+    @given(
+        subcommand=st.sampled_from(sorted(_CSV_HEADERS)),
+        doc=_fuzz_docs,
+        flags=_fuzz_flags,
+        faults=st.lists(_fuzz_faults, max_size=2),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_every_input_gives_a_report_or_one_line(self, subcommand, doc, flags, faults):
+        text = None
+        for kind, key, value in faults:
+            if kind == "doc":
+                doc[key] = value
+            elif kind == "drop":
+                doc.pop(key, None)
+            elif kind == "flag":
+                flags[key] = value
+            else:
+                text = value
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "config.json")
+            Path(path).write_text(json.dumps(doc) if text is None else text)
+            argv = [subcommand, "--config", path, *(f"{k}={v}" for k, v in flags.items())]
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code = main(argv)
+                except SystemExit as exc:
+                    code = exc.code
+        out, err = out.getvalue(), err.getvalue()
+        assert code in (EXIT_OK, EXIT_INPUT), err
+        assert err == "" or (err.count("\n") == 1 and err.endswith("\n")), err
+        assert "Traceback" not in err
+        if code == EXIT_INPUT:
+            assert out == ""
+        elif out.startswith("{"):
+            json.loads(out, parse_constant=_reject_constant)
+        else:
+            assert out.splitlines()[0] == _CSV_HEADERS[subcommand]

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eprb_lab.errors import (
@@ -35,6 +35,7 @@ from eprb_lab.hvm import (
     save_model,
 )
 from eprb_lab.quantum import (
+    CROSS_PAIRS,
     CorrelatorSet,
     Mode,
     PairDistribution,
@@ -384,6 +385,18 @@ class TestNoncontextualFeasibility:
             for p, q in zip(witness_pair.probs, target_pair.probs):
                 assert p == pytest.approx(q, abs=1e-9)
 
+    @given(eprb_scenarios)
+    @settings(max_examples=100, deadline=None)
+    # Within tol above the facet: the witness comes from mixed-in targets.
+    @example(Scenario(a=0, a_prime=1, b=0, b_prime=1e-9, mode=Mode.EPRB))
+    def test_witness_matches_every_pair_target(self, sc: Scenario):
+        targets = pair_targets_from_scenario(sc)
+        result = noncontextual_feasibility(targets)
+        if result.verdict is Verdict.FEASIBLE:
+            for name, pair in CROSS_PAIRS.items():
+                got = marginal_pair(result.joint, pair).probs
+                assert got == pytest.approx(getattr(targets, name).probs, abs=1e-9)
+
     def test_uniform_targets_feasible(self):
         targets = pair_targets_from_correlators(CorrelatorSet(0.0, 0.0, 0.0, 0.0))
         result = noncontextual_feasibility(targets)
@@ -425,6 +438,8 @@ class TestNoncontextualFeasibility:
 
     @given(eprb_scenarios)
     @settings(max_examples=100, deadline=None)
+    # Largest variant 2 + 8.4e-10, where the phase-1 residual is 2.1e-9.
+    @example(Scenario(a=0, a_prime=1, b=0, b_prime=1e-9, mode=Mode.EPRB))
     def test_duality_with_sign_variant_test(self, sc: Scenario):
         targets = pair_targets_from_scenario(sc)
         result = noncontextual_feasibility(targets)
