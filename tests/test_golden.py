@@ -79,3 +79,27 @@ def test_every_case_is_pinned():
     assert set(GOLDEN) == {
         (name, sub, fmt) for name in CONFIGS for sub in SUBCOMMANDS for fmt in ("csv", "json")
     }
+
+
+#: (mode, step in degrees) -> SHA-256 of the ``chsh-scan`` CSV written to
+#: ``--out``, all four angles 0. The grids run to a million rows, so the
+#: CSV spans many rendering blocks; 7 degrees does not divide 360, and the
+#: 100-degree grid fits in one partial block.
+LARGE_SCAN_GOLDEN = {
+    ("eprb", 12.0): "a94c028548c34a17aa488675581770f3365f814b871a3a867e1c5a9a1b01aba2",
+    ("sequential", 3.6): "585a4948c853a1c9d8149cfdcae32f231fd10998c810acc7de217bc308dc6590",
+    ("sequential", 7.0): "112b46f283661ac1d84c89b05dfa135a41a1a3eda93124617d4139f83c026ead",
+    ("eprb", 13.0): "7378e1cbe5e7a0d4049e41301fc62f6fa81aa6faa2a3b3ffcb27dc0ee9951d7b",
+    ("eprb", 100.0): "3a44cd79fec3b3f2e11627ea1ed2fe897666f2b7d63d0b4e774d00490cbe8c8c",
+}
+
+
+@pytest.mark.parametrize("key", list(LARGE_SCAN_GOLDEN), ids=lambda k: f"{k[0]}-{k[1]:g}")
+def test_large_scan_csv(key, tmp_path):
+    mode, step = key
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"mode": mode, "a": 0, "a_prime": 0, "b": 0, "b_prime": 0}))
+    out = tmp_path / "scan.csv"
+    code = main(["chsh-scan", "--config", str(config), "--step", str(step), "--out", str(out)])
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == LARGE_SCAN_GOLDEN[key]
