@@ -29,7 +29,7 @@ library. Reports contain no timestamps or machine identifiers: a given
 artifact version, subcommand, and configuration produce byte-identical
 output. CSV numbers carry 17 significant digits. JSON reports are strict
 JSON: they never contain NaN or infinities. CSV is rendered only when it
-is written, line by line.
+is written, a line (a block of lines for ``chsh-scan``) at a time.
 
 Run as ``eprb-lab`` or as ``python -m eprb_lab.cli``.
 
@@ -43,11 +43,14 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import math
 import sys
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator
+
+import numpy as np
 
 from . import __version__
 from .errors import BoundViolationError, ConfigError, EprbLabError
@@ -60,6 +63,7 @@ from .hvm import (
     pair_targets_from_scenario,
 )
 from .inequality import (
+    ScanReport,
     chsh_report,
     maximize_chsh,
     scan_grid,
@@ -278,6 +282,36 @@ _SCAN_COLUMNS = {
 }
 
 
+#: Lines per block of a scan CSV, rounded down to whole runs of the last axis.
+_SCAN_BLOCK_LINES = 1 << 16
+
+
+def _scan_csv_lines(report: ScanReport) -> Iterator[str]:
+    """The header, then a scan's CSV rows in blocks of whole lines.
+
+    Each axis value and each distinct S value is formatted once; a line
+    joins the strings of its cell. The bytes equal those of the per-cell
+    row ``_fmt(math.degrees(angle))``, ..., ``_fmt(float(s))``.
+    """
+    columns = _SCAN_COLUMNS[report.mode]
+    yield ",".join(columns) + ",s\n"
+    axis_text = [_fmt(math.degrees(v)) for v in report.axis]
+    distinct, inverse = np.unique(report.s_values, return_inverse=True)
+    s_text = [_fmt(s) + "\n" for s in distinct.tolist()]
+    last = [text + "," for text in axis_text]
+    heads = (",".join(p) + "," for p in itertools.product(axis_text, repeat=len(columns) - 1))
+    per_block = max(1, _SCAN_BLOCK_LINES // len(last))
+    start = 0
+    while block := list(itertools.islice(heads, per_block)):
+        stop = start + len(block) * len(last)
+        parts = [""] * (3 * (stop - start))  # per line: head, last angle, S
+        parts[0::3] = [head for head in block for _ in last]
+        parts[1::3] = last * len(block)
+        parts[2::3] = [s_text[i] for i in inverse[start:stop].tolist()]
+        yield "".join(parts)
+        start = stop
+
+
 def _payload_chsh_scan(config: RunConfig) -> _Payload:
     report = scan_grid(config.mode, math.radians(config.step))
     payload = {
@@ -288,11 +322,7 @@ def _payload_chsh_scan(config: RunConfig) -> _Payload:
         "argmax_deg": [math.degrees(v) for v in report.argmax_angles],
         "bound_satisfied": True,
     }
-    rows = (
-        [*map(_fmt, map(math.degrees, angles)), _fmt(float(s))]
-        for angles, s in zip(report.angles, report.s_values)
-    )
-    return payload, _csv_lines(",".join(_SCAN_COLUMNS[config.mode]) + ",s", rows)
+    return payload, _scan_csv_lines(report)
 
 
 def _payload_chsh_max(config: RunConfig) -> _Payload:

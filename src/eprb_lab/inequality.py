@@ -108,12 +108,13 @@ def _hess_sequential(x: np.ndarray) -> np.ndarray:
     return h
 
 
+def _chsh_eprb(a, a_prime, b, b_prime):
+    """EPRB-mode S from the four absolute angles; broadcasts."""
+    return -np.cos(a - b) - np.cos(a - b_prime) - np.cos(a_prime - b_prime) + np.cos(a_prime - b)
+
+
 def _s_eprb(x: np.ndarray) -> np.ndarray:
-    u1 = x[..., 0] - x[..., 2]  # a - b
-    u2 = x[..., 0] - x[..., 3]  # a - b'
-    u3 = x[..., 1] - x[..., 3]  # a' - b'
-    u4 = x[..., 1] - x[..., 2]  # a' - b
-    return -np.cos(u1) - np.cos(u2) - np.cos(u3) + np.cos(u4)
+    return _chsh_eprb(x[..., 0], x[..., 1], x[..., 2], x[..., 3])
 
 
 def _grad_eprb(x: np.ndarray) -> np.ndarray:
@@ -147,6 +148,8 @@ def _hess_eprb(x: np.ndarray) -> np.ndarray:
 
 
 _S_FUNCS = {Mode.SEQUENTIAL: _s_sequential, Mode.EPRB: _s_eprb}
+#: S from one broadcasting array per angle, as ``scan_grid`` evaluates it.
+_GRID_S_FUNCS = {Mode.SEQUENTIAL: chsh_sequential_closed, Mode.EPRB: _chsh_eprb}
 _GRAD_FUNCS = {Mode.SEQUENTIAL: _grad_sequential, Mode.EPRB: _grad_eprb}
 _HESS_FUNCS = {Mode.SEQUENTIAL: _hess_sequential, Mode.EPRB: _hess_eprb}
 
@@ -178,15 +181,17 @@ def chsh_gradient(mode: Mode, angles) -> np.ndarray:
 class ScanReport:
     """Exhaustive grid evaluation of S.
 
-    ``angles`` holds one row per cell in lexicographic enumeration order;
-    ``argmax_angles`` is the lexicographically first cell whose |S| lies
-    within 1e-9 of ``max_abs_s`` (float rounding can split cells that are
-    equal in exact arithmetic).
+    The grid is ``axis`` (read-only) on each of the mode's angles; cells
+    are enumerated lexicographically, the last angle fastest, and
+    ``s_values`` holds S per cell in that order. ``argmax_angles`` is the
+    lexicographically first cell whose |S| lies within 1e-9 of
+    ``max_abs_s`` (float rounding can split cells that are equal in exact
+    arithmetic).
     """
 
     mode: Mode
     step: float
-    angles: np.ndarray
+    axis: np.ndarray
     s_values: np.ndarray
     max_abs_s: float
     argmax_angles: tuple[float, ...]
@@ -194,6 +199,14 @@ class ScanReport:
     @property
     def n_cells(self) -> int:
         return self.s_values.shape[0]
+
+    @property
+    def angles(self) -> np.ndarray:
+        """One row of angles per cell, built on each access (read-only)."""
+        mesh = np.meshgrid(*([self.axis] * _N_ANGLES[self.mode]), indexing="ij")
+        angles = np.stack([m.reshape(-1) for m in mesh], axis=-1)
+        angles.setflags(write=False)
+        return angles
 
 
 def _grid_axis(step: float) -> np.ndarray:
@@ -208,10 +221,11 @@ def _grid_axis(step: float) -> np.ndarray:
 def scan_grid(mode: Mode, step: float) -> ScanReport:
     """Evaluate S on the full angle grid of the given step (radians).
 
-    Each axis carries the multiples of ``step`` inside [0, 2*pi). In
-    sequential mode the classical bound is asserted on every cell; a
-    violation raises :class:`BoundViolationError` and signals a defect,
-    not a property of the input.
+    Each axis carries the multiples of ``step`` inside [0, 2*pi). S is
+    evaluated by broadcasting over the open mesh, so no array of angle
+    tuples is built. In sequential mode the classical bound is asserted
+    on every cell; a violation raises :class:`BoundViolationError` and
+    signals a defect, not a property of the input.
     """
     axis = _grid_axis(step)
     k = _N_ANGLES[mode]
@@ -220,26 +234,25 @@ def scan_grid(mode: Mode, step: float) -> ScanReport:
             f"step {step!r} yields {len(axis) ** k} cells; refusing grids "
             f"above {_MAX_GRID_CELLS}"
         )
-    mesh = np.meshgrid(*([axis] * k), indexing="ij")
-    angles = np.stack([m.reshape(-1) for m in mesh], axis=-1)
-    s_values = _S_FUNCS[mode](angles)
-    abs_s = np.abs(s_values)
-    max_abs = float(abs_s.max())
+    s_grid = _GRID_S_FUNCS[mode](*np.meshgrid(*([axis] * k), indexing="ij", sparse=True))
+    s_values = s_grid.reshape(-1)
+    max_abs = float(max(s_values.max(), -s_values.min()))
     if mode is Mode.SEQUENTIAL and max_abs > CLASSICAL_BOUND + BOUND_TOL:
         raise BoundViolationError(
             f"sequential closed form reached |S| = {max_abs!r}; this cannot "
             "happen in exact arithmetic and indicates a defect"
         )
-    argmax_idx = int(np.flatnonzero(abs_s >= max_abs - 1e-9)[0])
-    angles.setflags(write=False)
+    near = max_abs - 1e-9
+    argmax_idx = int(np.argmax((s_values >= near) | (s_values <= -near)))
+    axis.setflags(write=False)
     s_values.setflags(write=False)
     return ScanReport(
         mode=mode,
         step=float(step),
-        angles=angles,
+        axis=axis,
         s_values=s_values,
         max_abs_s=max_abs,
-        argmax_angles=tuple(float(v) for v in angles[argmax_idx]),
+        argmax_angles=tuple(float(axis[i]) for i in np.unravel_index(argmax_idx, s_grid.shape)),
     )
 
 

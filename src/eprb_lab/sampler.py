@@ -80,11 +80,30 @@ class OutcomeCounts:
             )
 
 
+#: Draws tallied per block, so memory stays fixed whatever the sample count.
+_TALLY_BLOCK = 1 << 20
+
+
+def _cdf(distribution: GrandJointDistribution) -> np.ndarray:
+    """Cumulative probabilities, exactly 1.0 from the last positive cell on.
+
+    ``cumsum`` can end just below 1; pinning keeps every uniform in [0, 1)
+    out of the zero-probability cells after the last positive one.
+    """
+    probs = distribution.as_array()
+    cdf = np.cumsum(probs)
+    cdf[np.flatnonzero(probs)[-1]:] = 1.0
+    return cdf
+
+
 def _tally(distribution: GrandJointDistribution, seed: int, start: int, count: int) -> np.ndarray:
-    cdf = np.cumsum(distribution.as_array())
-    draws = uniforms(seed, start, count)
-    indices = np.minimum(np.searchsorted(cdf, draws, side="right"), 15)
-    return np.bincount(indices, minlength=16)
+    cdf = _cdf(distribution)
+    counts = np.zeros(16, dtype=np.int64)
+    stop = start + count
+    for lo in range(start, stop, _TALLY_BLOCK):
+        draws = uniforms(seed, lo, min(_TALLY_BLOCK, stop - lo))
+        counts += np.bincount(np.searchsorted(cdf, draws, side="right"), minlength=16)
+    return counts
 
 
 def sample(distribution: GrandJointDistribution, n: int, seed: int) -> OutcomeCounts:

@@ -30,7 +30,7 @@ from eprb_lab.cli import (
     run,
 )
 from eprb_lab.errors import ConfigError
-from eprb_lab.inequality import chsh_value
+from eprb_lab.inequality import chsh_value, scan_grid
 from eprb_lab.quantum import (
     Mode,
     Scenario,
@@ -279,6 +279,21 @@ class TestRunChshScan:
             tmp_path, "chsh-scan", fmt="csv", step=120.0, **MAGIC_CONFIG
         )
         assert text.splitlines()[0] == "a_deg,a_prime_deg,b_deg,b_prime_deg,s"
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        mode=st.sampled_from(["sequential", "eprb"]),
+        step=st.floats(min_value=20.0, max_value=360.0),
+    )
+    def test_csv_equals_the_per_cell_rows(self, mode, step):
+        with tempfile.TemporaryDirectory() as tmp:
+            _, text = run_to_file(Path(tmp), "chsh-scan", fmt="csv", mode=mode, step=step)
+        grid = scan_grid(Mode(mode), math.radians(step))
+        rows = [
+            ",".join([*map(_fmt, map(math.degrees, angles)), _fmt(float(s))])
+            for angles, s in zip(grid.angles, grid.s_values)
+        ]
+        assert text.splitlines()[1:] == rows
 
 
 class TestRunChshMax:

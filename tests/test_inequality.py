@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from eprb_lab.errors import CorrelatorRangeError, InvalidScenarioError, InvalidStepError
 from eprb_lab.inequality import (
+    _S_FUNCS,
     BOUND_TOL,
     CLASSICAL_BOUND,
     chsh_gradient,
@@ -196,7 +198,41 @@ class TestScanGrid:
         with pytest.raises(ValueError):
             report.s_values[0] = 99.0
         with pytest.raises(ValueError):
+            report.axis[0] = 99.0
+        with pytest.raises(ValueError):
             report.angles[0, 0] = 99.0
+
+    @settings(max_examples=30, deadline=None)
+    @given(mode=st.sampled_from(list(Mode)), step_deg=st.floats(min_value=20.0, max_value=360.0))
+    def test_matches_the_array_of_angle_rows(self, mode, step_deg):
+        # Reference: the scan as S over the full N x k array of angle rows,
+        # evaluated by the optimiser's S, with the tie-break on |S|.
+        step = math.radians(step_deg)
+        axis = step * np.arange(int(math.ceil((TWO_PI - 1e-12) / step)))
+        k = 3 if mode is Mode.SEQUENTIAL else 4
+        rows = np.stack([m.reshape(-1) for m in np.meshgrid(*([axis] * k), indexing="ij")], axis=-1)
+        s_ref = _S_FUNCS[mode](rows)
+        abs_s = np.abs(s_ref)
+        first = int(np.flatnonzero(abs_s >= abs_s.max() - 1e-9)[0])
+
+        report = scan_grid(mode, step)
+        assert np.array_equal(report.axis, axis)
+        assert np.array_equal(report.angles, rows)
+        assert not report.angles.flags.writeable
+        assert report.angles.shape == (report.n_cells, k)
+        assert np.array_equal(report.s_values, s_ref)
+        assert report.max_abs_s == abs_s.max()
+        assert report.argmax_angles == tuple(rows[first])
+
+    def test_builds_no_array_of_angle_rows(self):
+        tracemalloc.start()
+        try:
+            report = scan_grid(Mode.EPRB, math.radians(12.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # The N x 4 angle rows alone would take 4 times s_values.
+        assert peak < 3 * report.s_values.nbytes
 
     def test_enumeration_matches_closed_form(self):
         report = scan_grid(Mode.SEQUENTIAL, math.radians(120.0))

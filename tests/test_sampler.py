@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +19,9 @@ from eprb_lab.quantum import (
     grand_joint_quantum,
 )
 from eprb_lab.sampler import (
+    _TALLY_BLOCK,
     COUNTS_CSV_HEADER,
+    _cdf,
     OutcomeCounts,
     counts_to_csv,
     empirical_correlators,
@@ -145,6 +148,31 @@ class TestSample:
         with pytest.raises(DistributionError):
             sample(d, True, seed=0)
 
+    def test_blocked_tally_equals_one_pass(self):
+        d = grand_joint_quantum(Scenario(0.3, 1.7, 2.2, 5.1))
+        n = 3 * _TALLY_BLOCK + 5
+        one_pass = np.bincount(np.searchsorted(_cdf(d), uniforms(9, 0, n), side="right"), minlength=16)
+        assert sample(d, n, seed=9).counts == tuple(int(c) for c in one_pass)
+
+    def test_memory_does_not_grow_with_n(self):
+        d = grand_joint_quantum(Scenario(0.3, 1.7, 2.2, 5.1))
+        tracemalloc.start()
+        try:
+            sample(d, 4_000_000, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20  # one pass over the draws would take about 120 MiB
+
+    @pytest.mark.parametrize("k", [6, 15])
+    def test_largest_uniform_lands_on_last_positive_cell(self, k):
+        # k equal cells of 1/k, then zeros: cumsum ends below 1, so without
+        # the pin the largest uniform would fall in a zero-probability cell.
+        probs = [1.0 / k] * k + [0.0] * (16 - k)
+        assert np.cumsum(probs)[-1] < 1.0
+        cdf = _cdf(GrandJointDistribution(tuple(probs)))
+        assert np.searchsorted(cdf, 1.0 - 2.0**-53, side="right") == k - 1
+
     def test_frequencies_track_probabilities(self):
         sc = Scenario(0.3, 1.7, 2.2, 5.1)
         d = grand_joint_quantum(sc)
@@ -160,6 +188,12 @@ class TestSampleSharded:
     def test_matches_single_stream(self, workers):
         d = grand_joint_quantum(Scenario(0.3, 1.7, 2.2, 5.1))
         n = 100_003  # deliberately not divisible by most worker counts
+        assert sample_sharded(d, n, seed=9, workers=workers) == sample(d, n, seed=9)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 4])
+    def test_shard_edges_inside_tally_blocks(self, workers):
+        d = grand_joint_quantum(Scenario(0.3, 1.7, 2.2, 5.1))
+        n = 3 * _TALLY_BLOCK + 5
         assert sample_sharded(d, n, seed=9, workers=workers) == sample(d, n, seed=9)
 
     def test_invalid_workers_rejected(self):
