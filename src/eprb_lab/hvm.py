@@ -540,6 +540,28 @@ def _check_consistency(targets: PairTargets) -> None:
             )
 
 
+def _average_shared_marginals(cells: np.ndarray) -> None:
+    """Set each observable's P(+1) in both its pairs to the mean of the two.
+
+    ``cells`` is indexed by pair (in ``CROSS_PAIRS`` order), then the first
+    and the second outcome, +1 before -1; it is changed in place. Moving a
+    marginal by d adds d/2 to the two cells where the observable is +1 and
+    takes d/2 from the other two, which leaves the pair's correlator and
+    its other marginal as they were.
+    """
+    for obs in OBSERVABLES:
+        copies = [
+            np.moveaxis(cells[k], pair.index(obs), 0)
+            for k, pair in enumerate(CROSS_PAIRS.values())
+            if obs in pair
+        ]
+        margins = [float(c[0].sum()) for c in copies]
+        mean = 0.5 * (margins[0] + margins[1])
+        for c, m in zip(copies, margins):
+            c[0] += 0.5 * (mean - m)
+            c[1] -= 0.5 * (mean - m)
+
+
 def noncontextual_feasibility(
     targets: PairTargets, tol: float = 1e-9
 ) -> FeasibilityResult:
@@ -585,6 +607,12 @@ def noncontextual_feasibility(
         # 1 - tol/2, to at most 2, and moves each target cell by at most
         # 0.375 * tol.
         b[:-1] += 0.5 * tol * (0.25 - b[:-1])
+        result = solve_equality_feasibility(a, b, tol=tol)
+    if not result.feasible:
+        # Shared marginals may still differ by up to _CONSISTENCY_TOL, more
+        # than the LP absorbs. Averaging them keeps every correlator, and so
+        # every CHSH variant, and moves each cell by at most half that.
+        _average_shared_marginals(b[:-1].reshape(len(CROSS_PAIRS), 2, 2))
         result = solve_equality_feasibility(a, b, tol=tol)
     if not result.feasible:
         raise RuntimeError(

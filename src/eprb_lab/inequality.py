@@ -343,16 +343,29 @@ def maximize_chsh(
     """Maximize |S| by multistart local ascent plus a Newton polish.
 
     Every cell of the coarse grid (plus ``init_angles`` when given) seeds
-    a gradient ascent; the best endpoint is refined until the analytic
-    gradient norm drops to ``tol``. Failure to reach ``tol`` within the
+    a gradient ascent; in EPRB mode the grid is the slice with ``a = 0``,
+    since a common rotation of all four angles leaves S unchanged. The
+    best endpoint is refined until the analytic gradient norm drops to
+    ``tol``. Failure to reach ``tol`` within the
     iteration caps is reported via ``converged=False`` with the best
     point found.
     """
     if not (isinstance(tol, (int, float)) and math.isfinite(tol)) or tol <= 0.0:
         raise InvalidScenarioError(f"tolerance must be positive, got {tol!r}")
     axis = _grid_axis(coarse_step)
-    k = _N_ANGLES[mode]
-    mesh = np.meshgrid(*([axis] * k), indexing="ij")
+    axes = [axis] * _N_ANGLES[mode]
+    if mode is Mode.EPRB:
+        # EPRB S depends only on angle differences, so it is unchanged when
+        # all four angles rotate together. When the step divides the full
+        # circle, every start with a != 0 is a rotated copy of one with
+        # a = 0, so the a = 0 slice (the grid's first len(axis)**3 rows, a
+        # being the slowest axis) is the same search. The ascent treats each
+        # row on its own, and the slice keeps starts that run it to its
+        # iteration cap, so each remaining row ends where it did in the
+        # full grid. For the default step the full grid's best row lies in
+        # the slice, so the report is the full grid's, bit for bit.
+        axes[0] = axis[:1]
+    mesh = np.meshgrid(*axes, indexing="ij")
     starts = np.stack([m.reshape(-1) for m in mesh], axis=-1)
     if init_angles is not None:
         starts = np.vstack([starts, _check_angles(mode, init_angles)])

@@ -364,12 +364,9 @@ def marginal_pair(
     if len(which) != 2:
         raise UnknownPairError(f"expected two observable labels, got {which!r}")
     first, second = which
-    for name in (first, second):
-        if name not in _OBS_SLOT:
-            raise UnknownPairError(f"unknown observable label: {name!r}")
-    if first == second:
-        raise UnknownPairError(f"pair labels must differ, got {first!r} twice")
-    i, j = _OBS_SLOT[first], _OBS_SLOT[second]
+    # PairDistribution rejects unknown and repeated labels; until then an
+    # unknown label reads slot 0.
+    i, j = _OBS_SLOT.get(first, 0), _OBS_SLOT.get(second, 0)
     sums = [0.0, 0.0, 0.0, 0.0]
     for q, p in distribution.items():
         sums[PAIR_INDEX[(q[i], q[j])]] += p

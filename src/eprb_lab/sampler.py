@@ -36,11 +36,18 @@ _U64_MAX = 2**64 - 1
 _INV_2_53 = 2.0**-53
 
 
-def _mix64(z: np.ndarray) -> np.ndarray:
-    """SplitMix64 finalizer on an array of uint64 counters."""
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX_1)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX_2)
-    return z ^ (z >> np.uint64(31))
+def _mix64(z: np.ndarray, work: np.ndarray) -> None:
+    """SplitMix64 finalizer, in place on uint64 ``z``.
+
+    ``work`` is scratch of the same shape and dtype, so no temporaries
+    are allocated.
+    """
+    for shift, mult in ((30, _MIX_1), (27, _MIX_2)):
+        np.right_shift(z, np.uint64(shift), out=work)
+        z ^= work
+        z *= np.uint64(mult)
+    np.right_shift(z, np.uint64(31), out=work)
+    z ^= work
 
 
 def _check_seed(seed: int) -> None:
@@ -55,9 +62,14 @@ def uniforms(seed: int, start: int, count: int) -> np.ndarray:
     _check_seed(seed)
     if start < 0 or count < 0:
         raise DistributionError(f"invalid draw range: start={start!r}, count={count!r}")
-    counters = np.arange(start + 1, start + count + 1, dtype=np.uint64)
-    words = _mix64(np.uint64(seed) + counters * np.uint64(GOLDEN))
-    return (words >> np.uint64(11)).astype(np.float64) * _INV_2_53
+    z = np.arange(start + 1, start + count + 1, dtype=np.uint64)
+    z *= np.uint64(GOLDEN)
+    z += np.uint64(seed)
+    work = np.empty_like(z)
+    _mix64(z, work)
+    z >>= np.uint64(11)
+    # The doubles reuse the scratch buffer: two arrays of ``count`` words in all.
+    return np.multiply(z, _INV_2_53, out=work.view(np.float64))
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -37,6 +39,7 @@ from eprb_lab.hvm import (
 from eprb_lab.quantum import (
     CROSS_PAIRS,
     CorrelatorSet,
+    GrandJointDistribution,
     Mode,
     PairDistribution,
     Scenario,
@@ -57,6 +60,36 @@ eprb_scenarios = st.builds(
 )
 
 PLAIN_CONTEXT = ContextDescriptor(weights=(), side1=(), side2=())
+
+
+@st.composite
+def perturbed_feasible_targets(draw) -> PairTargets:
+    """Pair marginals of a random joint, each cell moved by up to 1e-9.
+
+    Half the joints are made flip-symmetric (q and -q equally likely),
+    which gives unbiased targets; the rest are biased.
+    """
+    weights = np.array(
+        draw(st.lists(st.floats(0.0, 1.0), min_size=16, max_size=16).filter(any))
+    )
+    joint = weights / weights.sum()
+    if draw(st.booleans()):
+        # QUADRUPLES[15 - i] is QUADRUPLES[i] with every sign flipped.
+        joint = 0.5 * (joint + joint[::-1])
+    d = GrandJointDistribution(tuple(joint))
+    pairs = {}
+    for name, pair in CROSS_PAIRS.items():
+        delta = np.array(draw(st.lists(st.floats(-5e-10, 5e-10), min_size=4, max_size=4)))
+        probs = np.clip(np.array(marginal_pair(d, pair).probs) + delta - delta.mean(), 0.0, None)
+        pairs[name] = PairDistribution(*pair, tuple(probs / probs.sum()))
+    return PairTargets(**pairs)
+
+
+def _shifted_a1_marginal(correlators: CorrelatorSet, shift: float) -> PairTargets:
+    """Unbiased targets with P(A1=+1) in ``ab_prime`` moved by ``shift``."""
+    base = pair_targets_from_correlators(correlators)
+    pp, pm, mp, mm = base.ab_prime.probs
+    return replace(base, ab_prime=PairDistribution("A1", "B2", (pp + shift, pm, mp - shift, mm)))
 
 
 def deterministic_model(side1_pair: int, side2_pair: int) -> HVModel:
@@ -430,6 +463,24 @@ class TestNoncontextualFeasibility:
         )
         with pytest.raises(InconsistentTargetsError):
             noncontextual_feasibility(targets)
+
+    @given(perturbed_feasible_targets())
+    @settings(max_examples=200, deadline=None)
+    # Passes the consistency check, and the LP finds no witness even for
+    # the mixed targets: only averaging the shared marginals resolves it.
+    @example(_shifted_a1_marginal(CorrelatorSet(0.2, -0.1, 0.4, 0.3), 8e-10))
+    def test_perturbed_feasible_targets_never_raise_runtime_error(self, targets):
+        try:
+            result = noncontextual_feasibility(targets)
+        except InconsistentTargetsError:
+            return
+        if result.verdict is Verdict.INFEASIBLE:
+            # A perturbation can lift a CHSH variant off its facet.
+            assert result.certificate.value > 2.0 + 1e-9
+            return
+        for name, pair in CROSS_PAIRS.items():
+            got = marginal_pair(result.joint, pair).probs
+            assert got == pytest.approx(getattr(targets, name).probs, abs=2e-9)
 
     def test_sign_variants_structure(self):
         assert len(CHSH_SIGN_VARIANTS) == 8

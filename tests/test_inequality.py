@@ -4,15 +4,18 @@ from __future__ import annotations
 
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from eprb_lab import inequality
 from eprb_lab.errors import CorrelatorRangeError, InvalidScenarioError, InvalidStepError
 from eprb_lab.inequality import (
     _S_FUNCS,
+    _ascent,
     BOUND_TOL,
     CLASSICAL_BOUND,
     chsh_gradient,
@@ -47,6 +50,22 @@ def eprb_optimum():
 @pytest.fixture(scope="module")
 def sequential_optimum():
     return maximize_chsh(Mode.SEQUENTIAL)
+
+
+#: Starts in the a = 0 slice of the default 12**4 EPRB coarse grid.
+A_ZERO_STARTS = 12**3
+
+
+@pytest.fixture(scope="module")
+def eprb_full_grid():
+    """Starts and ascent endpoints over the whole default EPRB coarse grid.
+
+    The optimiser seeds only the a = 0 slice; this is the search over
+    every cell that the slice stands in for (about 1.4 s).
+    """
+    axis = (math.pi / 6.0) * np.arange(12)
+    starts = np.stack([m.reshape(-1) for m in np.meshgrid(*([axis] * 4), indexing="ij")], axis=-1)
+    return (starts, *_ascent(Mode.EPRB, starts, 250))
 
 
 class TestChshValue:
@@ -266,6 +285,45 @@ class TestMaximizeChsh:
     def test_eprb_beats_every_coarse_scan(self, eprb_optimum):
         scan = scan_grid(Mode.EPRB, math.radians(15.0))
         assert eprb_optimum.abs_s >= scan.max_abs_s - 1e-9
+
+    def test_full_grid_best_start_has_a_zero(self, eprb_full_grid):
+        starts, _, f, _ = eprb_full_grid
+        best = int(np.argmax(f))
+        assert best < A_ZERO_STARTS
+        assert starts[best, 0] == 0.0
+
+    def test_a_zero_slice_ends_where_the_full_grid_does(self, eprb_full_grid):
+        starts, x_full, f_full, iterations_full = eprb_full_grid
+        x, f, iterations = _ascent(Mode.EPRB, starts[:A_ZERO_STARTS], 250)
+        # Both runs reach the iteration cap, so every row takes the same
+        # number of steps, each on its own.
+        assert iterations == iterations_full == 250
+        assert np.array_equal(x, x_full[:A_ZERO_STARTS])
+        assert np.array_equal(f, f_full[:A_ZERO_STARTS])
+        assert np.array_equal(x[np.argmax(f)], x_full[np.argmax(f_full)])
+
+    @given(init=st.none() | st.tuples(angles, angles, angles, angles))
+    @example(init=None)
+    @example(init=MAGIC_ANGLES)
+    @settings(max_examples=6, deadline=None)
+    def test_eprb_report_equals_the_full_grid_search(self, eprb_full_grid, init):
+        _, x_full, f_full, iterations_full = eprb_full_grid
+
+        def full_grid_ascent(mode, starts, max_iter):
+            # Put the full grid's endpoints in place of the slice's. The
+            # init row, if any, ran as many steps as it would beside the
+            # full grid, so its endpoint is the one the full search gets.
+            x, f, iterations = _ascent(mode, starts, max_iter)
+            assert iterations == iterations_full
+            return (
+                np.vstack([x_full, x[A_ZERO_STARTS:]]),
+                np.concatenate([f_full, f[A_ZERO_STARTS:]]),
+                iterations,
+            )
+
+        with mock.patch.object(inequality, "_ascent", full_grid_ascent):
+            reference = maximize_chsh(Mode.EPRB, init_angles=init)
+        assert maximize_chsh(Mode.EPRB, init_angles=init) == reference
 
     def test_init_angles_are_honored(self):
         report = maximize_chsh(Mode.EPRB, init_angles=MAGIC_ANGLES)

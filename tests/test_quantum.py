@@ -327,12 +327,16 @@ class TestMarginalPair:
 
     def test_label_validation(self):
         d = grand_joint_quantum(Scenario(0.1, 0.2, 0.3, 0.4))
-        with pytest.raises(UnknownPairError):
-            marginal_pair(d, ("A1",))
-        with pytest.raises(UnknownPairError):
-            marginal_pair(d, ("A1", "A1"))
-        with pytest.raises(UnknownPairError):
-            marginal_pair(d, ("A1", "X9"))
+        for which, message in (
+            (("A1",), "expected two observable labels, got ('A1',)"),
+            (("A1", "A1"), "pair labels must differ, got 'A1' twice"),
+            (("A1", "X9"), "unknown observable label: 'X9'"),
+            (("X9", "A1"), "unknown observable label: 'X9'"),
+            (("X9", "X9"), "unknown observable label: 'X9'"),
+        ):
+            with pytest.raises(UnknownPairError) as excinfo:
+                marginal_pair(d, which)
+            assert str(excinfo.value) == message
 
     @given(scenarios)
     @settings(max_examples=50)

@@ -71,6 +71,18 @@ class TestUniforms:
         want = np.array([reference_uniform(seed, start + i) for i in range(8)])
         assert np.array_equal(got, want)
 
+    def test_works_in_two_arrays_of_its_draws(self):
+        # The counters and one scratch buffer, which ends up holding the
+        # doubles; fresh temporaries per step would peak at 4 arrays.
+        n = _TALLY_BLOCK
+        tracemalloc.start()
+        try:
+            uniforms(5, 7, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * 8 * n
+
     def test_empty_request(self):
         out = uniforms(7, 0, 0)
         assert out.shape == (0,)
