@@ -14,8 +14,9 @@ and any contiguous split of the index range across workers reproduces
 the single-worker sequence exactly. Platform or library generators are
 deliberately not used anywhere in this module.
 
-Outcomes are drawn by inverting the cumulative distribution over the 16
-quadruples in canonical ``QUADRUPLES`` order.
+Outcomes invert the cumulative distribution over the 16 quadruples in
+canonical ``QUADRUPLES`` order: draw ``u`` lands in cell ``#{k: cdf[k] <= u}``.
+Blocks of 2**16 draws are tallied by counting the draws below each entry.
 """
 
 from __future__ import annotations
@@ -48,6 +49,11 @@ def _mix64(z: np.ndarray, work: np.ndarray) -> None:
         z *= np.uint64(mult)
     np.right_shift(z, np.uint64(31), out=work)
     z ^= work
+
+
+def _check_count(n: int) -> None:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
+        raise DistributionError(f"sample count must be a nonnegative integer, got {n!r}")
 
 
 def _check_seed(seed: int) -> None:
@@ -92,8 +98,8 @@ class OutcomeCounts:
             )
 
 
-#: Draws tallied per block, so memory stays fixed whatever the sample count.
-_TALLY_BLOCK = 1 << 20
+#: Draws per tally block: memory stays fixed and a block's passes stay in cache.
+_TALLY_BLOCK = 1 << 16
 
 
 def _cdf(distribution: GrandJointDistribution) -> np.ndarray:
@@ -108,22 +114,20 @@ def _cdf(distribution: GrandJointDistribution) -> np.ndarray:
     return cdf
 
 
-def _tally(distribution: GrandJointDistribution, seed: int, start: int, count: int) -> np.ndarray:
+def _tally(distribution: GrandJointDistribution, seed: int, start: int, stop: int) -> np.ndarray:
     cdf = _cdf(distribution)
-    counts = np.zeros(16, dtype=np.int64)
-    stop = start + count
+    below = np.zeros(16, dtype=np.int64)
     for lo in range(start, stop, _TALLY_BLOCK):
         draws = uniforms(seed, lo, min(_TALLY_BLOCK, stop - lo))
-        counts += np.bincount(np.searchsorted(cdf, draws, side="right"), minlength=16)
-    return counts
+        for k, edge in enumerate(cdf):
+            below[k] += np.count_nonzero(draws < edge)
+    return np.diff(below, prepend=0)
 
 
 def sample(distribution: GrandJointDistribution, n: int, seed: int) -> OutcomeCounts:
     """Draw ``n`` quadruples by inverse-CDF over the canonical ordering."""
-    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-        raise DistributionError(f"sample count must be a nonnegative integer, got {n!r}")
-    counts = _tally(distribution, seed, 0, n)
-    return OutcomeCounts(counts=tuple(int(c) for c in counts), n=n, seed=seed)
+    _check_count(n)
+    return OutcomeCounts(counts=_tally(distribution, seed, 0, n), n=n, seed=seed)
 
 
 def sample_sharded(
@@ -137,14 +141,10 @@ def sample_sharded(
     """
     if not isinstance(workers, int) or isinstance(workers, bool) or workers < 1:
         raise DistributionError(f"worker count must be a positive integer, got {workers!r}")
-    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-        raise DistributionError(f"sample count must be a nonnegative integer, got {n!r}")
-    total = np.zeros(16, dtype=np.int64)
-    for w in range(workers):
-        start = w * n // workers
-        stop = (w + 1) * n // workers
-        total += _tally(distribution, seed, start, stop - start)
-    return OutcomeCounts(counts=tuple(int(c) for c in total), n=n, seed=seed)
+    _check_count(n)
+    total = sum(_tally(distribution, seed, w * n // workers, (w + 1) * n // workers)
+                for w in range(workers))
+    return OutcomeCounts(counts=total, n=n, seed=seed)
 
 
 @dataclass(frozen=True)

@@ -7,9 +7,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from eprb_lab import sampler
 from eprb_lab.errors import DistributionError, EmptySampleError
 from eprb_lab.quantum import (
     QUADRUPLES,
@@ -22,6 +23,7 @@ from eprb_lab.sampler import (
     _TALLY_BLOCK,
     COUNTS_CSV_HEADER,
     _cdf,
+    _tally,
     OutcomeCounts,
     counts_to_csv,
     empirical_correlators,
@@ -48,6 +50,43 @@ def reference_uniform(seed: int, index: int) -> float:
 def point_mass(index: int) -> GrandJointDistribution:
     probs = tuple(1.0 if i == index else 0.0 for i in range(16))
     return GrandJointDistribution(probs)
+
+
+def searchsorted_tally(d: GrandJointDistribution, draws: np.ndarray) -> np.ndarray:
+    """Reference tally: binary search of each draw in the CDF."""
+    return np.bincount(np.searchsorted(_cdf(d), draws, side="right"), minlength=16)
+
+
+def equal_cells(k: int) -> tuple[float, ...]:
+    """k equal cells of 1/k, then zeros; for most k the cumsum ends below 1."""
+    return (1.0 / k,) * k + (0.0,) * (16 - k)
+
+
+@st.composite
+def distributions(draw) -> tuple[float, ...]:
+    if draw(st.booleans()):
+        return equal_cells(draw(st.integers(min_value=1, max_value=16)))
+    weight = st.one_of(st.just(0), st.integers(min_value=1, max_value=10**6))
+    weights = draw(
+        st.lists(weight, min_size=16, max_size=16).filter(lambda w: sum(w) > 0)
+    )
+    return tuple(w / sum(weights) for w in weights)
+
+
+#: Draw indices on both sides of the first few tally block edges, and far out.
+draw_starts = st.one_of(
+    st.integers(min_value=0, max_value=3 * _TALLY_BLOCK),
+    st.builds(
+        lambda block, offset: max(0, block * _TALLY_BLOCK + offset),
+        st.integers(min_value=0, max_value=2**40),
+        st.integers(min_value=-3, max_value=3),
+    ),
+)
+draw_counts = st.one_of(
+    st.just(0),
+    st.integers(min_value=1, max_value=100),
+    st.integers(min_value=0, max_value=3 * _TALLY_BLOCK + 7),
+)
 
 
 class TestUniforms:
@@ -174,7 +213,51 @@ class TestSample:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 64 * 2**20  # one pass over the draws would take about 120 MiB
+        assert peak < 4 * 2**20  # one pass over the draws would take about 120 MiB
+
+    @given(
+        probs=distributions(),
+        seed=st.integers(min_value=0, max_value=MASK64),
+        start=draw_starts,
+        count=draw_counts,
+    )
+    @example(probs=(0.0, 0.0) + (1.0 / 14,) * 14, seed=0, start=0, count=100)
+    @example(
+        probs=(0.25, 0.25) + (0.0,) * 12 + (0.25, 0.25), seed=1, start=_TALLY_BLOCK - 1, count=2
+    )
+    @example(probs=(0.5, 0.5) + (0.0,) * 14, seed=MASK64, start=1, count=2 * _TALLY_BLOCK)
+    @example(probs=equal_cells(15), seed=3, start=2 * _TALLY_BLOCK, count=_TALLY_BLOCK)
+    @example(probs=equal_cells(6), seed=4, start=5, count=0)
+    @settings(max_examples=60, deadline=None)
+    def test_counts_equal_the_searchsorted_tally(self, probs, seed, start, count):
+        d = GrandJointDistribution(probs)
+        want = searchsorted_tally(d, uniforms(seed, start, count))
+        assert np.array_equal(_tally(d, seed, start, start + count), want)
+        from_zero = searchsorted_tally(d, uniforms(seed, 0, count))
+        assert sample(d, count, seed).counts == tuple(int(c) for c in from_zero)
+
+    @pytest.mark.parametrize(
+        "probs",
+        [
+            grand_joint_quantum(Scenario(0.3, 1.7, 2.2, 5.1)).probs,
+            (0.0, 0.1, 0.0, 0.0, 0.2, 0.3, 0.0, 0.1, 0.1, 0.0, 0.2) + (0.0,) * 5,
+            equal_cells(6),
+        ],
+    )
+    def test_draws_on_a_cdf_entry_go_to_the_next_cell(self, probs, monkeypatch):
+        d = GrandJointDistribution(probs)
+        cdf = _cdf(d)
+        draws = np.concatenate([cdf[cdf < 1.0], [0.0, 1.0 - 2.0**-53]])
+        monkeypatch.setattr(sampler, "uniforms", lambda seed, lo, count: draws[lo:lo + count])
+        counts = _tally(d, 0, 0, draws.size)
+        assert np.array_equal(counts, searchsorted_tally(d, draws))
+        if np.all(np.diff(cdf) > 0.0):
+            # Every cell positive: a draw equal to cdf[k] lands in cell k + 1.
+            want = np.zeros(16, dtype=np.int64)
+            want[1:] += 1
+            want[0] += 1  # the draw 0.0
+            want[15] += 1  # the largest draw, 1 - 2**-53
+            assert np.array_equal(counts, want)
 
     @pytest.mark.parametrize("k", [6, 15])
     def test_largest_uniform_lands_on_last_positive_cell(self, k):
@@ -207,6 +290,19 @@ class TestSampleSharded:
         d = grand_joint_quantum(Scenario(0.3, 1.7, 2.2, 5.1))
         n = 3 * _TALLY_BLOCK + 5
         assert sample_sharded(d, n, seed=9, workers=workers) == sample(d, n, seed=9)
+
+    @pytest.mark.parametrize("bad", [-1, True, 2.0, "3", None])
+    def test_sample_count_checked_as_in_sample(self, bad):
+        d = point_mass(0)
+        message = f"sample count must be a nonnegative integer, got {bad!r}"
+        entry_points = (
+            lambda: sample(d, bad, seed=0),
+            lambda: sample_sharded(d, bad, seed=0, workers=2),
+        )
+        for draw in entry_points:
+            with pytest.raises(DistributionError) as caught:
+                draw()
+            assert str(caught.value) == message
 
     def test_invalid_workers_rejected(self):
         d = point_mass(0)
