@@ -362,18 +362,8 @@ def _payload_hvm_check(config: RunConfig) -> _Payload:
     payload = {
         "atom_ids": list(model.atom_ids),
         "weights": list(model.weights),
-        "context": {
-            "weights": list(model.context.weights),
-            "side1": list(model.context.side1),
-            "side2": list(model.context.side2),
-        },
-        "factorizability": {
-            "passed": fact.passed,
-            "max_deviation": fact.max_deviation,
-            "product_deviation": fact.product_deviation,
-            "locality_deviation": fact.locality_deviation,
-            "normalization_error": fact.normalization_error,
-        },
+        "context": model.context.as_dict(),
+        "factorizability": dataclasses.asdict(fact),
         "reconstruction_max_deviation": reconstruction_dev,
         "passed": passed,
     }

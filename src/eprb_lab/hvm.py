@@ -64,6 +64,7 @@ from .quantum import (
     PAIR_SLOTS,
     QUADRUPLES,
     SIGN_PAIRS,
+    SIGNS,
     CorrelatorSet,
     GrandJointDistribution,
     Mode,
@@ -76,6 +77,7 @@ from .quantum import (
 )
 
 _SETTING_NAMES = ("a", "a_prime", "b", "b_prime")
+_CONTEXT_FIELDS = ("weights", "side1", "side2")
 
 ResponseTable = tuple[float, float, float, float]
 ResponseFunc = Callable[[int, Scenario], ResponseTable]
@@ -90,12 +92,16 @@ class ContextDescriptor:
     side2: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        for field in ("weights", "side1", "side2"):
+        for field in _CONTEXT_FIELDS:
             names = tuple(getattr(self, field))
             object.__setattr__(self, field, names)
             for name in names:
                 if name not in _SETTING_NAMES:
                     raise InvalidScenarioError(f"unknown setting name: {name!r}")
+
+    def as_dict(self) -> dict[str, list[str]]:
+        """The descriptor as the model file and the reports write it."""
+        return {field: list(getattr(self, field)) for field in _CONTEXT_FIELDS}
 
 
 @dataclass(frozen=True)
@@ -149,22 +155,21 @@ _ATOM_SIGNS: tuple[tuple[int, int], ...] = SIGN_PAIRS  # (alpha, beta) per atom
 _ATOM_IDS = ("++", "+-", "-+", "--")
 
 
-def _sequential_side1(i: int, sc: Scenario) -> ResponseTable:
-    alpha = _ATOM_SIGNS[i][0]
-    c = math.cos(sc.a - sc.a_prime)
+def _transition_table(sign: int, c: float) -> ResponseTable:
+    """Early outcome ``sign``; the late one follows the transition rule for
+    an analyzer pair at cosine ``c``."""
     return tuple(
-        (1.0 if s1 == alpha else 0.0) * 0.5 * (1.0 + s1 * s2 * c)
+        (1.0 if s1 == sign else 0.0) * 0.5 * (1.0 + s1 * s2 * c)
         for s1, s2 in SIGN_PAIRS
     )
+
+
+def _sequential_side1(i: int, sc: Scenario) -> ResponseTable:
+    return _transition_table(_ATOM_SIGNS[i][0], math.cos(sc.a - sc.a_prime))
 
 
 def _sequential_side2(i: int, sc: Scenario) -> ResponseTable:
-    beta = _ATOM_SIGNS[i][1]
-    c = math.cos(sc.b - sc.b_prime)
-    return tuple(
-        (1.0 if s1 == beta else 0.0) * 0.5 * (1.0 + s1 * s2 * c)
-        for s1, s2 in SIGN_PAIRS
-    )
+    return _transition_table(_ATOM_SIGNS[i][1], math.cos(sc.b - sc.b_prime))
 
 
 def build_contextual_model(scenario: Scenario) -> HVModel:
@@ -231,46 +236,48 @@ class FactorizabilityReport:
 #: Fixed offsets (radians) used to probe setting independence.
 _PROBE_OFFSETS = (0.9, 2.1, 3.3)
 
+#: Slack on negative response probabilities, normalization and locality.
+_FACTORIZABILITY_TOL = 1e-12
 
-def check_factorizability(model: HVModel, tol: float = 1e-12) -> FactorizabilityReport:
+
+def check_factorizability(model: HVModel) -> FactorizabilityReport:
     """Verify setting independence and normalization of a model.
 
     Each side's response table must be unchanged when the other side's
     analyzers are displaced by fixed probe offsets. Models built by
     :func:`build_contextual_model` pass with deviation exactly zero; the
-    check guards hand-built or file-loaded models.
+    check guards hand-built or file-loaded models. Every check allows
+    1e-12.
     """
-    side1 = model.side1_table()
-    side2 = model.side2_table()
+    tol = _FACTORIZABILITY_TOL
+    sc = model.scenario
+    # Each side's table, its table at another scenario, and the opposite
+    # side's two analyzers.
+    sides = (
+        (model.side1_table(), model.side1_table, "b", "b_prime"),
+        (model.side2_table(), model.side2_table, "a", "a_prime"),
+    )
 
     normalization = abs(math.fsum(model.weights) - 1.0)
-    for table in (*side1, *side2):
+    for table in (t for side in sides for t in side[0]):
         for p in table:
             if not math.isfinite(p) or p < -tol:
                 raise DistributionError(f"response probability is invalid: {p!r}")
         normalization = max(normalization, abs(math.fsum(table) - 1.0))
 
     locality_dev = 0.0
-    sc = model.scenario
     for delta in _PROBE_OFFSETS:
-        for probe in (
-            replace(sc, b=sc.b + delta),
-            replace(sc, b_prime=sc.b_prime + delta),
-            replace(sc, b=sc.b + delta, b_prime=sc.b_prime + 0.5 * delta),
-        ):
-            for base, moved in zip(side1, model.side1_table(probe)):
-                locality_dev = max(
-                    locality_dev, max(abs(x - y) for x, y in zip(base, moved))
-                )
-        for probe in (
-            replace(sc, a=sc.a + delta),
-            replace(sc, a_prime=sc.a_prime + delta),
-            replace(sc, a=sc.a + delta, a_prime=sc.a_prime + 0.5 * delta),
-        ):
-            for base, moved in zip(side2, model.side2_table(probe)):
-                locality_dev = max(
-                    locality_dev, max(abs(x - y) for x, y in zip(base, moved))
-                )
+        for tables, table_at, near, far in sides:
+            moved_near = getattr(sc, near) + delta
+            for probe in (
+                replace(sc, **{near: moved_near}),
+                replace(sc, **{far: getattr(sc, far) + delta}),
+                replace(sc, **{near: moved_near, far: getattr(sc, far) + 0.5 * delta}),
+            ):
+                for base, moved in zip(tables, table_at(probe)):
+                    locality_dev = max(
+                        locality_dev, max(abs(x - y) for x, y in zip(base, moved))
+                    )
 
     return FactorizabilityReport(
         passed=locality_dev <= tol and normalization <= tol,
@@ -281,8 +288,9 @@ def check_factorizability(model: HVModel, tol: float = 1e-12) -> Factorizability
     )
 
 
-_SIDE1_OBSERVABLES = {"A1": 0, "A2": 1}
-_SIDE2_OBSERVABLES = {"B1": 0, "B2": 1}
+#: Each observable's side (0 for particle 1) and its slot in that side's
+#: sign pair.
+_SIDE_SLOTS = {"A1": (0, 0), "A2": (0, 1), "B1": (1, 0), "B2": (1, 1)}
 
 
 def hv_correlator(model: HVModel, pair: Sequence[str]) -> float:
@@ -293,16 +301,13 @@ def hv_correlator(model: HVModel, pair: Sequence[str]) -> float:
     """
     if len(pair) != 2:
         raise UnknownPairError(f"expected two observable labels, got {pair!r}")
-    first, second = pair
-    if first in _SIDE1_OBSERVABLES and second in _SIDE2_OBSERVABLES:
-        slot1, slot2 = _SIDE1_OBSERVABLES[first], _SIDE2_OBSERVABLES[second]
-    elif first in _SIDE2_OBSERVABLES and second in _SIDE1_OBSERVABLES:
-        slot2, slot1 = _SIDE2_OBSERVABLES[first], _SIDE1_OBSERVABLES[second]
-    else:
+    slots = dict(_SIDE_SLOTS.get(label, (None, None)) for label in pair)
+    if slots.keys() != {0, 1}:
         raise UnknownPairError(
             f"pair {pair!r} must combine one of A1/A2 with one of B1/B2; "
             "same-side products are not conditionally independent"
         )
+    slot1, slot2 = slots[0], slots[1]
     total = 0.0
     for i, w in enumerate(model.weights):
         t1 = model.side1_response(i, model.scenario)
@@ -356,18 +361,8 @@ def save_model(model: HVModel, path: str | Path) -> None:
     side2 = model.side2_table()
     doc = {
         "format": _MODEL_FORMAT,
-        "scenario": {
-            "mode": sc.mode.value,
-            "a": sc.a,
-            "a_prime": sc.a_prime,
-            "b": sc.b,
-            "b_prime": sc.b_prime,
-        },
-        "context": {
-            "weights": list(model.context.weights),
-            "side1": list(model.context.side1),
-            "side2": list(model.context.side2),
-        },
+        "scenario": {"mode": sc.mode.value, **{name: getattr(sc, name) for name in _SETTING_NAMES}},
+        "context": model.context.as_dict(),
         "atoms": [
             {
                 "id": model.atom_ids[i],
@@ -397,18 +392,10 @@ def load_model(path: str | Path) -> HVModel:
     try:
         sc_doc = doc["scenario"]
         scenario = Scenario(
-            a=sc_doc["a"],
-            a_prime=sc_doc["a_prime"],
-            b=sc_doc["b"],
-            b_prime=sc_doc["b_prime"],
-            mode=Mode(sc_doc["mode"]),
+            **{name: sc_doc[name] for name in _SETTING_NAMES}, mode=Mode(sc_doc["mode"])
         )
         ctx_doc = doc["context"]
-        context = ContextDescriptor(
-            weights=tuple(ctx_doc["weights"]),
-            side1=tuple(ctx_doc["side1"]),
-            side2=tuple(ctx_doc["side2"]),
-        )
+        context = ContextDescriptor(**{field: ctx_doc[field] for field in _CONTEXT_FIELDS})
         atoms = doc["atoms"]
         return model_from_tables(
             scenario=scenario,
@@ -419,8 +406,6 @@ def load_model(path: str | Path) -> HVModel:
             context=context,
         )
     except (KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, ModelFormatError):
-            raise
         raise ModelFormatError(f"malformed model document: {exc}") from exc
 
 
@@ -526,14 +511,46 @@ def chsh_variant_values(correlators: CorrelatorSet) -> dict[tuple[int, int, int,
 
 _CONSISTENCY_TOL = 1e-9
 
+#: Slack on the CHSH variants and on the LP's residual.
+_FEASIBILITY_TOL = 1e-9
 
-def _check_consistency(targets: PairTargets) -> None:
-    for obs in OBSERVABLES:
-        m1, m2 = (
-            getattr(targets, name).marginal(obs, 1)
-            for name, pair in CROSS_PAIRS.items()
-            if obs in pair
+#: Linear system over the 16 quadruples' weights: a row per target cell,
+#: the pairs in ``CROSS_PAIRS`` order and their cells in canonical order,
+#: then the row that sums the weights to 1.
+_FEASIBILITY_ROWS = np.array(
+    [
+        [1.0 if (q[slot1], q[slot2]) == cell else 0.0 for q in QUADRUPLES]
+        for slot1, slot2 in PAIR_SLOTS.values()
+        for cell in SIGN_PAIRS
+    ]
+    + [[1.0] * len(QUADRUPLES)]
+)
+_FEASIBILITY_ROWS.setflags(write=False)
+
+#: Each observable's two copies among those target cells: per pair that
+#: holds it, the cells where it is +1, then those where it is -1.
+_SHARED_MARGINALS = {
+    obs: [
+        tuple(
+            [4 * k + c for c, cell in enumerate(SIGN_PAIRS) if cell[pair.index(obs)] == sign]
+            for sign in SIGNS
         )
+        for k, pair in enumerate(CROSS_PAIRS.values())
+        if obs in pair
+    ]
+    for obs in OBSERVABLES
+}
+
+
+def _shared_marginals(cells: Sequence[float]):
+    """Each observable, its copies, and its P(+1) in each copy, read from
+    ``cells`` only after the caller is done with the observables before it."""
+    for obs, copies in _SHARED_MARGINALS.items():
+        yield obs, copies, [cells[i] + cells[j] for (i, j), _ in copies]
+
+
+def _check_consistency(cells: Sequence[float]) -> None:
+    for obs, _, (m1, m2) in _shared_marginals(cells):
         if abs(m1 - m2) > _CONSISTENCY_TOL:
             raise InconsistentTargetsError(
                 f"targets disagree on P({obs}=+1): {m1!r} vs {m2!r}"
@@ -543,39 +560,32 @@ def _check_consistency(targets: PairTargets) -> None:
 def _average_shared_marginals(cells: np.ndarray) -> None:
     """Set each observable's P(+1) in both its pairs to the mean of the two.
 
-    ``cells`` is indexed by pair (in ``CROSS_PAIRS`` order), then the first
-    and the second outcome, +1 before -1; it is changed in place. Moving a
-    marginal by d adds d/2 to the two cells where the observable is +1 and
-    takes d/2 from the other two, which leaves the pair's correlator and
-    its other marginal as they were.
+    ``cells`` holds the target cells in ``_FEASIBILITY_ROWS`` order and is
+    changed in place. Moving a marginal by d adds d/2 to the two cells
+    where the observable is +1 and takes d/2 from the other two, which
+    leaves the pair's correlator and its other marginal as they were.
     """
-    for obs in OBSERVABLES:
-        copies = [
-            np.moveaxis(cells[k], pair.index(obs), 0)
-            for k, pair in enumerate(CROSS_PAIRS.values())
-            if obs in pair
-        ]
-        margins = [float(c[0].sum()) for c in copies]
+    for _, copies, margins in _shared_marginals(cells):
         mean = 0.5 * (margins[0] + margins[1])
-        for c, m in zip(copies, margins):
-            c[0] += 0.5 * (mean - m)
-            c[1] -= 0.5 * (mean - m)
+        for (plus, minus), m in zip(copies, margins):
+            cells[plus] += 0.5 * (mean - m)
+            cells[minus] -= 0.5 * (mean - m)
 
 
-def noncontextual_feasibility(
-    targets: PairTargets, tol: float = 1e-9
-) -> FeasibilityResult:
+def noncontextual_feasibility(targets: PairTargets) -> FeasibilityResult:
     """Does one joint distribution over (A1, A2, B1, B2) match all four
     pairwise targets?
 
     Fine's theorem decides (A. Fine, PRL 48, 291, 1982): for consistent
     targets a joint exists exactly when no CHSH sign variant exceeds 2.
-    The verdict is "feasible" when every variant is at most ``2 + tol``;
+    The verdict is "feasible" when every variant is at most ``2 + 1e-9``;
     otherwise the largest variant is the certificate. A feasible verdict
     carries a witness from linear feasibility over the 16 outcome
     quadruples (the mixture weights of the deterministic assignments).
     """
-    _check_consistency(targets)
+    tol = _FEASIBILITY_TOL
+    cells = [p for name in CROSS_PAIRS for p in getattr(targets, name).probs]
+    _check_consistency(cells)
     variants = chsh_variant_values(targets.correlators())
     best_signs = max(variants, key=lambda signs: variants[signs])
     if variants[best_signs] > 2.0 + tol:
@@ -585,20 +595,7 @@ def noncontextual_feasibility(
             certificate=ChshCertificate(signs=best_signs, value=variants[best_signs]),
         )
 
-    rows: list[np.ndarray] = []
-    rhs: list[float] = []
-    for field, (slot1, slot2) in PAIR_SLOTS.items():
-        pd = getattr(targets, field)
-        for s1, s2 in SIGN_PAIRS:
-            coeff = np.array(
-                [1.0 if (q[slot1] == s1 and q[slot2] == s2) else 0.0 for q in QUADRUPLES]
-            )
-            rows.append(coeff)
-            rhs.append(pd.prob(s1, s2))
-    rows.append(np.ones(16))
-    rhs.append(1.0)
-    a, b = np.array(rows), np.array(rhs)
-
+    a, b = _FEASIBILITY_ROWS, np.array([*cells, 1.0])
     result = solve_equality_feasibility(a, b, tol=tol)
     if not result.feasible:
         # Within tol above a facet the phase-1 residual is about 2.5 times
@@ -612,7 +609,7 @@ def noncontextual_feasibility(
         # Shared marginals may still differ by up to _CONSISTENCY_TOL, more
         # than the LP absorbs. Averaging them keeps every correlator, and so
         # every CHSH variant, and moves each cell by at most half that.
-        _average_shared_marginals(b[:-1].reshape(len(CROSS_PAIRS), 2, 2))
+        _average_shared_marginals(b[:-1])
         result = solve_equality_feasibility(a, b, tol=tol)
     if not result.feasible:
         raise RuntimeError(

@@ -36,6 +36,14 @@ _MAX_GRID_CELLS = 20_000_000
 
 _N_ANGLES = {Mode.SEQUENTIAL: 3, Mode.EPRB: 4}
 
+#: ``maximize_chsh``: the step of its start grid, which divides the full
+#: circle; its ascent and Newton iteration caps; and the gradient norm at
+#: which the Newton polish stops and the optimum counts as converged.
+_START_STEP = math.pi / 6.0
+_MAX_ASCENT = 250
+_MAX_NEWTON = 100
+_GRAD_TOL = 1e-9
+
 
 def chsh_value(correlators: CorrelatorSet) -> float:
     """Evaluate ``S = e_ab + e_ab' + e_a'b' - e_a'b``.
@@ -209,13 +217,22 @@ class ScanReport:
         return angles
 
 
-def _grid_axis(step: float) -> np.ndarray:
+def _grid_axis(step: float, k: int) -> np.ndarray:
+    """The multiples of ``step`` inside [0, 2*pi), one axis of a k-axis grid.
+
+    The grid's cell count is checked before the axis is built.
+    """
     if not (isinstance(step, (int, float)) and math.isfinite(step)) or step <= 0.0:
         raise InvalidStepError(f"grid step must be a positive angle, got {step!r}")
     if step > TWO_PI:
         raise InvalidStepError(f"grid step exceeds the full circle: {step!r}")
-    n = int(math.ceil((TWO_PI - 1e-12) / step))
-    return step * np.arange(n)
+    n = (TWO_PI - 1e-12) / step  # inf for subnormal steps
+    cells = math.ceil(n) ** k if math.isfinite(n) else math.inf
+    if cells > _MAX_GRID_CELLS:
+        raise InvalidStepError(
+            f"step {step!r} yields {cells} cells; refusing grids above {_MAX_GRID_CELLS}"
+        )
+    return step * np.arange(math.ceil(n))
 
 
 def scan_grid(mode: Mode, step: float) -> ScanReport:
@@ -227,13 +244,8 @@ def scan_grid(mode: Mode, step: float) -> ScanReport:
     on every cell; a violation raises :class:`BoundViolationError` and
     signals a defect, not a property of the input.
     """
-    axis = _grid_axis(step)
     k = _N_ANGLES[mode]
-    if len(axis) ** k > _MAX_GRID_CELLS:
-        raise InvalidStepError(
-            f"step {step!r} yields {len(axis) ** k} cells; refusing grids "
-            f"above {_MAX_GRID_CELLS}"
-        )
+    axis = _grid_axis(step, k)
     s_grid = _GRID_S_FUNCS[mode](*np.meshgrid(*([axis] * k), indexing="ij", sparse=True))
     s_values = s_grid.reshape(-1)
     max_abs = float(max(s_values.max(), -s_values.min()))
@@ -298,9 +310,7 @@ def _ascent(mode: Mode, starts: np.ndarray, max_iter: int) -> tuple[np.ndarray, 
     return x, f, iterations
 
 
-def _newton_polish(
-    mode: Mode, x0: np.ndarray, sgn: float, tol: float, max_iter: int
-) -> tuple[np.ndarray, int]:
+def _newton_polish(mode: Mode, x0: np.ndarray, sgn: float) -> tuple[np.ndarray, int]:
     """Drive the gradient to zero near a located maximum of sgn*S.
 
     Least-squares Newton steps tolerate the singular Hessian directions
@@ -311,9 +321,9 @@ def _newton_polish(
     x = x0.copy()
     f = sgn * float(s_func(x))
     iterations = 0
-    for _ in range(max_iter):
+    for _ in range(_MAX_NEWTON):
         g = sgn * grad_func(x)
-        if float(np.linalg.norm(g)) <= tol:
+        if float(np.linalg.norm(g)) <= _GRAD_TOL:
             break
         iterations += 1
         h = sgn * hess_func(x)
@@ -332,51 +342,41 @@ def _newton_polish(
     return x, iterations
 
 
-def maximize_chsh(
-    mode: Mode,
-    init_angles=None,
-    tol: float = 1e-9,
-    coarse_step: float = math.pi / 6.0,
-    max_ascent: int = 250,
-    max_newton: int = 100,
-) -> OptimumReport:
+def maximize_chsh(mode: Mode, init_angles=None) -> OptimumReport:
     """Maximize |S| by multistart local ascent plus a Newton polish.
 
-    Every cell of the coarse grid (plus ``init_angles`` when given) seeds
-    a gradient ascent; in EPRB mode the grid is the slice with ``a = 0``,
-    since a common rotation of all four angles leaves S unchanged. The
-    best endpoint is refined until the analytic gradient norm drops to
-    ``tol``. Failure to reach ``tol`` within the
-    iteration caps is reported via ``converged=False`` with the best
-    point found.
+    Every cell of the coarse grid of step pi/6 (plus ``init_angles`` when
+    given) seeds a gradient ascent; in EPRB mode the grid is the slice
+    with ``a = 0``, since a common rotation of all four angles leaves S
+    unchanged. The best endpoint is refined until the analytic gradient
+    norm drops to 1e-9. Failure to reach it within the iteration caps is
+    reported via ``converged=False`` with the best point found.
     """
-    if not (isinstance(tol, (int, float)) and math.isfinite(tol)) or tol <= 0.0:
-        raise InvalidScenarioError(f"tolerance must be positive, got {tol!r}")
-    axis = _grid_axis(coarse_step)
-    axes = [axis] * _N_ANGLES[mode]
+    k = _N_ANGLES[mode]
+    axes = [_grid_axis(_START_STEP, k)] * k
     if mode is Mode.EPRB:
         # EPRB S depends only on angle differences, so it is unchanged when
-        # all four angles rotate together. When the step divides the full
-        # circle, every start with a != 0 is a rotated copy of one with
-        # a = 0, so the a = 0 slice (the grid's first len(axis)**3 rows, a
+        # all four angles rotate together. The step divides the full
+        # circle, so every start with a != 0 is a rotated copy of one with
+        # a = 0, and the a = 0 slice (the grid's first len(axis)**3 rows, a
         # being the slowest axis) is the same search. The ascent treats each
         # row on its own, and the slice keeps starts that run it to its
         # iteration cap, so each remaining row ends where it did in the
-        # full grid. For the default step the full grid's best row lies in
-        # the slice, so the report is the full grid's, bit for bit.
-        axes[0] = axis[:1]
+        # full grid. The full grid's best row lies in the slice, so the
+        # report is the full grid's, bit for bit.
+        axes[0] = axes[0][:1]
     mesh = np.meshgrid(*axes, indexing="ij")
     starts = np.stack([m.reshape(-1) for m in mesh], axis=-1)
     if init_angles is not None:
         starts = np.vstack([starts, _check_angles(mode, init_angles)])
 
     s_func, grad_func = _S_FUNCS[mode], _GRAD_FUNCS[mode]
-    x_all, f_all, ascent_iters = _ascent(mode, starts, max_ascent)
+    x_all, f_all, ascent_iters = _ascent(mode, starts, _MAX_ASCENT)
     best = int(np.argmax(f_all))
     x = x_all[best]
     sgn = 1.0 if float(s_func(x)) >= 0.0 else -1.0
 
-    x, newton_iters = _newton_polish(mode, x, sgn, tol, max_newton)
+    x, newton_iters = _newton_polish(mode, x, sgn)
 
     x = np.array([canonical_angle(float(v)) for v in x])
     s = float(s_func(x))
@@ -388,6 +388,6 @@ def maximize_chsh(
         abs_s=abs(s),
         iterations=ascent_iters + newton_iters,
         grad_norm=grad_norm,
-        tol=float(tol),
-        converged=grad_norm <= tol,
+        tol=_GRAD_TOL,
+        converged=grad_norm <= _GRAD_TOL,
     )

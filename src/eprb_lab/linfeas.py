@@ -29,9 +29,11 @@ class LPResult:
     iterations: int
 
 
-def solve_equality_feasibility(
-    a: np.ndarray, b: np.ndarray, tol: float = 1e-9, max_iter: int = 10_000
-) -> LPResult:
+#: Most pivots one solve may take.
+_MAX_PIVOTS = 10_000
+
+
+def solve_equality_feasibility(a: np.ndarray, b: np.ndarray, tol: float = 1e-9) -> LPResult:
     """Decide whether Ax = b admits a nonnegative solution.
 
     Minimizes the sum of artificial variables with Bland's rule (lowest
@@ -57,7 +59,7 @@ def solve_equality_feasibility(
     cost = np.concatenate([-a.sum(axis=0), np.zeros(m), [-b.sum()]])
 
     iterations = 0
-    while iterations < max_iter:
+    while iterations < _MAX_PIVOTS:
         entering = -1
         for j in range(n + m):
             if cost[j] < -tol:

@@ -10,6 +10,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -401,6 +402,23 @@ class TestMain:
         assert main(["chsh-scan", "--config", path, "--step", "0.5"]) == EXIT_INPUT
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("step", ["1e-4", "1e-12", "1e-310"])
+    def test_tiny_step_is_refused_before_any_axis(self, tmp_path, capsys, step):
+        # 1e-4 degrees gives 3.6 M values per axis (29 MB), 1e-12 degrees
+        # more than any memory, and 1e-310 a subnormal step in radians.
+        path = write_config(tmp_path, **MAGIC_CONFIG)
+        tracemalloc.start()
+        try:
+            code = main(["chsh-scan", "--config", path, "--step", step])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        err = capsys.readouterr().err
+        assert code == EXIT_INPUT
+        assert err.startswith("error: step ") and "refusing grids above 20000000" in err
+        assert err.count("\n") == 1
+        assert peak < 2**20
+
     def test_unknown_subcommand_exits_two(self):
         with pytest.raises(SystemExit) as excinfo:
             main(["frobnicate", "--config", "x.json"])
@@ -416,6 +434,12 @@ class TestMain:
             main(["--version"])
         assert excinfo.value.code == 0
         assert __version__ in capsys.readouterr().out
+
+    def test_version_matches_pyproject(self):
+        tomllib = pytest.importorskip("tomllib")  # Python 3.11 on
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        with open(pyproject, "rb") as handle:
+            assert tomllib.load(handle)["project"]["version"] == __version__
 
     def test_flag_overrides_are_echoed(self, tmp_path, capsys):
         path = write_config(tmp_path)

@@ -231,22 +231,27 @@ class TestCheckFactorizability:
         assert report.product_deviation == 0.0
         assert report.locality_deviation == 0.0
 
-    def test_signaling_model_fails(self):
-        # A side-1 response that reads the opposite side's analyzer angle.
-        def cheating_side1(i, sc):
-            q = 0.25 * (1.0 + math.cos(sc.b))
+    @pytest.mark.parametrize(
+        "side, opposite_angle",
+        [("side1", "b"), ("side1", "b_prime"), ("side2", "a"), ("side2", "a_prime")],
+    )
+    def test_signaling_model_fails(self, side, opposite_angle):
+        # One side's response reads one of the opposite side's analyzer angles.
+        def cheating(i, sc):
+            q = 0.25 * (1.0 + math.cos(getattr(sc, opposite_angle)))
             return (q, 0.5 - q, 0.25, 0.25)
 
-        def honest_side2(i, sc):
+        def honest(i, sc):
             return (0.25, 0.25, 0.25, 0.25)
 
+        responses = {"side1_response": honest, "side2_response": honest}
+        responses[f"{side}_response"] = cheating
         model = HVModel(
             scenario=Scenario(0.3, 1.7, 2.2, 5.1),
             atom_ids=("l0",),
             weights=(1.0,),
-            side1_response=cheating_side1,
-            side2_response=honest_side2,
             context=PLAIN_CONTEXT,
+            **responses,
         )
         report = check_factorizability(model)
         assert not report.passed
@@ -257,7 +262,7 @@ class TestCheckFactorizability:
         model = build_contextual_model(Scenario(0.3, 1.7, 2.2, 5.1))
         path = tmp_path / "model.json"
         save_model(model, path)
-        report = check_factorizability(load_model(path), tol=1e-12)
+        report = check_factorizability(load_model(path))
         assert report.passed
 
     def test_invalid_response_probability_rejected(self):
@@ -310,6 +315,8 @@ class TestHvCorrelator:
             hv_correlator(model, ("B1", "B2"))
         with pytest.raises(UnknownPairError):
             hv_correlator(model, ("A1",))
+        with pytest.raises(UnknownPairError):
+            hv_correlator(model, ("A1", "C1"))
 
     @given(scenarios)
     @settings(max_examples=50)

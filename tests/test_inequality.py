@@ -187,6 +187,19 @@ class TestScanGrid:
         with pytest.raises(InvalidStepError):
             scan_grid(Mode.SEQUENTIAL, 0.02)
 
+    @pytest.mark.parametrize("step", [1e-5, 1e-300, 5e-324])
+    def test_oversized_grid_refused_before_its_axis(self, step):
+        # 1e-5 gives 628,319 values per axis (5 MB); 1e-300 gives more
+        # cells than a float holds, and 5e-324 more values per axis.
+        tracemalloc.start()
+        try:
+            with pytest.raises(InvalidStepError, match="refusing grids"):
+                scan_grid(Mode.EPRB, step)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
     def test_sequential_ten_degrees(self):
         report = scan_grid(Mode.SEQUENTIAL, math.radians(10.0))
         assert report.n_cells == 36**3
@@ -332,12 +345,6 @@ class TestMaximizeChsh:
     def test_angles_are_canonical(self, eprb_optimum):
         for angle in eprb_optimum.angles:
             assert 0.0 <= angle < TWO_PI
-
-    def test_tolerance_validation(self):
-        with pytest.raises(InvalidScenarioError):
-            maximize_chsh(Mode.SEQUENTIAL, tol=0.0)
-        with pytest.raises(InvalidScenarioError):
-            maximize_chsh(Mode.SEQUENTIAL, tol=-1e-9)
 
     @given(angles, angles)
     def test_eprb_single_setting_pair_is_classical(self, a: float, b: float):
