@@ -88,19 +88,16 @@ def chsh_sequential_closed(theta_ab, theta_aa_prime, theta_bb_prime):
     return s
 
 
-def _s_sequential(x: np.ndarray) -> np.ndarray:
-    return chsh_sequential_closed(x[..., 0], x[..., 1], x[..., 2])
-
-
 def _grad_sequential(x: np.ndarray) -> np.ndarray:
-    c0, s0 = np.cos(x[..., 0]), np.sin(x[..., 0])
-    c1, s1 = np.cos(x[..., 1]), np.sin(x[..., 1])
-    c2, s2 = np.cos(x[..., 2]), np.sin(x[..., 2])
+    c0, s0 = np.cos(x[0]), np.sin(x[0])
+    c1, s1 = np.cos(x[1]), np.sin(x[1])
+    c2, s2 = np.cos(x[2]), np.sin(x[2])
     g = np.empty_like(x)
-    g[..., 0] = s0 * (1.0 + c2 + c1 * c2 - c1)
-    g[..., 1] = -c0 * s1 * (1.0 - c2)
-    g[..., 2] = c0 * s2 * (1.0 + c1)
+    g[0] = s0 * (1.0 + c2 + c1 * c2 - c1)
+    g[1] = -c0 * s1 * (1.0 - c2)
+    g[2] = c0 * s2 * (1.0 + c1)
     return g
+
 
 def _hess_sequential(x: np.ndarray) -> np.ndarray:
     c0, s0 = math.cos(x[0]), math.sin(x[0])
@@ -121,20 +118,16 @@ def _chsh_eprb(a, a_prime, b, b_prime):
     return -np.cos(a - b) - np.cos(a - b_prime) - np.cos(a_prime - b_prime) + np.cos(a_prime - b)
 
 
-def _s_eprb(x: np.ndarray) -> np.ndarray:
-    return _chsh_eprb(x[..., 0], x[..., 1], x[..., 2], x[..., 3])
-
-
 def _grad_eprb(x: np.ndarray) -> np.ndarray:
-    su1 = np.sin(x[..., 0] - x[..., 2])
-    su2 = np.sin(x[..., 0] - x[..., 3])
-    su3 = np.sin(x[..., 1] - x[..., 3])
-    su4 = np.sin(x[..., 1] - x[..., 2])
+    su1 = np.sin(x[0] - x[2])
+    su2 = np.sin(x[0] - x[3])
+    su3 = np.sin(x[1] - x[3])
+    su4 = np.sin(x[1] - x[2])
     g = np.empty_like(x)
-    g[..., 0] = su1 + su2
-    g[..., 1] = su3 - su4
-    g[..., 2] = -su1 + su4
-    g[..., 3] = -su2 - su3
+    g[0] = su1 + su2
+    g[1] = su3 - su4
+    g[2] = -su1 + su4
+    g[3] = -su2 - su3
     return g
 
 
@@ -155,9 +148,9 @@ def _hess_eprb(x: np.ndarray) -> np.ndarray:
     return h
 
 
-_S_FUNCS = {Mode.SEQUENTIAL: _s_sequential, Mode.EPRB: _s_eprb}
-#: S from one broadcasting array per angle, as ``scan_grid`` evaluates it.
-_GRID_S_FUNCS = {Mode.SEQUENTIAL: chsh_sequential_closed, Mode.EPRB: _chsh_eprb}
+#: S from one broadcasting array per angle. The gradient and Hessian take
+#: one array whose leading axis runs over the angles.
+_S_FUNCS = {Mode.SEQUENTIAL: chsh_sequential_closed, Mode.EPRB: _chsh_eprb}
 _GRAD_FUNCS = {Mode.SEQUENTIAL: _grad_sequential, Mode.EPRB: _grad_eprb}
 _HESS_FUNCS = {Mode.SEQUENTIAL: _hess_sequential, Mode.EPRB: _hess_eprb}
 
@@ -217,6 +210,17 @@ class ScanReport:
         return angles
 
 
+def _three_digits(count: int | float) -> str:
+    """An int of 3 digits or more, or inf, to 3 significant digits.
+
+    The int is rounded as an int: it can lie far beyond the float range.
+    """
+    if count == math.inf:
+        return "inf"
+    digits = str(round(count, 3 - len(str(count))))
+    return f"{digits[0]}.{digits[1:3]}e+{len(digits) - 1}"
+
+
 def _grid_axis(step: float, k: int) -> np.ndarray:
     """The multiples of ``step`` inside [0, 2*pi), one axis of a k-axis grid.
 
@@ -230,7 +234,8 @@ def _grid_axis(step: float, k: int) -> np.ndarray:
     cells = math.ceil(n) ** k if math.isfinite(n) else math.inf
     if cells > _MAX_GRID_CELLS:
         raise InvalidStepError(
-            f"step {step!r} yields {cells} cells; refusing grids above {_MAX_GRID_CELLS}"
+            f"step {step!r} rad ({math.degrees(step):.6g} deg) yields "
+            f"{_three_digits(cells)} cells; refusing grids above {_MAX_GRID_CELLS}"
         )
     return step * np.arange(math.ceil(n))
 
@@ -246,7 +251,7 @@ def scan_grid(mode: Mode, step: float) -> ScanReport:
     """
     k = _N_ANGLES[mode]
     axis = _grid_axis(step, k)
-    s_grid = _GRID_S_FUNCS[mode](*np.meshgrid(*([axis] * k), indexing="ij", sparse=True))
+    s_grid = _S_FUNCS[mode](*np.meshgrid(*([axis] * k), indexing="ij", sparse=True))
     s_values = s_grid.reshape(-1)
     max_abs = float(max(s_values.max(), -s_values.min()))
     if mode is Mode.SEQUENTIAL and max_abs > CLASSICAL_BOUND + BOUND_TOL:
@@ -288,26 +293,39 @@ class OptimumReport:
 
 
 def _ascent(mode: Mode, starts: np.ndarray, max_iter: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """Vectorized sign-aware gradient ascent on |S| from every start."""
+    """Vectorized sign-aware gradient ascent on |S| from every start.
+
+    ``starts`` and the returned endpoints hold one start per row, (N, k).
+    The ascent works on the (k, N) transpose, one contiguous row per
+    angle, and updates it in place.
+    """
     s_func, grad_func = _S_FUNCS[mode], _GRAD_FUNCS[mode]
-    x = starts.copy()
-    s0 = s_func(x)
+    x = np.array(starts.T, dtype=float, order="C")
+    s0 = s_func(*x)
     sgn = np.where(s0 >= 0.0, 1.0, -1.0)
     f = sgn * s0
-    eta = np.full(x.shape[0], 0.25)
+    eta = np.full(x.shape[1], 0.25)
     iterations = 0
     for _ in range(max_iter):
         iterations += 1
-        g = sgn[:, None] * grad_func(x)
-        candidate = x + eta[:, None] * g
-        f_candidate = sgn * s_func(candidate)
+        g = grad_func(x)
+        g *= sgn
+        candidate = eta * g
+        candidate += x
+        f_candidate = s_func(*candidate)
+        f_candidate *= sgn
         improved = f_candidate >= f
-        x = np.where(improved[:, None], candidate, x)
-        f = np.where(improved, f_candidate, f)
+        np.copyto(x, candidate, where=improved)
+        np.copyto(f, f_candidate, where=improved)
         eta = np.where(improved, np.minimum(eta * 1.3, 1.0), eta * 0.5)
-        if float(np.max(eta * np.linalg.norm(g, axis=1))) < 1e-11:
+        # |g| summed angle by angle, the order np.linalg.norm takes along a
+        # row, so the ascent stops at the same step to the bit.
+        norm_sq = g[0] * g[0]
+        for g_j in g[1:]:
+            norm_sq += g_j * g_j
+        if float(np.max(eta * np.sqrt(norm_sq))) < 1e-11:
             break
-    return x, f, iterations
+    return x.T, f, iterations
 
 
 def _newton_polish(mode: Mode, x0: np.ndarray, sgn: float) -> tuple[np.ndarray, int]:
@@ -319,7 +337,7 @@ def _newton_polish(mode: Mode, x0: np.ndarray, sgn: float) -> tuple[np.ndarray, 
     """
     s_func, grad_func, hess_func = _S_FUNCS[mode], _GRAD_FUNCS[mode], _HESS_FUNCS[mode]
     x = x0.copy()
-    f = sgn * float(s_func(x))
+    f = sgn * float(s_func(*x))
     iterations = 0
     for _ in range(_MAX_NEWTON):
         g = sgn * grad_func(x)
@@ -331,7 +349,7 @@ def _newton_polish(mode: Mode, x0: np.ndarray, sgn: float) -> tuple[np.ndarray, 
         accepted = False
         for _ in range(25):
             candidate = x + delta
-            f_candidate = sgn * float(s_func(candidate))
+            f_candidate = sgn * float(s_func(*candidate))
             if f_candidate >= f - 1e-12:
                 x, f = candidate, f_candidate
                 accepted = True
@@ -374,12 +392,12 @@ def maximize_chsh(mode: Mode, init_angles=None) -> OptimumReport:
     x_all, f_all, ascent_iters = _ascent(mode, starts, _MAX_ASCENT)
     best = int(np.argmax(f_all))
     x = x_all[best]
-    sgn = 1.0 if float(s_func(x)) >= 0.0 else -1.0
+    sgn = 1.0 if float(s_func(*x)) >= 0.0 else -1.0
 
     x, newton_iters = _newton_polish(mode, x, sgn)
 
     x = np.array([canonical_angle(float(v)) for v in x])
-    s = float(s_func(x))
+    s = float(s_func(*x))
     grad_norm = float(np.linalg.norm(grad_func(x)))
     return OptimumReport(
         mode=mode,

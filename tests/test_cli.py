@@ -402,10 +402,11 @@ class TestMain:
         assert main(["chsh-scan", "--config", path, "--step", "0.5"]) == EXIT_INPUT
         assert "error:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("step", ["1e-4", "1e-12", "1e-310"])
+    @pytest.mark.parametrize("step", ["1e-4", "1e-12", "1e-300", "1e-310"])
     def test_tiny_step_is_refused_before_any_axis(self, tmp_path, capsys, step):
         # 1e-4 degrees gives 3.6 M values per axis (29 MB), 1e-12 degrees
-        # more than any memory, and 1e-310 a subnormal step in radians.
+        # more than any memory, 1e-300 a cell count of 1211 digits, and
+        # 1e-310 a subnormal step in radians.
         path = write_config(tmp_path, **MAGIC_CONFIG)
         tracemalloc.start()
         try:
@@ -416,7 +417,8 @@ class TestMain:
         err = capsys.readouterr().err
         assert code == EXIT_INPUT
         assert err.startswith("error: step ") and "refusing grids above 20000000" in err
-        assert err.count("\n") == 1
+        assert err.count("\n") == 1 and len(err) < 200
+        assert f"({float(step):g} deg)" in err
         assert peak < 2**20
 
     def test_unknown_subcommand_exits_two(self):
@@ -486,6 +488,44 @@ class TestMain:
         for name in SUBCOMMANDS:
             assert main([name, "--config", path]) == EXIT_OK, name
         capsys.readouterr()
+
+
+class TestParserReuse:
+    def test_one_parser_serves_every_call(self, tmp_path, capsys, monkeypatch):
+        built = []
+        init = cli._Parser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+        cli._build_parser.cache_clear()
+        path = write_config(tmp_path)
+        plain = [["exact", "--config", path], ["sample", "--config", path, "--n", "1000"]]
+
+        def output(argv):
+            assert main(argv) == EXIT_OK
+            return capsys.readouterr().out
+
+        first = [output(argv) for argv in plain]
+        overridden = output(
+            ["sample", "--config", path, "--seed", "9", "--n", "5", "--step", "45",
+             "--format", "json"]
+        )
+        assert json.loads(overridden)["config"]["seed"] == 9
+        for argv, code in [
+            (["sample", "--config", path, "--n", "many"], EXIT_INPUT),
+            (["--version"], EXIT_OK),
+            (["frobnicate", "--config", path], EXIT_INPUT),
+        ]:
+            with pytest.raises(SystemExit) as excinfo:
+                main(argv)
+            assert excinfo.value.code == code
+        capsys.readouterr()
+        assert [output(argv) for argv in plain] == first
+        # One build: the top parser and its subparsers, each constructed once.
+        assert built == ["eprb-lab", *(f"eprb-lab {name}" for name in SUBCOMMANDS)]
 
 
 class TestRunConfigEcho:

@@ -10,10 +10,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from eprb_lab import inequality
 from eprb_lab.errors import CorrelatorRangeError, InvalidScenarioError, InvalidStepError
 from eprb_lab.inequality import (
+    _GRAD_FUNCS,
     _S_FUNCS,
     _ascent,
     BOUND_TOL,
@@ -66,6 +68,90 @@ def eprb_full_grid():
     axis = (math.pi / 6.0) * np.arange(12)
     starts = np.stack([m.reshape(-1) for m in np.meshgrid(*([axis] * 4), indexing="ij")], axis=-1)
     return (starts, *_ascent(Mode.EPRB, starts, 250))
+
+
+def row_major_ascent(mode: Mode, starts: np.ndarray, max_iter: int):
+    """The ascent as it ran on the (N, k) array: the oracle for ``_ascent``.
+
+    S and its gradient read strided columns; each step builds new arrays
+    with ``np.where``, and the stop test takes ``np.linalg.norm`` by row.
+    """
+
+    def s_func(x):
+        return _S_FUNCS[mode](*x.T)
+
+    def grad_func(x):
+        return _GRAD_FUNCS[mode](x.T).T
+
+    x = starts.copy()
+    s0 = s_func(x)
+    sgn = np.where(s0 >= 0.0, 1.0, -1.0)
+    f = sgn * s0
+    eta = np.full(x.shape[0], 0.25)
+    iterations = 0
+    for _ in range(max_iter):
+        iterations += 1
+        g = sgn[:, None] * grad_func(x)
+        candidate = x + eta[:, None] * g
+        f_candidate = sgn * s_func(candidate)
+        improved = f_candidate >= f
+        x = np.where(improved[:, None], candidate, x)
+        f = np.where(improved, f_candidate, f)
+        eta = np.where(improved, np.minimum(eta * 1.3, 1.0), eta * 0.5)
+        if float(np.max(eta * np.linalg.norm(g, axis=1))) < 1e-11:
+            break
+    return x, f, iterations
+
+
+def default_starts(mode: Mode, init=None) -> np.ndarray:
+    """The start rows ``maximize_chsh`` builds, plus an init row if given."""
+    axes = [(math.pi / 6.0) * np.arange(12)] * (3 if mode is Mode.SEQUENTIAL else 4)
+    if mode is Mode.EPRB:
+        axes[0] = axes[0][:1]
+    starts = np.stack([m.reshape(-1) for m in np.meshgrid(*axes, indexing="ij")], axis=-1)
+    return starts if init is None else np.vstack([starts, init])
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+@st.composite
+def ascent_starts(draw, bound):
+    mode = draw(st.sampled_from(list(Mode)))
+    shape = (draw(st.integers(1, 40)), 3 if mode is Mode.SEQUENTIAL else 4)
+    return mode, draw(arrays(np.float64, shape, elements=st.floats(-bound, bound)))
+
+
+#: Starts within 1e-6 of +-1e3 radians.
+NEAR_THOUSAND = 1e3 + np.array([[0.0, -1e-6, 1e-6, -2e-7], [-1e-6, 0.0, 3e-7, 1e-6]])
+
+
+class TestAscent:
+    @given(case=ascent_starts(10.0) | ascent_starts(1e3), max_iter=st.integers(1, 250))
+    @example(case=(Mode.EPRB, default_starts(Mode.EPRB, MAGIC_ANGLES)), max_iter=250)
+    @example(case=(Mode.SEQUENTIAL, default_starts(Mode.SEQUENTIAL, (0.3, -2.0, 5.0))), max_iter=250)
+    @example(case=(Mode.EPRB, np.vstack([NEAR_THOUSAND, -NEAR_THOUSAND])), max_iter=250)
+    @example(case=(Mode.SEQUENTIAL, np.vstack([NEAR_THOUSAND, -NEAR_THOUSAND])[:, :3]), max_iter=250)
+    @example(case=(Mode.SEQUENTIAL, np.zeros((1, 3))), max_iter=250)
+    @settings(max_examples=60, deadline=None)
+    def test_bit_equal_to_the_row_major_ascent(self, case, max_iter):
+        mode, starts = case
+        given_starts = starts.copy()
+        x, f, iterations = _ascent(mode, starts, max_iter)
+        x_ref, f_ref, iterations_ref = row_major_ascent(mode, starts, max_iter)
+        assert iterations == iterations_ref
+        assert same_bits(x, x_ref)
+        assert same_bits(f, f_ref)
+        assert same_bits(starts, given_starts)
+
+    def test_zero_gradient_stops_after_one_step(self):
+        # At (0, 0, 0) every sequential partial derivative is exactly zero.
+        x, f, iterations = _ascent(Mode.SEQUENTIAL, np.zeros((1, 3)), 250)
+        assert iterations == 1
+        assert same_bits(x, np.zeros((1, 3)))
+        assert f.tolist() == [2.0]
 
 
 class TestChshValue:
@@ -243,7 +329,7 @@ class TestScanGrid:
         axis = step * np.arange(int(math.ceil((TWO_PI - 1e-12) / step)))
         k = 3 if mode is Mode.SEQUENTIAL else 4
         rows = np.stack([m.reshape(-1) for m in np.meshgrid(*([axis] * k), indexing="ij")], axis=-1)
-        s_ref = _S_FUNCS[mode](rows)
+        s_ref = _S_FUNCS[mode](*rows.T)
         abs_s = np.abs(s_ref)
         first = int(np.flatnonzero(abs_s >= abs_s.max() - 1e-9)[0])
 
