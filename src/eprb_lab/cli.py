@@ -215,10 +215,12 @@ class Report:
         return json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
 
+#: The one number format of CSV cells: 17 significant digits round-trip a float.
+_NUMBER = "%.17g"
+
+
 def _fmt(x: float) -> str:
-    if x == 0.0:
-        x = 0.0  # normalize -0.0
-    return f"{x:.17g}"
+    return _NUMBER % (x + 0.0)  # adding 0.0 turns -0.0 into 0.0
 
 
 def _cell(value: Any) -> str:
@@ -287,10 +289,27 @@ _SCAN_COLUMNS = {
 _SCAN_BLOCK_LINES = 1 << 16
 
 
+def _number_lines(values: np.ndarray) -> np.ndarray:
+    """``_fmt(x) + "\\n"`` for each value, as an object array.
+
+    One ``%`` pass formats a chunk of ``_SCAN_BLOCK_LINES`` values, so the
+    float objects and the joined text of only one chunk live at a time.
+    """
+    values = values + 0.0  # as in _fmt
+    lines = np.empty(len(values), dtype=object)
+    for i in range(0, len(values), _SCAN_BLOCK_LINES):
+        chunk = values[i : i + _SCAN_BLOCK_LINES].tolist()
+        text = ((_NUMBER + "\n") * len(chunk)) % tuple(chunk)
+        lines[i : i + len(chunk)] = text.splitlines(keepends=True)
+    return lines
+
+
 def _scan_csv_lines(report: ScanReport) -> Iterator[str]:
     """The header, then a scan's CSV rows in blocks of whole lines.
 
-    Each axis value and each distinct S value is formatted once; a line
+    Each axis value is formatted once. The distinct S values are formatted
+    in chunks of ``_SCAN_BLOCK_LINES``, one ``%`` pass per chunk, into an
+    object array; a block's S column is gathered from it by index. A line
     joins the strings of its cell. The bytes equal those of the per-cell
     row ``_fmt(math.degrees(angle))``, ..., ``_fmt(float(s))``.
     """
@@ -298,7 +317,7 @@ def _scan_csv_lines(report: ScanReport) -> Iterator[str]:
     yield ",".join(columns) + ",s\n"
     axis_text = [_fmt(math.degrees(v)) for v in report.axis]
     distinct, inverse = np.unique(report.s_values, return_inverse=True)
-    s_text = [_fmt(s) + "\n" for s in distinct.tolist()]
+    s_text = _number_lines(distinct)
     last = [text + "," for text in axis_text]
     heads = (",".join(p) + "," for p in itertools.product(axis_text, repeat=len(columns) - 1))
     per_block = max(1, _SCAN_BLOCK_LINES // len(last))
@@ -308,7 +327,7 @@ def _scan_csv_lines(report: ScanReport) -> Iterator[str]:
         parts = [""] * (3 * (stop - start))  # per line: head, last angle, S
         parts[0::3] = [head for head in block for _ in last]
         parts[1::3] = last * len(block)
-        parts[2::3] = [s_text[i] for i in inverse[start:stop].tolist()]
+        parts[2::3] = s_text[inverse[start:stop]].tolist()
         yield "".join(parts)
         start = stop
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import io
 import json
@@ -13,8 +14,9 @@ import tempfile
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import eprb_lab
@@ -26,12 +28,13 @@ from eprb_lab.cli import (
     RunConfig,
     SUBCOMMANDS,
     _fmt,
+    _scan_csv_lines,
     main,
     parse_config,
     run,
 )
 from eprb_lab.errors import ConfigError
-from eprb_lab.inequality import chsh_value, scan_grid
+from eprb_lab.inequality import ScanReport, chsh_value, scan_grid
 from eprb_lab.quantum import (
     Mode,
     Scenario,
@@ -162,6 +165,78 @@ class TestNumberFormatting:
     @pytest.mark.parametrize("x", [math.pi, 1.0 / 3.0, -2.5e-13, 0.1, 123456.789])
     def test_seventeen_digit_round_trip(self, x):
         assert float(_fmt(x)) == x
+
+    @given(x=st.floats())
+    @example(x=-0.0)
+    @example(x=5e-324)
+    @example(x=-1.7976931348623157e308)
+    def test_format_is_seventeen_significant_digits(self, x):
+        assert _fmt(x) == ("0" if x == 0.0 else f"{x:.17g}")
+
+
+def _distinct_values(n: int) -> list[float]:
+    """``n`` distinct floats of full precision, spread over the range of S."""
+    return np.linspace(-TSIRELSON, TSIRELSON, n).tolist()
+
+
+def _ulp_neighbours(x: float) -> list[float]:
+    return [math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf)]
+
+
+def _report_of(mode: Mode, values: list[float]) -> ScanReport:
+    """A hand-built scan report whose cells cycle through ``values``."""
+    k = len(cli._SCAN_COLUMNS[mode])
+    size = 1
+    while size**k < len(values):
+        size += 1
+    axis = np.arange(size) * (2.0 * math.pi / size)
+    s_values = np.resize(np.array(values, dtype=float), size**k)
+    return ScanReport(mode, 2.0 * math.pi / size, axis, s_values, 0.0, (0.0,) * k)
+
+
+class TestScanCsvFormat:
+    """The scan renderer writes each cell as its per-cell row would."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        mode=st.sampled_from(list(Mode)),
+        values=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=40),
+    )
+    @example(mode=Mode.SEQUENTIAL, values=[-0.0, 0.0, 1.5])
+    @example(mode=Mode.EPRB, values=[0.0, -0.0])
+    @example(mode=Mode.SEQUENTIAL, values=[-0.0])
+    @example(mode=Mode.EPRB, values=[5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308])
+    @example(mode=Mode.SEQUENTIAL, values=[*_ulp_neighbours(TSIRELSON), *_ulp_neighbours(0.1)])
+    @example(mode=Mode.EPRB, values=[*_ulp_neighbours(1.0), *_ulp_neighbours(-2.0)])
+    @example(mode=Mode.SEQUENTIAL, values=_distinct_values(65_535))
+    @example(mode=Mode.EPRB, values=_distinct_values(65_536))
+    @example(mode=Mode.EPRB, values=_distinct_values(65_537))
+    def test_lines_equal_the_per_cell_rows(self, mode, values):
+        report = _report_of(mode, values)
+        rows = [
+            ",".join([*map(_fmt, map(math.degrees, angles)), _fmt(float(s))]) + "\n"
+            for angles, s in zip(report.angles, report.s_values)
+        ]
+        lines = "".join(_scan_csv_lines(report)).splitlines(keepends=True)
+        assert lines[0] == ",".join(cli._SCAN_COLUMNS[mode]) + ",s\n"
+        assert lines[1:] == rows
+
+    @pytest.mark.parametrize(
+        "mode, step, bound", [(Mode.SEQUENTIAL, 3.6, 6.5), (Mode.EPRB, 12.0, 5.5)]
+    )
+    def test_renderer_peak_memory(self, mode, step, bound):
+        # The bound is a multiple of the S array. np.unique with its inverse
+        # peaks near 5.1x; on the sequential grid the 360,205 distinct S
+        # strings add about 0.5x more while the rows are joined.
+        report = scan_grid(mode, math.radians(step))
+        tracemalloc.start()
+        try:
+            # Drop each block once read, as writelines does.
+            collections.deque(_scan_csv_lines(report), maxlen=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * report.s_values.nbytes
 
 
 def run_to_file(tmp_path, subcommand, fmt="json", name="out.txt", **overrides):
