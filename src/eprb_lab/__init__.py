@@ -5,7 +5,8 @@ Five building blocks:
 - :mod:`eprb_lab.quantum`: exact singlet statistics of the two-time run
   and the coincident-time (EPRB) limit.
 - :mod:`eprb_lab.inequality`: the CHSH combination, its sequential-mode
-  closed form, grid scans, and certified maximization.
+  closed form, grid scans, and maximization certified by the closed-form
+  bound of each mode (2, and 2*sqrt(2) for EPRB).
 - :mod:`eprb_lab.hvm`: the factorizable contextual hidden-variable model
   that reproduces the two-time statistics, plus the linear-feasibility
   test for setting-independent joint distributions.
@@ -15,7 +16,7 @@ Five building blocks:
 
 from __future__ import annotations
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .quantum import (
     QUADRUPLES,
@@ -38,6 +39,7 @@ from .quantum import (
 )
 from .inequality import (
     BOUND_TOL,
+    CHSH_BOUNDS,
     CLASSICAL_BOUND,
     ChshReport,
     OptimumReport,
@@ -100,6 +102,7 @@ __all__ = [
     "marginal_pair",
     "transition_prob",
     "BOUND_TOL",
+    "CHSH_BOUNDS",
     "CLASSICAL_BOUND",
     "ChshReport",
     "OptimumReport",

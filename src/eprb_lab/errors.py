@@ -1,4 +1,4 @@
-"""Exception hierarchy shared by all eprb_lab modules."""
+"""Exception hierarchy shared by all eprb_lab modules, and a message helper."""
 
 from __future__ import annotations
 
@@ -50,3 +50,15 @@ class ModelFormatError(EprbLabError, ValueError):
 
 class ConfigError(EprbLabError, ValueError):
     """A run configuration document is malformed."""
+
+
+def three_digits(count: int | float) -> str:
+    """An int of 3 digits or more, or inf, to 3 significant digits.
+
+    The int is rounded as an int: it can lie far beyond the float range,
+    and a message that quotes it stays one short line.
+    """
+    if count == float("inf"):
+        return "inf"
+    digits = str(round(count, 3 - len(str(count))))
+    return f"{digits[0]}.{digits[1:3]}e+{len(digits) - 1}"

@@ -217,10 +217,9 @@ class FactorizabilityReport:
     """Outcome of the factorizability and locality checks.
 
     ``max_deviation`` is the worst violation of locality: invariance of
-    each side's table under changes to the other side's analyzers.
-    ``product_deviation`` is always 0.0: a model stores one response table
-    per side and its per-atom joint is their product by construction, so
-    the product structure cannot fail. The field keeps the report schema.
+    each side's table under changes to the other side's analyzers. A
+    model stores one response table per side, so its per-atom joint is
+    their product by construction and needs no check.
     ``normalization_error`` tracks how far weights and response tables
     stray from exact normalization; it gates ``passed`` but is reported
     separately because it measures validity, not factorizability.
@@ -228,7 +227,6 @@ class FactorizabilityReport:
 
     passed: bool
     max_deviation: float
-    product_deviation: float
     locality_deviation: float
     normalization_error: float
 
@@ -282,7 +280,6 @@ def check_factorizability(model: HVModel) -> FactorizabilityReport:
     return FactorizabilityReport(
         passed=locality_dev <= tol and normalization <= tol,
         max_deviation=locality_dev,
-        product_deviation=0.0,
         locality_deviation=locality_dev,
         normalization_error=normalization,
     )

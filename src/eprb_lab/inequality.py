@@ -22,6 +22,7 @@ from .errors import (
     BoundViolationError,
     InvalidScenarioError,
     InvalidStepError,
+    three_digits,
 )
 from .quantum import TWO_PI, CorrelatorSet, Mode, canonical_angle
 
@@ -36,12 +37,30 @@ _MAX_GRID_CELLS = 20_000_000
 
 _N_ANGLES = {Mode.SEQUENTIAL: 3, Mode.EPRB: 4}
 
-#: ``maximize_chsh``: the step of its start grid, which divides the full
-#: circle; its ascent and Newton iteration caps; and the gradient norm at
-#: which the Newton polish stops and the optimum counts as converged.
-_START_STEP = math.pi / 6.0
+#: The largest |S| in each mode. Both are attained, so each is the exact
+#: maximum that ``maximize_chsh`` certifies.
+#:
+#: Sequential: with ``c_xy = cos(theta_xy)``,
+#: ``|S| = |c_ab| * |(1 + c_bb') + c_aa' * (c_bb' - 1)|``. The second factor
+#: is affine in ``c_aa'``, with the values 2 and ``2 * c_bb'`` at
+#: ``c_aa' = -1`` and 1, so it lies in [-2, 2] and ``|S| <= 2 * |c_ab| <= 2``.
+#: All three angles 0 give ``S = -2``.
+#:
+#: EPRB: ``S = -Re((e^{ia} - e^{ia'}) e^{-ib}) - Re((e^{ia} + e^{ia'}) e^{-ib'})``,
+#: so ``|S| <= |e^{ia} - e^{ia'}| + |e^{ia} + e^{ia'}| = 2 (|sin d| + |cos d|)``
+#: with ``d = (a - a')/2``, which is at most ``2 * sqrt(2)``. Equality holds
+#: exactly when ``a' - a = +-pi/2`` and b, b' are the arguments that
+#: ``_project_eprb`` sets. This is Tsirelson's bound (Lett. Math. Phys. 4,
+#: 93, 1980).
+CHSH_BOUNDS = {Mode.SEQUENTIAL: CLASSICAL_BOUND, Mode.EPRB: 2.0 * math.sqrt(2.0)}
+
+#: ``maximize_chsh``: the step of its start grid, its ascent's step cap,
+#: and the gradient norm at which the optimum counts as converged. The
+#: bound certifies the result, so the grid needs only a start that ascends
+#: to it; at pi/3 (6**4 EPRB starts) one does in about 10 steps, and the
+#: ascent's per-start arrays stay below 0.5 MiB.
+_START_STEP = math.pi / 3.0
 _MAX_ASCENT = 250
-_MAX_NEWTON = 100
 _GRAD_TOL = 1e-9
 
 
@@ -99,20 +118,6 @@ def _grad_sequential(x: np.ndarray) -> np.ndarray:
     return g
 
 
-def _hess_sequential(x: np.ndarray) -> np.ndarray:
-    c0, s0 = math.cos(x[0]), math.sin(x[0])
-    c1, s1 = math.cos(x[1]), math.sin(x[1])
-    c2, s2 = math.cos(x[2]), math.sin(x[2])
-    h = np.empty((3, 3))
-    h[0, 0] = c0 * (1.0 + c2 + c1 * c2 - c1)
-    h[0, 1] = h[1, 0] = s0 * s1 * (1.0 - c2)
-    h[0, 2] = h[2, 0] = -s0 * s2 * (1.0 + c1)
-    h[1, 1] = -c0 * c1 * (1.0 - c2)
-    h[1, 2] = h[2, 1] = -c0 * s1 * s2
-    h[2, 2] = c0 * c2 * (1.0 + c1)
-    return h
-
-
 def _chsh_eprb(a, a_prime, b, b_prime):
     """EPRB-mode S from the four absolute angles; broadcasts."""
     return -np.cos(a - b) - np.cos(a - b_prime) - np.cos(a_prime - b_prime) + np.cos(a_prime - b)
@@ -131,28 +136,10 @@ def _grad_eprb(x: np.ndarray) -> np.ndarray:
     return g
 
 
-def _hess_eprb(x: np.ndarray) -> np.ndarray:
-    cu1 = math.cos(x[0] - x[2])
-    cu2 = math.cos(x[0] - x[3])
-    cu3 = math.cos(x[1] - x[3])
-    cu4 = math.cos(x[1] - x[2])
-    h = np.zeros((4, 4))
-    h[0, 0] = cu1 + cu2
-    h[0, 2] = h[2, 0] = -cu1
-    h[0, 3] = h[3, 0] = -cu2
-    h[1, 1] = cu3 - cu4
-    h[1, 2] = h[2, 1] = cu4
-    h[1, 3] = h[3, 1] = -cu3
-    h[2, 2] = cu1 - cu4
-    h[3, 3] = cu2 + cu3
-    return h
-
-
-#: S from one broadcasting array per angle. The gradient and Hessian take
-#: one array whose leading axis runs over the angles.
+#: S from one broadcasting array per angle. The gradient takes one array
+#: whose leading axis runs over the angles.
 _S_FUNCS = {Mode.SEQUENTIAL: chsh_sequential_closed, Mode.EPRB: _chsh_eprb}
 _GRAD_FUNCS = {Mode.SEQUENTIAL: _grad_sequential, Mode.EPRB: _grad_eprb}
-_HESS_FUNCS = {Mode.SEQUENTIAL: _hess_sequential, Mode.EPRB: _hess_eprb}
 
 
 def _check_angles(mode: Mode, angles) -> np.ndarray:
@@ -210,17 +197,6 @@ class ScanReport:
         return angles
 
 
-def _three_digits(count: int | float) -> str:
-    """An int of 3 digits or more, or inf, to 3 significant digits.
-
-    The int is rounded as an int: it can lie far beyond the float range.
-    """
-    if count == math.inf:
-        return "inf"
-    digits = str(round(count, 3 - len(str(count))))
-    return f"{digits[0]}.{digits[1:3]}e+{len(digits) - 1}"
-
-
 def _grid_axis(step: float, k: int) -> np.ndarray:
     """The multiples of ``step`` inside [0, 2*pi), one axis of a k-axis grid.
 
@@ -235,7 +211,7 @@ def _grid_axis(step: float, k: int) -> np.ndarray:
     if cells > _MAX_GRID_CELLS:
         raise InvalidStepError(
             f"step {step!r} rad ({math.degrees(step):.6g} deg) yields "
-            f"{_three_digits(cells)} cells; refusing grids above {_MAX_GRID_CELLS}"
+            f"{three_digits(cells)} cells; refusing grids above {_MAX_GRID_CELLS}"
         )
     return step * np.arange(math.ceil(n))
 
@@ -297,9 +273,11 @@ def _ascent(mode: Mode, starts: np.ndarray, max_iter: int) -> tuple[np.ndarray, 
 
     ``starts`` and the returned endpoints hold one start per row, (N, k).
     The ascent works on the (k, N) transpose, one contiguous row per
-    angle, and updates it in place.
+    angle, and updates it in place. It stops before a step once its best
+    row lies within ``BOUND_TOL`` of the mode's bound.
     """
     s_func, grad_func = _S_FUNCS[mode], _GRAD_FUNCS[mode]
+    target = CHSH_BOUNDS[mode] - BOUND_TOL
     x = np.array(starts.T, dtype=float, order="C")
     s0 = s_func(*x)
     sgn = np.where(s0 >= 0.0, 1.0, -1.0)
@@ -307,6 +285,8 @@ def _ascent(mode: Mode, starts: np.ndarray, max_iter: int) -> tuple[np.ndarray, 
     eta = np.full(x.shape[1], 0.25)
     iterations = 0
     for _ in range(max_iter):
+        if float(np.max(f)) >= target:
+            break
         iterations += 1
         g = grad_func(x)
         g *= sgn
@@ -328,73 +308,45 @@ def _ascent(mode: Mode, starts: np.ndarray, max_iter: int) -> tuple[np.ndarray, 
     return x.T, f, iterations
 
 
-def _newton_polish(mode: Mode, x0: np.ndarray, sgn: float) -> tuple[np.ndarray, int]:
-    """Drive the gradient to zero near a located maximum of sgn*S.
+def _project_eprb(x: np.ndarray, sgn: float) -> np.ndarray:
+    """The EPRB maximum of sgn*S that keeps ``a`` and lies nearest in ``a'``.
 
-    Least-squares Newton steps tolerate the singular Hessian directions
-    that flat ridges and the EPRB global-rotation symmetry produce. Steps
-    that would lower the objective are halved away.
+    ``a'`` moves to whichever of ``a +- pi/2`` is nearer to it on the circle;
+    b and b' then take the closed-form arguments of ``CHSH_BOUNDS``, so
+    sgn*S is ``2*sqrt(2)``.
     """
-    s_func, grad_func, hess_func = _S_FUNCS[mode], _GRAD_FUNCS[mode], _HESS_FUNCS[mode]
-    x = x0.copy()
-    f = sgn * float(s_func(*x))
-    iterations = 0
-    for _ in range(_MAX_NEWTON):
-        g = sgn * grad_func(x)
-        if float(np.linalg.norm(g)) <= _GRAD_TOL:
-            break
-        iterations += 1
-        h = sgn * hess_func(x)
-        delta = np.linalg.lstsq(h, -g, rcond=None)[0]
-        accepted = False
-        for _ in range(25):
-            candidate = x + delta
-            f_candidate = sgn * float(s_func(*candidate))
-            if f_candidate >= f - 1e-12:
-                x, f = candidate, f_candidate
-                accepted = True
-                break
-            delta = 0.5 * delta
-        if not accepted:
-            break
-    return x, iterations
+    a = float(x[0])
+    a_prime = a + math.copysign(math.pi / 2.0, math.pi - (x[1] - a) % TWO_PI)
+    cos_a, sin_a = math.cos(a), math.sin(a)
+    cos_a_prime, sin_a_prime = math.cos(a_prime), math.sin(a_prime)
+    # The arguments of sgn * (e^{ia'} - e^{ia}) and -sgn * (e^{ia} + e^{ia'}).
+    b = math.atan2(sgn * (sin_a_prime - sin_a), sgn * (cos_a_prime - cos_a))
+    b_prime = math.atan2(-sgn * (sin_a + sin_a_prime), -sgn * (cos_a + cos_a_prime))
+    return np.array([a, a_prime, b, b_prime])
 
 
 def maximize_chsh(mode: Mode, init_angles=None) -> OptimumReport:
-    """Maximize |S| by multistart local ascent plus a Newton polish.
+    """Maximize |S| by multistart ascent, certified by the closed-form bound.
 
-    Every cell of the coarse grid of step pi/6 (plus ``init_angles`` when
-    given) seeds a gradient ascent; in EPRB mode the grid is the slice
-    with ``a = 0``, since a common rotation of all four angles leaves S
-    unchanged. The best endpoint is refined until the analytic gradient
-    norm drops to 1e-9. Failure to reach it within the iteration caps is
-    reported via ``converged=False`` with the best point found.
+    Every cell of the grid of step pi/3 (plus ``init_angles`` when given)
+    seeds a gradient ascent, which stops once its best row is within
+    ``BOUND_TOL`` of ``CHSH_BOUNDS[mode]``. The sequential grid holds
+    (0, 0, 0), where S = -2 exactly, so it stops before its first step. In
+    EPRB mode the best row is projected onto the exact maximum that keeps
+    its ``a``. ``converged`` records whether the analytic gradient norm at
+    the reported angles is at most 1e-9.
     """
     k = _N_ANGLES[mode]
-    axes = [_grid_axis(_START_STEP, k)] * k
-    if mode is Mode.EPRB:
-        # EPRB S depends only on angle differences, so it is unchanged when
-        # all four angles rotate together. The step divides the full
-        # circle, so every start with a != 0 is a rotated copy of one with
-        # a = 0, and the a = 0 slice (the grid's first len(axis)**3 rows, a
-        # being the slowest axis) is the same search. The ascent treats each
-        # row on its own, and the slice keeps starts that run it to its
-        # iteration cap, so each remaining row ends where it did in the
-        # full grid. The full grid's best row lies in the slice, so the
-        # report is the full grid's, bit for bit.
-        axes[0] = axes[0][:1]
-    mesh = np.meshgrid(*axes, indexing="ij")
+    mesh = np.meshgrid(*([_grid_axis(_START_STEP, k)] * k), indexing="ij")
     starts = np.stack([m.reshape(-1) for m in mesh], axis=-1)
     if init_angles is not None:
         starts = np.vstack([starts, _check_angles(mode, init_angles)])
 
     s_func, grad_func = _S_FUNCS[mode], _GRAD_FUNCS[mode]
-    x_all, f_all, ascent_iters = _ascent(mode, starts, _MAX_ASCENT)
-    best = int(np.argmax(f_all))
-    x = x_all[best]
-    sgn = 1.0 if float(s_func(*x)) >= 0.0 else -1.0
-
-    x, newton_iters = _newton_polish(mode, x, sgn)
+    x_all, f_all, iterations = _ascent(mode, starts, _MAX_ASCENT)
+    x = x_all[int(np.argmax(f_all))]
+    if mode is Mode.EPRB:
+        x = _project_eprb(x, 1.0 if float(s_func(*x)) >= 0.0 else -1.0)
 
     x = np.array([canonical_angle(float(v)) for v in x])
     s = float(s_func(*x))
@@ -404,7 +356,7 @@ def maximize_chsh(mode: Mode, init_angles=None) -> OptimumReport:
         angles=tuple(float(v) for v in x),
         s_value=s,
         abs_s=abs(s),
-        iterations=ascent_iters + newton_iters,
+        iterations=iterations,
         grad_norm=grad_norm,
         tol=_GRAD_TOL,
         converged=grad_norm <= _GRAD_TOL,

@@ -496,6 +496,22 @@ class TestMain:
         assert f"({float(step):g} deg)" in err
         assert peak < 2**20
 
+    @pytest.mark.parametrize("n", [str(2**30 + 1), str(2**64), "9" * 4000])
+    def test_sample_above_the_draw_budget_is_refused_before_any_draw(self, tmp_path, capsys, n):
+        path = write_config(tmp_path)
+        tracemalloc.start()
+        try:
+            code = main(["sample", "--config", path, "--n", n])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        err = capsys.readouterr().err
+        assert code == EXIT_INPUT
+        assert err.startswith("error: sample count ") and "draw budget of 1073741824" in err
+        assert err.count("\n") == 1 and len(err) < 200
+        # One block of draws alone would take 8 * 2**16 bytes.
+        assert peak < 2**19
+
     def test_unknown_subcommand_exits_two(self):
         with pytest.raises(SystemExit) as excinfo:
             main(["frobnicate", "--config", "x.json"])
@@ -725,8 +741,9 @@ _BAD_VALUES = [
     float("nan"), float("inf"), float("-inf"), -1, -0.5, 2**64, 2**1100,
     True, False, None, "1", [], {},
 ]
-#: Bad sample counts leave out large integers: each draw costs memory.
-_BAD_COUNTS = [float("nan"), -1, 1.5, True, None, "5", []]
+#: Bad sample counts; those above the draw budget are refused before any
+#: draw.
+_BAD_COUNTS = [float("nan"), -1, 1.5, True, None, "5", [], 2**30 + 1, 2**64, 2**1100]
 _BAD_FLAGS = {
     "--step": ["nan", "inf", "-inf", "0", "-5", "361", "1e400", "x"],
     "--seed": ["-3", str(2**64), "1.5", "true"],

@@ -228,7 +228,6 @@ class TestCheckFactorizability:
         report = check_factorizability(model)
         assert report.passed
         assert report.max_deviation == 0.0
-        assert report.product_deviation == 0.0
         assert report.locality_deviation == 0.0
 
     @pytest.mark.parametrize(

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 import tracemalloc
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,13 +11,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from eprb_lab import inequality
 from eprb_lab.errors import CorrelatorRangeError, InvalidScenarioError, InvalidStepError
 from eprb_lab.inequality import (
     _GRAD_FUNCS,
     _S_FUNCS,
     _ascent,
+    _chsh_eprb,
+    _project_eprb,
     BOUND_TOL,
+    CHSH_BOUNDS,
     CLASSICAL_BOUND,
     chsh_gradient,
     chsh_report,
@@ -54,27 +55,13 @@ def sequential_optimum():
     return maximize_chsh(Mode.SEQUENTIAL)
 
 
-#: Starts in the a = 0 slice of the default 12**4 EPRB coarse grid.
-A_ZERO_STARTS = 12**3
-
-
-@pytest.fixture(scope="module")
-def eprb_full_grid():
-    """Starts and ascent endpoints over the whole default EPRB coarse grid.
-
-    The optimiser seeds only the a = 0 slice; this is the search over
-    every cell that the slice stands in for (about 1.4 s).
-    """
-    axis = (math.pi / 6.0) * np.arange(12)
-    starts = np.stack([m.reshape(-1) for m in np.meshgrid(*([axis] * 4), indexing="ij")], axis=-1)
-    return (starts, *_ascent(Mode.EPRB, starts, 250))
-
-
 def row_major_ascent(mode: Mode, starts: np.ndarray, max_iter: int):
     """The ascent as it ran on the (N, k) array: the oracle for ``_ascent``.
 
     S and its gradient read strided columns; each step builds new arrays
     with ``np.where``, and the stop test takes ``np.linalg.norm`` by row.
+    Like ``_ascent``, it stops before a step once its best row is within
+    ``BOUND_TOL`` of the bound.
     """
 
     def s_func(x):
@@ -90,6 +77,8 @@ def row_major_ascent(mode: Mode, starts: np.ndarray, max_iter: int):
     eta = np.full(x.shape[0], 0.25)
     iterations = 0
     for _ in range(max_iter):
+        if f.max() >= CHSH_BOUNDS[mode] - BOUND_TOL:
+            break
         iterations += 1
         g = sgn[:, None] * grad_func(x)
         candidate = x + eta[:, None] * g
@@ -105,9 +94,7 @@ def row_major_ascent(mode: Mode, starts: np.ndarray, max_iter: int):
 
 def default_starts(mode: Mode, init=None) -> np.ndarray:
     """The start rows ``maximize_chsh`` builds, plus an init row if given."""
-    axes = [(math.pi / 6.0) * np.arange(12)] * (3 if mode is Mode.SEQUENTIAL else 4)
-    if mode is Mode.EPRB:
-        axes[0] = axes[0][:1]
+    axes = [(math.pi / 3.0) * np.arange(6)] * (3 if mode is Mode.SEQUENTIAL else 4)
     starts = np.stack([m.reshape(-1) for m in np.meshgrid(*axes, indexing="ij")], axis=-1)
     return starts if init is None else np.vstack([starts, init])
 
@@ -130,6 +117,7 @@ NEAR_THOUSAND = 1e3 + np.array([[0.0, -1e-6, 1e-6, -2e-7], [-1e-6, 0.0, 3e-7, 1e
 
 class TestAscent:
     @given(case=ascent_starts(10.0) | ascent_starts(1e3), max_iter=st.integers(1, 250))
+    @example(case=(Mode.EPRB, default_starts(Mode.EPRB)), max_iter=250)
     @example(case=(Mode.EPRB, default_starts(Mode.EPRB, MAGIC_ANGLES)), max_iter=250)
     @example(case=(Mode.SEQUENTIAL, default_starts(Mode.SEQUENTIAL, (0.3, -2.0, 5.0))), max_iter=250)
     @example(case=(Mode.EPRB, np.vstack([NEAR_THOUSAND, -NEAR_THOUSAND])), max_iter=250)
@@ -147,9 +135,16 @@ class TestAscent:
         assert same_bits(starts, given_starts)
 
     def test_zero_gradient_stops_after_one_step(self):
-        # At (0, 0, 0) every sequential partial derivative is exactly zero.
-        x, f, iterations = _ascent(Mode.SEQUENTIAL, np.zeros((1, 3)), 250)
+        # With all four angles equal, every EPRB partial derivative is
+        # exactly zero, and |S| = 2 lies below the bound.
+        x, f, iterations = _ascent(Mode.EPRB, np.zeros((1, 4)), 250)
         assert iterations == 1
+        assert same_bits(x, np.zeros((1, 4)))
+        assert f.tolist() == [2.0]
+        # At sequential (0, 0, 0) the gradient is zero too, but |S| = 2 is
+        # the bound, so the ascent stops before its first step.
+        x, f, iterations = _ascent(Mode.SEQUENTIAL, np.zeros((1, 3)), 250)
+        assert iterations == 0
         assert same_bits(x, np.zeros((1, 3)))
         assert f.tolist() == [2.0]
 
@@ -358,7 +353,65 @@ class TestScanGrid:
             assert s == chsh_sequential_closed(*row)
 
 
+wide_angles = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
+
+
+@st.composite
+def modes_and_inits(draw):
+    """A mode and one angle tuple for it, each angle within +-1e3."""
+    mode = draw(st.sampled_from(list(Mode)))
+    return mode, draw(st.tuples(*[wide_angles] * (3 if mode is Mode.SEQUENTIAL else 4)))
+
+
+class TestChshBound:
+    def test_table(self):
+        assert CHSH_BOUNDS == {Mode.SEQUENTIAL: 2.0, Mode.EPRB: TSIRELSON}
+
+    @given(case=modes_and_inits())
+    @settings(max_examples=200)
+    def test_no_angles_exceed_it(self, case):
+        mode, x = case
+        assert abs(_S_FUNCS[mode](*x)) <= CHSH_BOUNDS[mode] + 1e-12
+
+    @pytest.mark.parametrize(
+        "mode, step_deg", [(Mode.EPRB, 30.0), (Mode.EPRB, 12.0), (Mode.SEQUENTIAL, 3.6)]
+    )
+    def test_no_scan_cell_exceeds_it(self, mode, step_deg):
+        report = scan_grid(mode, math.radians(step_deg))
+        assert report.max_abs_s <= CHSH_BOUNDS[mode] + 1e-12
+
+    @given(a=wide_angles, a_prime=wide_angles, sgn=st.sampled_from([1.0, -1.0]))
+    @example(a=0.0, a_prime=math.pi, sgn=1.0)
+    @example(a=0.0, a_prime=0.0, sgn=-1.0)
+    def test_projection_attains_it(self, a, a_prime, sgn):
+        x = _project_eprb(np.array([a, a_prime, 0.0, 0.0]), sgn)
+        assert x[0] == a
+        # a' moved to the nearer of a +- pi/2 on the circle.
+        assert abs(abs(x[1] - a) - math.pi / 2.0) <= 1e-12 * max(1.0, abs(a))
+        moved = abs(math.remainder(x[1] - a_prime, TWO_PI))
+        other = abs(math.remainder(2.0 * a - x[1] - a_prime, TWO_PI))
+        assert moved <= other + 1e-9
+        s = float(_chsh_eprb(*x))
+        assert math.copysign(1.0, s) == sgn
+        assert abs(abs(s) - TSIRELSON) <= 1e-12
+        assert np.linalg.norm(_GRAD_FUNCS[Mode.EPRB](x)) <= 1e-9
+
+
 class TestMaximizeChsh:
+    @given(case=modes_and_inits())
+    @example(case=(Mode.SEQUENTIAL, None))
+    @example(case=(Mode.EPRB, None))
+    @example(case=(Mode.EPRB, MAGIC_ANGLES))
+    @settings(max_examples=20, deadline=None)
+    def test_certified_at_the_bound(self, case):
+        mode, init = case
+        report = maximize_chsh(mode, init_angles=init)
+        assert report.converged
+        assert abs(report.abs_s - CHSH_BOUNDS[mode]) <= 1e-12
+        # The sequential grid holds an exact optimum. A regression of the
+        # early stop runs the ascent to its 250-step cap.
+        assert report.iterations <= (0 if mode is Mode.SEQUENTIAL else 20)
+
     def test_sequential_reaches_classical_bound(self, sequential_optimum):
         report = sequential_optimum
         assert report.abs_s == pytest.approx(2.0, abs=1e-6)
@@ -384,45 +437,6 @@ class TestMaximizeChsh:
     def test_eprb_beats_every_coarse_scan(self, eprb_optimum):
         scan = scan_grid(Mode.EPRB, math.radians(15.0))
         assert eprb_optimum.abs_s >= scan.max_abs_s - 1e-9
-
-    def test_full_grid_best_start_has_a_zero(self, eprb_full_grid):
-        starts, _, f, _ = eprb_full_grid
-        best = int(np.argmax(f))
-        assert best < A_ZERO_STARTS
-        assert starts[best, 0] == 0.0
-
-    def test_a_zero_slice_ends_where_the_full_grid_does(self, eprb_full_grid):
-        starts, x_full, f_full, iterations_full = eprb_full_grid
-        x, f, iterations = _ascent(Mode.EPRB, starts[:A_ZERO_STARTS], 250)
-        # Both runs reach the iteration cap, so every row takes the same
-        # number of steps, each on its own.
-        assert iterations == iterations_full == 250
-        assert np.array_equal(x, x_full[:A_ZERO_STARTS])
-        assert np.array_equal(f, f_full[:A_ZERO_STARTS])
-        assert np.array_equal(x[np.argmax(f)], x_full[np.argmax(f_full)])
-
-    @given(init=st.none() | st.tuples(angles, angles, angles, angles))
-    @example(init=None)
-    @example(init=MAGIC_ANGLES)
-    @settings(max_examples=6, deadline=None)
-    def test_eprb_report_equals_the_full_grid_search(self, eprb_full_grid, init):
-        _, x_full, f_full, iterations_full = eprb_full_grid
-
-        def full_grid_ascent(mode, starts, max_iter):
-            # Put the full grid's endpoints in place of the slice's. The
-            # init row, if any, ran as many steps as it would beside the
-            # full grid, so its endpoint is the one the full search gets.
-            x, f, iterations = _ascent(mode, starts, max_iter)
-            assert iterations == iterations_full
-            return (
-                np.vstack([x_full, x[A_ZERO_STARTS:]]),
-                np.concatenate([f_full, f[A_ZERO_STARTS:]]),
-                iterations,
-            )
-
-        with mock.patch.object(inequality, "_ascent", full_grid_ascent):
-            reference = maximize_chsh(Mode.EPRB, init_angles=init)
-        assert maximize_chsh(Mode.EPRB, init_angles=init) == reference
 
     def test_init_angles_are_honored(self):
         report = maximize_chsh(Mode.EPRB, init_angles=MAGIC_ANGLES)

@@ -20,6 +20,7 @@ from eprb_lab.quantum import (
     grand_joint_quantum,
 )
 from eprb_lab.sampler import (
+    _MAX_DRAWS,
     _TALLY_BLOCK,
     COUNTS_CSV_HEADER,
     _cdf,
@@ -55,6 +56,15 @@ def point_mass(index: int) -> GrandJointDistribution:
 def searchsorted_tally(d: GrandJointDistribution, draws: np.ndarray) -> np.ndarray:
     """Reference tally: binary search of each draw in the CDF."""
     return np.bincount(np.searchsorted(_cdf(d), draws, side="right"), minlength=16)
+
+
+@st.composite
+def top_splits(draw):
+    """(start, count, cut): a range that ends at most at index 2**64 - 1,
+    where the counter (i + 1) * GOLDEN wraps to 0, and a split point."""
+    start = MASK64 + 1 - draw(st.integers(min_value=1, max_value=300))
+    count = draw(st.integers(min_value=0, max_value=MASK64 + 1 - start))
+    return start, count, draw(st.integers(min_value=0, max_value=count))
 
 
 def equal_cells(k: int) -> tuple[float, ...]:
@@ -146,6 +156,23 @@ class TestUniforms:
             uniforms(0, -1, 1)
         with pytest.raises(DistributionError):
             uniforms(0, 0, -1)
+
+    def test_range_past_the_counter_domain_rejected(self):
+        for start, count in [(MASK64, 2), (MASK64 + 1, 1), (0, MASK64 + 2)]:
+            with pytest.raises(DistributionError):
+                uniforms(0, start, count)
+
+    @given(seed=st.integers(min_value=0, max_value=MASK64), split=top_splits())
+    @example(seed=0, split=(MASK64, 1, 0))
+    @example(seed=0, split=(MASK64 - 4, 5, 4))
+    @settings(max_examples=50)
+    def test_splits_near_the_top_of_the_domain(self, seed, split):
+        start, count, cut = split
+        whole = uniforms(seed, start, count)
+        parts = np.concatenate([uniforms(seed, start, cut), uniforms(seed, start + cut, count - cut)])
+        want = np.array([reference_uniform(seed, start + i) for i in range(count)])
+        assert np.array_equal(whole, want)
+        assert np.array_equal(parts, want)
 
     @given(st.integers(min_value=0, max_value=MASK64), st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=50)
@@ -303,6 +330,25 @@ class TestSampleSharded:
             with pytest.raises(DistributionError) as caught:
                 draw()
             assert str(caught.value) == message
+
+    def test_draw_budget_refused_before_any_draw(self):
+        d = point_mass(0)
+        sampler._check_count(_MAX_DRAWS)
+        for n in (_MAX_DRAWS + 1, 2**64, 10**4000):
+            for draw in (
+                lambda: sample(d, n, seed=0),
+                lambda: sample_sharded(d, n, seed=0, workers=2),
+            ):
+                tracemalloc.start()
+                try:
+                    with pytest.raises(DistributionError, match="draw budget") as caught:
+                        draw()
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                # One block of draws alone would take 8 * 2**16 bytes.
+                assert peak < 64_000
+                assert len(str(caught.value)) < 200
 
     def test_invalid_workers_rejected(self):
         d = point_mass(0)
