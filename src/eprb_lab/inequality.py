@@ -142,9 +142,16 @@ _S_FUNCS = {Mode.SEQUENTIAL: chsh_sequential_closed, Mode.EPRB: _chsh_eprb}
 _GRAD_FUNCS = {Mode.SEQUENTIAL: _grad_sequential, Mode.EPRB: _grad_eprb}
 
 
+def _n_angles(mode: Mode) -> int:
+    """How many angles S takes in ``mode``, which must be a :class:`Mode`."""
+    if not isinstance(mode, Mode):
+        raise InvalidScenarioError(f"mode must be a Mode, got {mode!r}")
+    return _N_ANGLES[mode]
+
+
 def _check_angles(mode: Mode, angles) -> np.ndarray:
+    expected = _n_angles(mode)
     x = np.asarray(angles, dtype=float)
-    expected = _N_ANGLES[mode]
     if x.shape != (expected,):
         raise InvalidScenarioError(
             f"{mode.value} mode takes {expected} angles, got shape {x.shape}"
@@ -188,21 +195,17 @@ class ScanReport:
     def n_cells(self) -> int:
         return self.s_values.shape[0]
 
-    @property
-    def angles(self) -> np.ndarray:
-        """One row of angles per cell, built on each access (read-only)."""
-        mesh = np.meshgrid(*([self.axis] * _N_ANGLES[self.mode]), indexing="ij")
-        angles = np.stack([m.reshape(-1) for m in mesh], axis=-1)
-        angles.setflags(write=False)
-        return angles
-
 
 def _grid_axis(step: float, k: int) -> np.ndarray:
     """The multiples of ``step`` inside [0, 2*pi), one axis of a k-axis grid.
 
     The grid's cell count is checked before the axis is built.
     """
-    if not (isinstance(step, (int, float)) and math.isfinite(step)) or step <= 0.0:
+    if (
+        isinstance(step, bool)
+        or not (isinstance(step, (int, float)) and math.isfinite(step))
+        or step <= 0.0
+    ):
         raise InvalidStepError(f"grid step must be a positive angle, got {step!r}")
     if step > TWO_PI:
         raise InvalidStepError(f"grid step exceeds the full circle: {step!r}")
@@ -216,27 +219,57 @@ def _grid_axis(step: float, k: int) -> np.ndarray:
     return step * np.arange(math.ceil(n))
 
 
+def _eprb_grid(axis: np.ndarray) -> np.ndarray:
+    """``_chsh_eprb`` on every cell of the grid of ``axis``, shape (n, n, n*n).
+
+    Each of the four terms is an entry of one table, ``cos(x - y)`` over
+    the axis. They are added in ``_chsh_eprb``'s order, so every cell is
+    bit-equal to it. The two terms in a' are laid out as (a', (b, b'))
+    tables, so the last two steps write one array in contiguous rows of
+    n*n cells.
+    """
+    n = axis.shape[0]
+    c = np.cos(axis[:, None] - axis)
+    w = (-c[:, :, None] - c[:, None, :]).reshape(n, 1, n * n)  # -cos(a-b) - cos(a-b')
+    s = np.empty((n, n, n * n))
+    np.subtract(w, np.tile(c, n), out=s)  # - cos(a'-b')
+    s += np.repeat(c, n, axis=1)  # + cos(a'-b)
+    return s
+
+
 def scan_grid(mode: Mode, step: float) -> ScanReport:
     """Evaluate S on the full angle grid of the given step (radians).
 
     Each axis carries the multiples of ``step`` inside [0, 2*pi). S is
-    evaluated by broadcasting over the open mesh, so no array of angle
-    tuples is built. In sequential mode the classical bound is asserted
-    on every cell; a violation raises :class:`BoundViolationError` and
-    signals a defect, not a property of the input.
+    written into one array of a cell each, by broadcasting over one axis
+    per angle, so no array of angle tuples is built; the peak memory is
+    close to ``s_values`` itself. Its max |S| and argmax are reduced row
+    by row, one row per value of the first angle. In sequential mode the
+    classical bound is asserted on every cell; a violation raises
+    :class:`BoundViolationError` and signals a defect, not a property of
+    the input.
     """
-    k = _N_ANGLES[mode]
+    k = _n_angles(mode)
     axis = _grid_axis(step, k)
-    s_grid = _S_FUNCS[mode](*np.meshgrid(*([axis] * k), indexing="ij", sparse=True))
-    s_values = s_grid.reshape(-1)
-    max_abs = float(max(s_values.max(), -s_values.min()))
+    if mode is Mode.EPRB:
+        s_values = _eprb_grid(axis).reshape(-1)
+    else:
+        mesh = np.meshgrid(axis, axis, axis, indexing="ij", sparse=True)
+        s_values = chsh_sequential_closed(*mesh).reshape(-1)
+    n = axis.shape[0]
+    rows = s_values.reshape(n, -1)
+    hi, lo = rows.max(axis=1), rows.min(axis=1)
+    max_abs = float(max(hi.max(), -lo.min()))
     if mode is Mode.SEQUENTIAL and max_abs > CLASSICAL_BOUND + BOUND_TOL:
         raise BoundViolationError(
             f"sequential closed form reached |S| = {max_abs!r}; this cannot "
             "happen in exact arithmetic and indicates a defect"
         )
+    # The first cell within 1e-9 of max |S| lies in the first row that has one.
     near = max_abs - 1e-9
-    argmax_idx = int(np.argmax((s_values >= near) | (s_values <= -near)))
+    r = int(np.argmax((hi >= near) | (lo <= -near)))
+    row = rows[r]
+    argmax_idx = r * row.shape[0] + int(np.argmax((row >= near) | (row <= -near)))
     axis.setflags(write=False)
     s_values.setflags(write=False)
     return ScanReport(
@@ -245,7 +278,7 @@ def scan_grid(mode: Mode, step: float) -> ScanReport:
         axis=axis,
         s_values=s_values,
         max_abs_s=max_abs,
-        argmax_angles=tuple(float(axis[i]) for i in np.unravel_index(argmax_idx, s_grid.shape)),
+        argmax_angles=tuple(float(axis[i]) for i in np.unravel_index(argmax_idx, (n,) * k)),
     )
 
 
@@ -336,7 +369,7 @@ def maximize_chsh(mode: Mode, init_angles=None) -> OptimumReport:
     its ``a``. ``converged`` records whether the analytic gradient norm at
     the reported angles is at most 1e-9.
     """
-    k = _N_ANGLES[mode]
+    k = _n_angles(mode)
     mesh = np.meshgrid(*([_grid_axis(_START_STEP, k)] * k), indexing="ij")
     starts = np.stack([m.reshape(-1) for m in mesh], axis=-1)
     if init_angles is not None:

@@ -20,6 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import eprb_lab
+from conftest import angle_rows
 from eprb_lab import __version__, cli
 from eprb_lab.cli import (
     EXIT_INPUT,
@@ -215,7 +216,7 @@ class TestScanCsvFormat:
         report = _report_of(mode, values)
         rows = [
             ",".join([*map(_fmt, map(math.degrees, angles)), _fmt(float(s))]) + "\n"
-            for angles, s in zip(report.angles, report.s_values)
+            for angles, s in zip(angle_rows(report), report.s_values)
         ]
         lines = "".join(_scan_csv_lines(report)).splitlines(keepends=True)
         assert lines[0] == ",".join(cli._SCAN_COLUMNS[mode]) + ",s\n"
@@ -367,7 +368,7 @@ class TestRunChshScan:
         grid = scan_grid(Mode(mode), math.radians(step))
         rows = [
             ",".join([*map(_fmt, map(math.degrees, angles)), _fmt(float(s))])
-            for angles, s in zip(grid.angles, grid.s_values)
+            for angles, s in zip(angle_rows(grid), grid.s_values)
         ]
         assert text.splitlines()[1:] == rows
 

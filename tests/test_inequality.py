@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from conftest import angle_rows
 from eprb_lab.errors import CorrelatorRangeError, InvalidScenarioError, InvalidStepError
 from eprb_lab.inequality import (
     _GRAD_FUNCS,
@@ -264,6 +265,11 @@ class TestScanGrid:
             with pytest.raises(InvalidStepError):
                 scan_grid(Mode.SEQUENTIAL, bad)
 
+    def test_bool_step_refused(self):
+        # True would otherwise pass as a 1 rad step.
+        with pytest.raises(InvalidStepError):
+            scan_grid(Mode.EPRB, True)
+
     def test_oversized_grid_refused(self):
         with pytest.raises(InvalidStepError):
             scan_grid(Mode.SEQUENTIAL, 0.02)
@@ -312,8 +318,6 @@ class TestScanGrid:
             report.s_values[0] = 99.0
         with pytest.raises(ValueError):
             report.axis[0] = 99.0
-        with pytest.raises(ValueError):
-            report.angles[0, 0] = 99.0
 
     @settings(max_examples=30, deadline=None)
     @given(mode=st.sampled_from(list(Mode)), step_deg=st.floats(min_value=20.0, max_value=360.0))
@@ -322,17 +326,13 @@ class TestScanGrid:
         # evaluated by the optimiser's S, with the tie-break on |S|.
         step = math.radians(step_deg)
         axis = step * np.arange(int(math.ceil((TWO_PI - 1e-12) / step)))
-        k = 3 if mode is Mode.SEQUENTIAL else 4
-        rows = np.stack([m.reshape(-1) for m in np.meshgrid(*([axis] * k), indexing="ij")], axis=-1)
+        report = scan_grid(mode, step)
+        assert np.array_equal(report.axis, axis)
+
+        rows = angle_rows(report)
         s_ref = _S_FUNCS[mode](*rows.T)
         abs_s = np.abs(s_ref)
         first = int(np.flatnonzero(abs_s >= abs_s.max() - 1e-9)[0])
-
-        report = scan_grid(mode, step)
-        assert np.array_equal(report.axis, axis)
-        assert np.array_equal(report.angles, rows)
-        assert not report.angles.flags.writeable
-        assert report.angles.shape == (report.n_cells, k)
         assert np.array_equal(report.s_values, s_ref)
         assert report.max_abs_s == abs_s.max()
         assert report.argmax_angles == tuple(rows[first])
@@ -347,9 +347,46 @@ class TestScanGrid:
         # The N x 4 angle rows alone would take 4 times s_values.
         assert peak < 3 * report.s_values.nbytes
 
+    @pytest.mark.parametrize("mode, step_deg", [(Mode.EPRB, 12.0), (Mode.SEQUENTIAL, 3.6)])
+    def test_peak_memory_near_its_s_values(self, mode, step_deg):
+        # One full-size array: no second one for S, no full-size masks.
+        tracemalloc.start()
+        try:
+            report = scan_grid(mode, math.radians(step_deg))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.2 * report.s_values.nbytes
+
+    @pytest.mark.parametrize(
+        "mode, step_deg",
+        [
+            (Mode.EPRB, 12.0),
+            (Mode.SEQUENTIAL, 3.6),
+            *[(mode, deg) for mode in Mode for deg in (7.0, 13.0, 180.0, 360.0)],
+        ],
+    )
+    def test_equals_the_open_mesh_oracle(self, mode, step_deg):
+        # Reference: the optimiser's S broadcast over the sparse open mesh,
+        # reduced over the full array with the tie-break on |S|. Steps of 7
+        # and 13 degrees do not divide the circle; 180 and 360 give n = 2, 1.
+        report = scan_grid(mode, math.radians(step_deg))
+        k = 3 if mode is Mode.SEQUENTIAL else 4
+        s_grid = _S_FUNCS[mode](*np.meshgrid(*([report.axis] * k), indexing="ij", sparse=True))
+        s_ref = s_grid.reshape(-1)
+        max_abs = float(max(s_ref.max(), -s_ref.min()))
+        near = max_abs - 1e-9
+        first = int(np.argmax((s_ref >= near) | (s_ref <= -near)))
+
+        assert np.array_equal(report.s_values.view(np.int64), s_ref.view(np.int64))
+        assert report.max_abs_s == max_abs
+        assert report.argmax_angles == tuple(
+            float(report.axis[i]) for i in np.unravel_index(first, s_grid.shape)
+        )
+
     def test_enumeration_matches_closed_form(self):
         report = scan_grid(Mode.SEQUENTIAL, math.radians(120.0))
-        for row, s in zip(report.angles, report.s_values):
+        for row, s in zip(angle_rows(report), report.s_values):
             assert s == chsh_sequential_closed(*row)
 
 
@@ -454,3 +491,19 @@ class TestMaximizeChsh:
         s = chsh_value(closed_form_correlators(sc))
         assert s == pytest.approx(-2.0 * math.cos(sc.theta_ab), abs=ANALYTIC_TOL)
         assert abs(s) <= 2.0 + BOUND_TOL
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda mode: scan_grid(mode, 1.0),
+        lambda mode: maximize_chsh(mode),
+        lambda mode: chsh_gradient(mode, (0.0, 0.0, 0.0, 0.0)),
+    ],
+    ids=["scan_grid", "maximize_chsh", "chsh_gradient"],
+)
+@pytest.mark.parametrize("mode", ["eprb", None])
+def test_mode_must_be_a_mode(call, mode):
+    # The mode's value is not a Mode: no KeyError from a table lookup.
+    with pytest.raises(InvalidScenarioError, match="mode must be a Mode"):
+        call(mode)
