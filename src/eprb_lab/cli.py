@@ -304,20 +304,44 @@ def _number_lines(values: np.ndarray) -> np.ndarray:
     return lines
 
 
+def _distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted distinct values and each value's int32 index among them.
+
+    The result equals ``np.unique(values, return_inverse=True)`` but peaks
+    near 2.1x ``values.nbytes`` instead of 5x: the sorted copy is dropped
+    once its first occurrences are marked, and the index is int32.
+    """
+    order = np.argsort(values)
+    ordered = values[order]
+    first = np.empty(len(values), dtype=bool)
+    first[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    distinct = ordered[first]
+    del ordered
+    rank = np.cumsum(first, dtype=np.int32)
+    del first
+    rank -= 1
+    inverse = np.empty(len(values), dtype=np.int32)
+    inverse[order] = rank
+    return distinct, inverse
+
+
 def _scan_csv_lines(report: ScanReport) -> Iterator[str]:
     """The header, then a scan's CSV rows in blocks of whole lines.
 
-    Each axis value is formatted once. The distinct S values are formatted
-    in chunks of ``_SCAN_BLOCK_LINES``, one ``%`` pass per chunk, into an
-    object array; a block's S column is gathered from it by index. A line
+    Each axis value is formatted once. The distinct S values (``_distinct``)
+    are formatted in chunks of ``_SCAN_BLOCK_LINES``, one ``%`` pass per
+    chunk, into an object array; a block's S column is gathered from it by
+    index. A line
     joins the strings of its cell. The bytes equal those of the per-cell
     row ``_fmt(math.degrees(angle))``, ..., ``_fmt(float(s))``.
     """
     columns = _SCAN_COLUMNS[report.mode]
     yield ",".join(columns) + ",s\n"
     axis_text = [_fmt(math.degrees(v)) for v in report.axis]
-    distinct, inverse = np.unique(report.s_values, return_inverse=True)
+    distinct, inverse = _distinct(report.s_values)
     s_text = _number_lines(distinct)
+    del distinct  # a generator's locals live until it is closed
     last = [text + "," for text in axis_text]
     heads = (",".join(p) + "," for p in itertools.product(axis_text, repeat=len(columns) - 1))
     per_block = max(1, _SCAN_BLOCK_LINES // len(last))

@@ -222,13 +222,31 @@ class TestScanCsvFormat:
         assert lines[0] == ",".join(cli._SCAN_COLUMNS[mode]) + ",s\n"
         assert lines[1:] == rows
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        values=st.lists(
+            st.sampled_from([-0.0, 0.0, 1.0, -TSIRELSON, *_ulp_neighbours(0.1)])
+            | st.floats(allow_nan=False),
+            min_size=1,
+            max_size=300,
+        )
+    )
+    def test_distinct_equals_np_unique(self, values):
+        values = np.array(values)
+        distinct, inverse = cli._distinct(values)
+        want, want_inverse = np.unique(values, return_inverse=True)
+        assert np.array_equal(distinct, want)
+        assert np.array_equal(inverse, want_inverse)
+        assert inverse.dtype == np.int32
+
     @pytest.mark.parametrize(
-        "mode, step, bound", [(Mode.SEQUENTIAL, 3.6, 6.5), (Mode.EPRB, 12.0, 5.5)]
+        "mode, step, bound", [(Mode.SEQUENTIAL, 3.6, 5.3), (Mode.EPRB, 12.0, 2.5)]
     )
     def test_renderer_peak_memory(self, mode, step, bound):
-        # The bound is a multiple of the S array. np.unique with its inverse
-        # peaks near 5.1x; on the sequential grid the 360,205 distinct S
-        # strings add about 0.5x more while the rows are joined.
+        # The bound is a multiple of the S array. Finding the distinct S
+        # values peaks near 2.1x (EPRB 12°: 2.14x measured); on the
+        # sequential grid the 360,205 distinct S strings take about 3.5x,
+        # and the rows joined from them add the rest (4.98x measured).
         report = scan_grid(mode, math.radians(step))
         tracemalloc.start()
         try:

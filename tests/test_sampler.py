@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
+import signal
+import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -21,6 +26,7 @@ from eprb_lab.quantum import (
 )
 from eprb_lab.sampler import (
     _MAX_DRAWS,
+    _MIN_SHARD_DRAWS,
     _TALLY_BLOCK,
     COUNTS_CSV_HEADER,
     _cdf,
@@ -356,6 +362,196 @@ class TestSampleSharded:
             sample_sharded(d, 10, seed=0, workers=0)
         with pytest.raises(DistributionError):
             sample_sharded(d, 10, seed=0, workers=-2)
+
+
+def open_fds() -> int:
+    return len(os.listdir("/proc/self/fd"))
+
+
+@contextlib.contextmanager
+def counted_forks(monkeypatch):
+    """Count the ``os.fork`` calls made while the context is open."""
+    calls = []
+    real_fork = os.fork
+
+    def fork():
+        calls.append(1)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    yield calls
+
+
+@st.composite
+def shard_requests(draw):
+    """(min_shard, n): a shard floor and a count near one of its multiples,
+    or near a tally block edge, so shard edges land on and beside both."""
+    min_shard = draw(st.integers(min_value=1, max_value=2 * _TALLY_BLOCK))
+    near = draw(st.sampled_from([min_shard, _TALLY_BLOCK]))
+    n = draw(st.integers(min_value=0, max_value=4)) * near
+    return min_shard, max(0, n + draw(st.integers(min_value=-2, max_value=2)))
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no CPU affinity")
+class TestForkedShards:
+    """``sample`` tallies its shards in forked children; the counts are
+    those of one in-process tally, whatever happens to the children."""
+
+    D = grand_joint_quantum(Scenario(0.3, 1.7, 2.2, 5.1))
+
+    @given(
+        probs=distributions(),
+        seed=st.one_of(
+            st.integers(min_value=0, max_value=MASK64),
+            st.integers(min_value=MASK64 - 2, max_value=MASK64),
+        ),
+        request=shard_requests(),
+        cpus=st.integers(min_value=1, max_value=4),
+    )
+    @example(probs=equal_cells(6), seed=MASK64, request=(_TALLY_BLOCK, 3 * _TALLY_BLOCK + 1), cpus=4)
+    @example(probs=equal_cells(16), seed=0, request=(1, 3), cpus=4)
+    @settings(max_examples=40, deadline=None)
+    def test_counts_equal_one_tally(self, probs, seed, request, cpus):
+        min_shard, n = request
+        d = GrandJointDistribution(probs)
+        fds = open_fds()
+        with pytest.MonkeyPatch.context() as mp, counted_forks(mp) as forks:
+            mp.setattr(sampler, "_MIN_SHARD_DRAWS", min_shard)
+            mp.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+            got = sample(d, n, seed)
+        assert len(forks) == max(0, min(cpus, n // min_shard) - 1)
+        assert got.counts == tuple(int(c) for c in _tally(d, seed, 0, n))
+        assert got == sample_sharded(d, n, seed, workers=3)
+        assert open_fds() == fds
+
+    def test_forks_at_most_one_child_per_other_cpu(self, monkeypatch):
+        cpus = len(os.sched_getaffinity(0))
+        with counted_forks(monkeypatch) as forks:
+            sample(self.D, 2 * _MIN_SHARD_DRAWS - 1, seed=1)
+            assert forks == []
+            n = 10**7
+            got = sample(self.D, n, seed=1)
+        assert len(forks) <= cpus - 1
+        assert got.counts == tuple(int(c) for c in _tally(self.D, 1, 0, n))
+
+    @pytest.mark.filterwarnings("error")
+    def test_threaded_fork_warning_is_silenced_only_around_the_fork(self, monkeypatch):
+        # Python 3.12+ warns thus when a process with threads forks.
+        message = (
+            f"This process (pid={os.getpid()}) is multi-threaded, use of fork() "
+            "may lead to deadlocks in the child."
+        )
+        real_fork = os.fork
+
+        def fork():
+            warnings.warn(message, DeprecationWarning, stacklevel=2)
+            return real_fork()
+
+        monkeypatch.setattr(os, "fork", fork)
+        monkeypatch.setattr(sampler, "_MIN_SHARD_DRAWS", 1000)
+        n = 10_007
+        assert sample(self.D, n, seed=7).counts == tuple(int(c) for c in _tally(self.D, 7, 0, n))
+        with pytest.raises(DeprecationWarning):
+            warnings.warn(message, DeprecationWarning)
+
+    def test_fork_count_depends_on_no_argument(self, monkeypatch):
+        # A stand-in tally puts each shard's draws in cell 0, so even the
+        # whole draw budget costs nothing to split.
+        def shard_length(distribution, seed, start, stop):
+            counts = np.zeros(16, dtype=np.int64)
+            counts[0] = stop - start
+            return counts
+
+        monkeypatch.setattr(sampler, "_tally", shard_length)
+        cpus = len(os.sched_getaffinity(0))
+        with counted_forks(monkeypatch) as forks:
+            for n in (10**7, _MAX_DRAWS):
+                forks.clear()
+                assert sample(self.D, n, seed=2).counts[0] == n
+                assert len(forks) <= cpus - 1
+
+    def child_only(self, monkeypatch, misbehave):
+        """Make ``_tally`` misbehave in forked children only."""
+        parent = os.getpid()
+        real_tally = sampler._tally
+
+        def tally(distribution, seed, start, stop):
+            if os.getpid() != parent:
+                return misbehave(real_tally(distribution, seed, start, stop))
+            return real_tally(distribution, seed, start, stop)
+
+        monkeypatch.setattr(sampler, "_tally", tally)
+        monkeypatch.setattr(sampler, "_MIN_SHARD_DRAWS", 1000)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        return parent
+
+    def raise_error(self, counts):
+        raise RuntimeError("tally failed in the child")
+
+    def short_counts(self, counts):
+        return counts[:15]
+
+    def killed(self, counts):
+        os.kill(os.getpid(), signal.SIGKILL)
+
+    @pytest.mark.parametrize("misbehave", ["raise_error", "short_counts", "killed"])
+    def test_failed_child_is_tallied_in_process(self, monkeypatch, misbehave):
+        self.child_only(monkeypatch, getattr(self, misbehave))
+        n = 10_007
+        fds = open_fds()
+        with counted_forks(monkeypatch) as forks:
+            got = sample(self.D, n, seed=3)
+        assert len(forks) == 2
+        assert got.counts == tuple(int(c) for c in _tally(self.D, 3, 0, n))
+        assert open_fds() == fds
+
+    def test_nonzero_status_discards_complete_counts(self, monkeypatch):
+        # Each child writes 16 wrong counts in full, then exits with status 1.
+        parent = self.child_only(monkeypatch, lambda counts: counts[::-1].copy())
+        real_write = os.write
+
+        def write(fd, data):
+            written = real_write(fd, data)
+            if os.getpid() != parent:
+                raise OSError("failed after writing")
+            return written
+
+        monkeypatch.setattr(os, "write", write)
+        n = 10_007
+        assert sample(self.D, n, seed=4).counts == tuple(int(c) for c in _tally(self.D, 4, 0, n))
+
+    def test_failed_fork_is_tallied_in_process(self, monkeypatch):
+        def fork():
+            raise BlockingIOError("no more processes")
+
+        monkeypatch.setattr(os, "fork", fork)
+        monkeypatch.setattr(sampler, "_MIN_SHARD_DRAWS", 1000)
+        n = 10_007
+        fds = open_fds()
+        assert sample(self.D, n, seed=5).counts == tuple(int(c) for c in _tally(self.D, 5, 0, n))
+        assert open_fds() == fds
+
+    def test_children_are_killed_when_the_parent_unwinds(self, monkeypatch):
+        # The children would sleep for a minute; the parent's own shard
+        # fails at once, and the call must not wait for them.
+        parent = os.getpid()
+        real_tally = sampler._tally
+
+        def tally(distribution, seed, start, stop):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            time.sleep(60)
+            return real_tally(distribution, seed, start, stop)
+
+        monkeypatch.setattr(sampler, "_tally", tally)
+        monkeypatch.setattr(sampler, "_MIN_SHARD_DRAWS", 1000)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        fds = open_fds()
+        begun = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            sample(self.D, 10_007, seed=6)
+        assert time.monotonic() - begun < 30
+        assert open_fds() == fds
 
 
 class TestOutcomeCounts:
