@@ -16,10 +16,10 @@ deliberately not used anywhere in this module.
 
 Outcomes invert the cumulative distribution over the 16 quadruples in
 canonical ``QUADRUPLES`` order: draw ``u`` lands in cell ``#{k: cdf[k] <= u}``.
-Blocks of 2**16 draws are tallied by counting the draws below each entry.
-``sample`` tallies a large request in contiguous shards on every CPU the
-process may run on, in forked children, where the platform reports CPU
-affinity (Linux).
+Blocks of 2**16 draws are tallied by counting the draws below each
+distinct entry under 1. ``sample`` tallies a large request in contiguous
+shards on the CPUs the process may use, in forked children, where the
+platform reports CPU affinity (Linux).
 """
 
 from __future__ import annotations
@@ -28,8 +28,10 @@ import contextlib
 import math
 import os
 import signal
+import threading
 import warnings
 from dataclasses import dataclass
+from pathlib import Path
 from typing import BinaryIO
 
 import numpy as np
@@ -45,8 +47,8 @@ _U64_MAX = 2**64 - 1
 _INV_2_53 = 2.0**-53
 
 #: Refuse samples of more draws than this, well inside the 2^64 counter
-#: domain: on a shared 2-CPU machine a sample of this size took 6.0-6.4 s
-#: in two shards, and 11.9 s (11.0 ns per draw) on one core.
+#: domain: on a shared 2-CPU machine a sample of this size took 5.9 s in
+#: two shards, and 9.2 s (8.6 ns per draw) on one core.
 _MAX_DRAWS = 1 << 30
 
 
@@ -138,13 +140,18 @@ def _cdf(distribution: GrandJointDistribution) -> np.ndarray:
 
 
 def _tally(distribution: GrandJointDistribution, seed: int, start: int, stop: int) -> np.ndarray:
-    cdf = _cdf(distribution)
-    below = np.zeros(16, dtype=np.int64)
+    # Equal CDF entries (zero-probability cells) share one count, and every
+    # draw lies below an entry of 1.0: only the distinct entries under 1
+    # are counted, once per block each.
+    levels, level_of = np.unique(_cdf(distribution), return_inverse=True)
+    live = levels[levels < 1.0]
+    below = np.full(levels.size, stop - start, dtype=np.int64)
+    below[:live.size] = 0
     for lo in range(start, stop, _TALLY_BLOCK):
         draws = uniforms(seed, lo, min(_TALLY_BLOCK, stop - lo))
-        for k, edge in enumerate(cdf):
+        for k, edge in enumerate(live):
             below[k] += np.count_nonzero(draws < edge)
-    return np.diff(below, prepend=0)
+    return np.diff(below[level_of], prepend=0)
 
 
 #: Fewest draws worth a forked shard: tallying them takes about 20 ms,
@@ -154,11 +161,35 @@ _MIN_SHARD_DRAWS = 1 << 21
 _COUNTS_BYTES = 16 * np.dtype(np.int64).itemsize
 
 
+#: cgroup files that cap the process's CPU time as "quota period": v2, then v1.
+_QUOTA_FILES = (
+    ("/sys/fs/cgroup/cpu.max",),
+    ("/sys/fs/cgroup/cpu/cpu.cfs_quota_us", "/sys/fs/cgroup/cpu/cpu.cfs_period_us"),
+)
+
+
+def _quota_cpus() -> float:
+    """CPUs' worth of time the cgroup quota allows, rounded up; infinite
+    without a quota or where none can be read."""
+    for files in _QUOTA_FILES:
+        try:
+            quota, period = " ".join(Path(f).read_text() for f in files).split()
+            return math.inf if quota in ("max", "-1") else math.ceil(int(quota) / int(period))
+        except (OSError, ValueError, ZeroDivisionError):
+            continue
+    return math.inf
+
+
 def _shard_count(n: int) -> int:
-    """One shard per usable CPU, but none of fewer than ``_MIN_SHARD_DRAWS``."""
+    """One shard per CPU the process may use, none of fewer than
+    ``_MIN_SHARD_DRAWS`` draws, and only one while other Python threads
+    run: a child would inherit any lock they hold at the fork."""
+    if n < 2 * _MIN_SHARD_DRAWS or threading.active_count() > 1:
+        return 1
     if not hasattr(os, "sched_getaffinity"):  # no fork() shards off Linux
         return 1
-    return max(1, min(len(os.sched_getaffinity(0)), n // _MIN_SHARD_DRAWS))
+    cpus = min(len(os.sched_getaffinity(0)), _quota_cpus())
+    return max(1, min(cpus, n // _MIN_SHARD_DRAWS))
 
 
 def _fork_tally(
@@ -177,37 +208,43 @@ def _fork_tally(
                 category=DeprecationWarning,
             )
             pid = os.fork()
+            if pid == 0:
+                status = 1
+                try:
+                    os.write(write_end, _tally(distribution, seed, start, stop).tobytes())
+                    status = 0
+                finally:
+                    # No stdio flush and no atexit: the parent owns both.
+                    os._exit(status)
     except OSError:
         os.close(read_end)
         os.close(write_end)
         raise
-    if pid == 0:
-        status = 1
-        try:
-            os.write(write_end, _tally(distribution, seed, start, stop).tobytes())
-            status = 0
-        finally:
-            # No stdio flush and no atexit: the parent owns both.
-            os._exit(status)
     os.close(write_end)
     return pid, open(read_end, "rb")
 
 
+def _end(pid: int, kill: bool) -> None:
+    """Reap a child, killing it first if asked. Where the caller ignores
+    SIGCHLD the kernel reaps children itself, so the child may be gone."""
+    with contextlib.suppress(ProcessLookupError, ChildProcessError):
+        if kill:
+            os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+
+
 def _join(pid: int, pipe: BinaryIO) -> np.ndarray | None:
-    """Read a child's counts to end of file and reap it: None unless it
-    wrote all 16 counts and exited with status 0. An interrupted read
-    kills the child before reaping it."""
+    """Read a child's counts to end of file and reap it: None unless all 16
+    counts arrived, which the child writes in one call once its tally is
+    done. An interrupted read kills the child before reaping it."""
     try:
         with pipe:
             data = pipe.read()
     except BaseException:
-        os.kill(pid, signal.SIGKILL)
+        _end(pid, kill=True)
         raise
-    finally:
-        status = os.waitpid(pid, 0)[1]
-    if status != 0 or len(data) != _COUNTS_BYTES:
-        return None
-    return np.frombuffer(data, dtype=np.int64)
+    _end(pid, kill=False)
+    return np.frombuffer(data, dtype=np.int64) if len(data) == _COUNTS_BYTES else None
 
 
 def sample(distribution: GrandJointDistribution, n: int, seed: int) -> OutcomeCounts:
@@ -236,8 +273,7 @@ def sample(distribution: GrandJointDistribution, n: int, seed: int) -> OutcomeCo
     finally:
         for pid, pipe in children.values():  # left only when unwinding
             pipe.close()
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+            _end(pid, kill=True)
     return OutcomeCounts(counts=total, n=n, seed=seed)
 
 

@@ -239,9 +239,21 @@ class TestScanCsvFormat:
         assert np.array_equal(inverse, want_inverse)
         assert inverse.dtype == np.int32
 
-    @staticmethod
-    def _renderer_peak(mode, step):
-        """Peak traced bytes while rendering the scan, and the S array's size."""
+    @pytest.mark.parametrize(
+        "mode, step, bound",
+        [
+            (Mode.SEQUENTIAL, 3.6, 6.5),
+            (Mode.EPRB, 12.0, 5.5),
+            (Mode.SEQUENTIAL, 3.6, 5.3),
+            (Mode.EPRB, 12.0, 2.5),
+        ],
+    )
+    def test_renderer_peak_memory(self, mode, step, bound):
+        # The bound is a multiple of the S array. The first two cases are
+        # the ceilings np.unique's inverse held (near 5.1x); the last two
+        # are _distinct's: it peaks near 2.1x (EPRB 12°: 2.14x measured),
+        # and on the sequential grid the 360,205 distinct S strings take
+        # about 3.5x and the rows joined from them the rest (4.98x).
         report = scan_grid(mode, math.radians(step))
         tracemalloc.start()
         try:
@@ -250,28 +262,7 @@ class TestScanCsvFormat:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        return peak, report.s_values.nbytes
-
-    @pytest.mark.parametrize(
-        "mode, step, bound", [(Mode.SEQUENTIAL, 3.6, 6.5), (Mode.EPRB, 12.0, 5.5)]
-    )
-    def test_renderer_peak_memory(self, mode, step, bound):
-        # The ceiling held by the np.unique renderer, as a multiple of the
-        # S array: its inverse peaked near 5.1x, and the sequential grid's
-        # 360,205 distinct S strings added about 0.5x more.
-        peak, s_bytes = self._renderer_peak(mode, step)
-        assert peak <= bound * s_bytes
-
-    @pytest.mark.parametrize(
-        "mode, step, bound", [(Mode.SEQUENTIAL, 3.6, 5.3), (Mode.EPRB, 12.0, 2.5)]
-    )
-    def test_distinct_renderer_peak_memory(self, mode, step, bound):
-        # The bound is a multiple of the S array. Finding the distinct S
-        # values peaks near 2.1x (EPRB 12°: 2.14x measured); on the
-        # sequential grid the 360,205 distinct S strings take about 3.5x,
-        # and the rows joined from them add the rest (4.98x measured).
-        peak, s_bytes = self._renderer_peak(mode, step)
-        assert peak <= bound * s_bytes
+        assert peak <= bound * report.s_values.nbytes
 
 
 def run_to_file(tmp_path, subcommand, fmt="json", name="out.txt", **overrides):

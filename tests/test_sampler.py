@@ -6,6 +6,7 @@ import contextlib
 import math
 import os
 import signal
+import threading
 import time
 import tracemalloc
 import warnings
@@ -269,6 +270,21 @@ class TestSample:
         from_zero = searchsorted_tally(d, uniforms(seed, 0, count))
         assert sample(d, count, seed).counts == tuple(int(c) for c in from_zero)
 
+    def test_counts_each_distinct_cdf_entry_under_one_once_per_block(self, monkeypatch):
+        # The CDF is 0.25, 0.25, 0.5, 0.5, then 1.0: two entries to count
+        # against each block, not sixteen.
+        d = GrandJointDistribution((0.25, 0.0, 0.25, 0.0, 0.5) + (0.0,) * 11)
+        n = 2 * _TALLY_BLOCK + 1
+        passes = []
+        count_nonzero = np.count_nonzero
+        monkeypatch.setattr(
+            np, "count_nonzero", lambda a: passes.append(a.size) or count_nonzero(a)
+        )
+        counts = _tally(d, 5, 0, n)
+        monkeypatch.undo()
+        assert sorted(passes) == [1, 1] + [_TALLY_BLOCK] * 4
+        assert np.array_equal(counts, searchsorted_tally(d, uniforms(5, 0, n)))
+
     @pytest.mark.parametrize(
         "probs",
         [
@@ -392,6 +408,13 @@ def shard_requests(draw):
     return min_shard, max(0, n + draw(st.integers(min_value=-2, max_value=2)))
 
 
+def three_cpus(monkeypatch):
+    """Three CPUs, no cgroup quota, and shards of 1000 draws or more."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    monkeypatch.setattr(sampler, "_QUOTA_FILES", ())
+    monkeypatch.setattr(sampler, "_MIN_SHARD_DRAWS", 1000)
+
+
 @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no CPU affinity")
 class TestForkedShards:
     """``sample`` tallies its shards in forked children; the counts are
@@ -417,6 +440,7 @@ class TestForkedShards:
         fds = open_fds()
         with pytest.MonkeyPatch.context() as mp, counted_forks(mp) as forks:
             mp.setattr(sampler, "_MIN_SHARD_DRAWS", min_shard)
+            mp.setattr(sampler, "_QUOTA_FILES", ())
             mp.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
             got = sample(d, n, seed)
         assert len(forks) == max(0, min(cpus, n // min_shard) - 1)
@@ -448,7 +472,7 @@ class TestForkedShards:
             return real_fork()
 
         monkeypatch.setattr(os, "fork", fork)
-        monkeypatch.setattr(sampler, "_MIN_SHARD_DRAWS", 1000)
+        three_cpus(monkeypatch)
         n = 10_007
         assert sample(self.D, n, seed=7).counts == tuple(int(c) for c in _tally(self.D, 7, 0, n))
         with pytest.raises(DeprecationWarning):
@@ -481,8 +505,7 @@ class TestForkedShards:
             return real_tally(distribution, seed, start, stop)
 
         monkeypatch.setattr(sampler, "_tally", tally)
-        monkeypatch.setattr(sampler, "_MIN_SHARD_DRAWS", 1000)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        three_cpus(monkeypatch)
         return parent
 
     def raise_error(self, counts):
@@ -505,36 +528,37 @@ class TestForkedShards:
         assert got.counts == tuple(int(c) for c in _tally(self.D, 3, 0, n))
         assert open_fds() == fds
 
-    def test_nonzero_status_discards_complete_counts(self, monkeypatch):
-        # Each child writes 16 wrong counts in full, then exits with status 1.
-        parent = self.child_only(monkeypatch, lambda counts: counts[::-1].copy())
-        real_write = os.write
-
-        def write(fd, data):
-            written = real_write(fd, data)
-            if os.getpid() != parent:
-                raise OSError("failed after writing")
-            return written
-
-        monkeypatch.setattr(os, "write", write)
-        n = 10_007
-        assert sample(self.D, n, seed=4).counts == tuple(int(c) for c in _tally(self.D, 4, 0, n))
-
     def test_failed_fork_is_tallied_in_process(self, monkeypatch):
         def fork():
             raise BlockingIOError("no more processes")
 
         monkeypatch.setattr(os, "fork", fork)
-        monkeypatch.setattr(sampler, "_MIN_SHARD_DRAWS", 1000)
+        three_cpus(monkeypatch)
         n = 10_007
         fds = open_fds()
         assert sample(self.D, n, seed=5).counts == tuple(int(c) for c in _tally(self.D, 5, 0, n))
         assert open_fds() == fds
 
-    def test_children_are_killed_when_the_parent_unwinds(self, monkeypatch):
+    @pytest.mark.parametrize("sigchld", [signal.SIG_DFL, signal.SIG_IGN])
+    def test_children_are_killed_when_the_parent_unwinds(self, monkeypatch, sigchld):
         # The children would sleep for a minute; the parent's own shard
-        # fails at once, and the call must not wait for them.
-        parent = os.getpid()
+        # fails at once, and the call must not wait for them. A caller
+        # that ignores SIGCHLD has its children reaped by the kernel.
+        previous = signal.signal(signal.SIGCHLD, sigchld)
+        monkeypatch.setattr(sampler, "_tally", self.sleeping_children(os.getpid()))
+        three_cpus(monkeypatch)
+        fds = open_fds()
+        begun = time.monotonic()
+        try:
+            with pytest.raises(KeyboardInterrupt):
+                sample(self.D, 10_007, seed=6)
+        finally:
+            signal.signal(signal.SIGCHLD, previous)
+        assert time.monotonic() - begun < 30
+        assert open_fds() == fds
+
+    @staticmethod
+    def sleeping_children(parent):
         real_tally = sampler._tally
 
         def tally(distribution, seed, start, stop):
@@ -543,15 +567,62 @@ class TestForkedShards:
             time.sleep(60)
             return real_tally(distribution, seed, start, stop)
 
-        monkeypatch.setattr(sampler, "_tally", tally)
+        return tally
+
+    def test_children_reaped_by_the_kernel(self, monkeypatch):
+        # Where the caller ignores SIGCHLD, waitpid finds no child to reap.
+        three_cpus(monkeypatch)
+        n = 10_007
+        previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+        try:
+            with counted_forks(monkeypatch) as forks:
+                got = sample(self.D, n, seed=8)
+        finally:
+            signal.signal(signal.SIGCHLD, previous)
+        assert len(forks) == 2
+        assert got.counts == tuple(int(c) for c in _tally(self.D, 8, 0, n))
+
+    def test_no_fork_while_other_threads_run(self, monkeypatch):
+        three_cpus(monkeypatch)
+        release = threading.Event()
+        worker = threading.Thread(target=release.wait, args=(30,))
+        worker.start()
+        try:
+            with counted_forks(monkeypatch) as forks:
+                got = sample(self.D, 10_007, seed=9)
+        finally:
+            release.set()
+            worker.join(timeout=30)
+        assert not worker.is_alive()
+        assert forks == []
+        assert got.counts == tuple(int(c) for c in _tally(self.D, 9, 0, 10_007))
+
+    @pytest.mark.parametrize(
+        "files, cpus",
+        [
+            ({"cpu.max": "max 100000\n"}, math.inf),
+            ({"cpu.max": "150000 100000\n"}, 2),
+            ({"cpu.max": "100000 100000\n"}, 1),
+            ({"cpu.max": "50000 100000\n"}, 1),
+            ({"cfs_quota_us": "-1\n", "cfs_period_us": "100000\n"}, math.inf),
+            ({"cfs_quota_us": "250000\n", "cfs_period_us": "100000\n"}, 3),
+            ({"cpu.max": "garbled\n", "cfs_quota_us": "100000\n", "cfs_period_us": "100000\n"}, 1),
+            ({"cpu.max": "100000 0\n"}, math.inf),
+            ({}, math.inf),
+        ],
+    )
+    def test_cgroup_quota_caps_the_shards(self, tmp_path, monkeypatch, files, cpus):
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
         monkeypatch.setattr(sampler, "_MIN_SHARD_DRAWS", 1000)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
-        fds = open_fds()
-        begun = time.monotonic()
-        with pytest.raises(KeyboardInterrupt):
-            sample(self.D, 10_007, seed=6)
-        assert time.monotonic() - begun < 30
-        assert open_fds() == fds
+        v1 = tuple(str(tmp_path / f) for f in ("cfs_quota_us", "cfs_period_us"))
+        monkeypatch.setattr(sampler, "_QUOTA_FILES", ((str(tmp_path / "cpu.max"),), v1))
+        assert sampler._quota_cpus() == cpus
+        with counted_forks(monkeypatch) as forks:
+            got = sample(self.D, 10_007, seed=10)
+        assert len(forks) == min(4, cpus) - 1
+        assert got.counts == tuple(int(c) for c in _tally(self.D, 10, 0, 10_007))
 
 
 class TestOutcomeCounts:
