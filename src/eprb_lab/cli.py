@@ -7,7 +7,8 @@ Subcommands
 - ``sample``: Monte Carlo tally of a sequential scenario plus empirical
   correlators.
 - ``chsh-scan``: exhaustive grid evaluation of S for the config's mode.
-- ``chsh-max``: multistart maximization of |S| for the config's mode.
+- ``chsh-max``: the exact maximum of |S| for the config's mode, in closed
+  form from the configured angles.
 - ``hvm-check``: build the contextual model for a sequential scenario,
   verify factorizability, and compare its induced distribution against
   the exact one.
@@ -384,7 +385,6 @@ def _payload_chsh_max(config: RunConfig) -> _Payload:
         "abs_s": report.abs_s,
         "iterations": report.iterations,
         "grad_norm": report.grad_norm,
-        "tol": report.tol,
         "converged": report.converged,
     }
     tail = ("s_value", "abs_s", "iterations", "grad_norm", "converged")

@@ -382,8 +382,8 @@ def load_model(path: str | Path) -> HVModel:
     """
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ModelFormatError(f"not valid JSON: {exc}") from exc
+    except (ValueError, RecursionError) as exc:  # also not UTF-8, too many digits or too deep
+        raise ModelFormatError(f"not valid UTF-8 JSON: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("format") != _MODEL_FORMAT:
         raise ModelFormatError(f"expected format {_MODEL_FORMAT!r}")
     try:

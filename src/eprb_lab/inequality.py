@@ -54,13 +54,8 @@ _N_ANGLES = {Mode.SEQUENTIAL: 3, Mode.EPRB: 4}
 #: 93, 1980).
 CHSH_BOUNDS = {Mode.SEQUENTIAL: CLASSICAL_BOUND, Mode.EPRB: 2.0 * math.sqrt(2.0)}
 
-#: ``maximize_chsh``: the step of its start grid, its ascent's step cap,
-#: and the gradient norm at which the optimum counts as converged. The
-#: bound certifies the result, so the grid needs only a start that ascends
-#: to it; at pi/3 (6**4 EPRB starts) one does in about 10 steps, and the
-#: ascent's per-start arrays stay below 0.5 MiB.
-_START_STEP = math.pi / 3.0
-_MAX_ASCENT = 250
+#: The gradient norm at which ``maximize_chsh`` counts its optimum as
+#: converged.
 _GRAD_TOL = 1e-9
 
 
@@ -284,11 +279,13 @@ def scan_grid(mode: Mode, step: float) -> ScanReport:
 
 @dataclass(frozen=True)
 class OptimumReport:
-    """Result of maximizing |S| over the mode's angle space.
+    """The maximum of |S| over the mode's angle space.
 
     ``grad_norm`` is the 2-norm of the analytic gradient at the reported
-    angles; ``converged`` records whether it reached ``tol``. ``s_value``
-    is the signed S re-evaluated exactly at ``angles``.
+    angles; ``converged`` records whether it is at most 1e-9. ``s_value``
+    is the signed S evaluated at ``angles``. ``iterations`` is always 0:
+    the optimum is computed in closed form, and the field stays so that
+    the ``chsh-max`` CSV keeps its columns.
     """
 
     mode: Mode
@@ -297,48 +294,7 @@ class OptimumReport:
     abs_s: float
     iterations: int
     grad_norm: float
-    tol: float
     converged: bool
-
-
-def _ascent(mode: Mode, starts: np.ndarray, max_iter: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """Vectorized sign-aware gradient ascent on |S| from every start.
-
-    ``starts`` and the returned endpoints hold one start per row, (N, k).
-    The ascent works on the (k, N) transpose, one contiguous row per
-    angle, and updates it in place. It stops before a step once its best
-    row lies within ``BOUND_TOL`` of the mode's bound.
-    """
-    s_func, grad_func = _S_FUNCS[mode], _GRAD_FUNCS[mode]
-    target = CHSH_BOUNDS[mode] - BOUND_TOL
-    x = np.array(starts.T, dtype=float, order="C")
-    s0 = s_func(*x)
-    sgn = np.where(s0 >= 0.0, 1.0, -1.0)
-    f = sgn * s0
-    eta = np.full(x.shape[1], 0.25)
-    iterations = 0
-    for _ in range(max_iter):
-        if float(np.max(f)) >= target:
-            break
-        iterations += 1
-        g = grad_func(x)
-        g *= sgn
-        candidate = eta * g
-        candidate += x
-        f_candidate = s_func(*candidate)
-        f_candidate *= sgn
-        improved = f_candidate >= f
-        np.copyto(x, candidate, where=improved)
-        np.copyto(f, f_candidate, where=improved)
-        eta = np.where(improved, np.minimum(eta * 1.3, 1.0), eta * 0.5)
-        # |g| summed angle by angle, the order np.linalg.norm takes along a
-        # row, so the ascent stops at the same step to the bit.
-        norm_sq = g[0] * g[0]
-        for g_j in g[1:]:
-            norm_sq += g_j * g_j
-        if float(np.max(eta * np.sqrt(norm_sq))) < 1e-11:
-            break
-    return x.T, f, iterations
 
 
 def _project_eprb(x: np.ndarray, sgn: float) -> np.ndarray:
@@ -359,38 +315,32 @@ def _project_eprb(x: np.ndarray, sgn: float) -> np.ndarray:
 
 
 def maximize_chsh(mode: Mode, init_angles=None) -> OptimumReport:
-    """Maximize |S| by multistart ascent, certified by the closed-form bound.
+    """Report the exact maximum of |S| that ``CHSH_BOUNDS`` certifies.
 
-    Every cell of the grid of step pi/3 (plus ``init_angles`` when given)
-    seeds a gradient ascent, which stops once its best row is within
-    ``BOUND_TOL`` of ``CHSH_BOUNDS[mode]``. The sequential grid holds
-    (0, 0, 0), where S = -2 exactly, so it stops before its first step. In
-    EPRB mode the best row is projected onto the exact maximum that keeps
-    its ``a``. ``converged`` records whether the analytic gradient norm at
-    the reported angles is at most 1e-9.
+    No search runs, so ``iterations`` is always 0. Sequential mode checks
+    ``init_angles`` and reports (0, 0, 0), where S = -2 exactly. EPRB mode
+    reduces ``init_angles`` (zeros when None) with ``canonical_angle`` and
+    projects them onto the maximum that keeps their ``a``, lies nearest
+    their ``a'`` and has the sign of S there (+ when S is 0). ``converged``
+    records whether the analytic gradient norm at the reported angles is
+    at most 1e-9.
     """
-    k = _n_angles(mode)
-    mesh = np.meshgrid(*([_grid_axis(_START_STEP, k)] * k), indexing="ij")
-    starts = np.stack([m.reshape(-1) for m in mesh], axis=-1)
-    if init_angles is not None:
-        starts = np.vstack([starts, _check_angles(mode, init_angles)])
-
-    s_func, grad_func = _S_FUNCS[mode], _GRAD_FUNCS[mode]
-    x_all, f_all, iterations = _ascent(mode, starts, _MAX_ASCENT)
-    x = x_all[int(np.argmax(f_all))]
+    x = np.zeros(_n_angles(mode))
+    init = x if init_angles is None else _check_angles(mode, init_angles)
     if mode is Mode.EPRB:
-        x = _project_eprb(x, 1.0 if float(s_func(*x)) >= 0.0 else -1.0)
+        # Reduced first, so that a +- pi/2 cannot round back to a huge a.
+        init = np.array([canonical_angle(float(v)) for v in init])
+        x = _project_eprb(init, 1.0 if float(_chsh_eprb(*init)) >= 0.0 else -1.0)
 
     x = np.array([canonical_angle(float(v)) for v in x])
-    s = float(s_func(*x))
-    grad_norm = float(np.linalg.norm(grad_func(x)))
+    s = float(_S_FUNCS[mode](*x))
+    grad_norm = float(np.linalg.norm(_GRAD_FUNCS[mode](x)))
     return OptimumReport(
         mode=mode,
         angles=tuple(float(v) for v in x),
         s_value=s,
         abs_s=abs(s),
-        iterations=iterations,
+        iterations=0,
         grad_norm=grad_norm,
-        tol=_GRAD_TOL,
         converged=grad_norm <= _GRAD_TOL,
     )

@@ -33,7 +33,7 @@ GOLDEN = {
     ("seq", "chsh-scan", "csv"): (0, "0a9ecfb5438fd63241832a7a8588e08fa2d54e90e56d9d385952ea726494a80d"),
     ("seq", "chsh-scan", "json"): (0, "aaf46862fcbc99a7fc5d62fe352c214a34fc6bf66e51e1942206f8576e7c8a8a"),
     ("seq", "chsh-max", "csv"): (0, "ee7a62b72195dfdac51f9122c891bd3e6db0ecc138fea0729376e020c104b18a"),
-    ("seq", "chsh-max", "json"): (0, "a43dd5b59db3ab638a06cbced77e2b10cc4f88ad1be1c521b355442a10eaa319"),
+    ("seq", "chsh-max", "json"): (0, "6e4e86b5af0e2205e6a272e900e441c7672d54b08d696755fddd4cd16e8c0a7e"),
     ("seq", "hvm-check", "csv"): (0, "f2a869132fdeab20bb7eecbe96631e50964ebba808858811f9ca612b9a46e75c"),
     ("seq", "hvm-check", "json"): (0, "a26e20f014f09a06ed873dd9d42441117d3ba7f076bc25b02629c800fc82eef3"),
     ("seq", "joint-feasibility", "csv"): (0, "9b7646c97f789bbe80419d26e029de5b41e910ab5305dc66d6fd1e9d8ce1fb66"),
@@ -45,7 +45,7 @@ GOLDEN = {
     ("seq-aligned", "chsh-scan", "csv"): (0, "c42b6245dbd65ce598e6a889ecd8a5e92d5470bb3670e4b4902a3f44abeeec39"),
     ("seq-aligned", "chsh-scan", "json"): (0, "eac7cbf7b2327e6b828f1a272b65c1406718176a9d945c8de782fc7829320340"),
     ("seq-aligned", "chsh-max", "csv"): (0, "ee7a62b72195dfdac51f9122c891bd3e6db0ecc138fea0729376e020c104b18a"),
-    ("seq-aligned", "chsh-max", "json"): (0, "89b00209f18239876a5c08c0545f24a022868785bd852400fc2c6d96a66dbb14"),
+    ("seq-aligned", "chsh-max", "json"): (0, "483590f74cf4e96c52573043f7baec30b3a9b1ef774b2f645cf7b25de531871d"),
     ("seq-aligned", "hvm-check", "csv"): (0, "23ac43b33bdc10a61f20f57cfa5f94f2fe74363443329da33986a95a67901cfc"),
     ("seq-aligned", "hvm-check", "json"): (0, "a5d8ae3eaa967acd8a7bc0f0aa057a05510fa5b148d47376dcbdd094138e2aec"),
     ("seq-aligned", "joint-feasibility", "csv"): (0, "9b7646c97f789bbe80419d26e029de5b41e910ab5305dc66d6fd1e9d8ce1fb66"),
@@ -56,8 +56,8 @@ GOLDEN = {
     ("eprb", "sample", "json"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("eprb", "chsh-scan", "csv"): (0, "0bd6c2536524c5f1787484c9ebb5ed1a189e5924b752fcb245a6fab489f937e4"),
     ("eprb", "chsh-scan", "json"): (0, "8c93d95aab9c013d6911405309219f9cf5bda2c4fe8f66fe2b3e60c0610e420f"),
-    ("eprb", "chsh-max", "csv"): (0, "a918b72a254f0421068061b3f815469d5513fe8b3f70ba3e1302ef2734f9f647"),
-    ("eprb", "chsh-max", "json"): (0, "36154b5f4451c48b0f7096d7da7971be725c25dcae888f0aba0407c505b73fe3"),
+    ("eprb", "chsh-max", "csv"): (0, "c90c72a623b10608de063fc4a95f144a095792dcdaa9c9dcfd1054627be23640"),
+    ("eprb", "chsh-max", "json"): (0, "70ada31e5a278068021e5767fb451481fbc23211d51aa3732ed6623d3007d362"),
     ("eprb", "hvm-check", "csv"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("eprb", "hvm-check", "json"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("eprb", "joint-feasibility", "csv"): (0, "4329313a2f061280e35c7b39fb0ea9a96d8e76b2b47316d2f4d0c10dbb480933"),

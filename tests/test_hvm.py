@@ -359,6 +359,20 @@ class TestModelFile:
         with pytest.raises(ModelFormatError):
             load_model(path)
 
+    @pytest.mark.parametrize(
+        "content",
+        [b"\xff\xfe", b"[" * 100_000, b"1" * 5000],
+        ids=["not-utf8", "too-deep", "too-many-digits"],
+    )
+    def test_rejects_undecodable_documents(self, tmp_path, content):
+        # None of these is a JSONDecodeError: reading or decoding them raises
+        # UnicodeDecodeError, RecursionError or the integer digit limit's
+        # ValueError.
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        with pytest.raises(ModelFormatError):
+            load_model(path)
+
     def test_rejects_missing_fields(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"format": "hvmodel-v1", "scenario": {"mode": "sequential"}}')

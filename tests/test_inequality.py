@@ -9,14 +9,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
 
 from conftest import angle_rows
 from eprb_lab.errors import CorrelatorRangeError, InvalidScenarioError, InvalidStepError
 from eprb_lab.inequality import (
     _GRAD_FUNCS,
     _S_FUNCS,
-    _ascent,
     _chsh_eprb,
     _project_eprb,
     BOUND_TOL,
@@ -34,6 +32,7 @@ from eprb_lab.quantum import (
     CorrelatorSet,
     Mode,
     Scenario,
+    canonical_angle,
     closed_form_correlators,
 )
 
@@ -56,98 +55,9 @@ def sequential_optimum():
     return maximize_chsh(Mode.SEQUENTIAL)
 
 
-def row_major_ascent(mode: Mode, starts: np.ndarray, max_iter: int):
-    """The ascent as it ran on the (N, k) array: the oracle for ``_ascent``.
-
-    S and its gradient read strided columns; each step builds new arrays
-    with ``np.where``, and the stop test takes ``np.linalg.norm`` by row.
-    Like ``_ascent``, it stops before a step once its best row is within
-    ``BOUND_TOL`` of the bound.
-    """
-
-    def s_func(x):
-        return _S_FUNCS[mode](*x.T)
-
-    def grad_func(x):
-        return _GRAD_FUNCS[mode](x.T).T
-
-    x = starts.copy()
-    s0 = s_func(x)
-    sgn = np.where(s0 >= 0.0, 1.0, -1.0)
-    f = sgn * s0
-    eta = np.full(x.shape[0], 0.25)
-    iterations = 0
-    for _ in range(max_iter):
-        if f.max() >= CHSH_BOUNDS[mode] - BOUND_TOL:
-            break
-        iterations += 1
-        g = sgn[:, None] * grad_func(x)
-        candidate = x + eta[:, None] * g
-        f_candidate = sgn * s_func(candidate)
-        improved = f_candidate >= f
-        x = np.where(improved[:, None], candidate, x)
-        f = np.where(improved, f_candidate, f)
-        eta = np.where(improved, np.minimum(eta * 1.3, 1.0), eta * 0.5)
-        if float(np.max(eta * np.linalg.norm(g, axis=1))) < 1e-11:
-            break
-    return x, f, iterations
-
-
-def default_starts(mode: Mode, init=None) -> np.ndarray:
-    """The start rows ``maximize_chsh`` builds, plus an init row if given."""
-    axes = [(math.pi / 3.0) * np.arange(6)] * (3 if mode is Mode.SEQUENTIAL else 4)
-    starts = np.stack([m.reshape(-1) for m in np.meshgrid(*axes, indexing="ij")], axis=-1)
-    return starts if init is None else np.vstack([starts, init])
-
-
 def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
     return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
-
-
-@st.composite
-def ascent_starts(draw, bound):
-    mode = draw(st.sampled_from(list(Mode)))
-    shape = (draw(st.integers(1, 40)), 3 if mode is Mode.SEQUENTIAL else 4)
-    return mode, draw(arrays(np.float64, shape, elements=st.floats(-bound, bound)))
-
-
-#: Starts within 1e-6 of +-1e3 radians.
-NEAR_THOUSAND = 1e3 + np.array([[0.0, -1e-6, 1e-6, -2e-7], [-1e-6, 0.0, 3e-7, 1e-6]])
-
-
-class TestAscent:
-    @given(case=ascent_starts(10.0) | ascent_starts(1e3), max_iter=st.integers(1, 250))
-    @example(case=(Mode.EPRB, default_starts(Mode.EPRB)), max_iter=250)
-    @example(case=(Mode.EPRB, default_starts(Mode.EPRB, MAGIC_ANGLES)), max_iter=250)
-    @example(case=(Mode.SEQUENTIAL, default_starts(Mode.SEQUENTIAL, (0.3, -2.0, 5.0))), max_iter=250)
-    @example(case=(Mode.EPRB, np.vstack([NEAR_THOUSAND, -NEAR_THOUSAND])), max_iter=250)
-    @example(case=(Mode.SEQUENTIAL, np.vstack([NEAR_THOUSAND, -NEAR_THOUSAND])[:, :3]), max_iter=250)
-    @example(case=(Mode.SEQUENTIAL, np.zeros((1, 3))), max_iter=250)
-    @settings(max_examples=60, deadline=None)
-    def test_bit_equal_to_the_row_major_ascent(self, case, max_iter):
-        mode, starts = case
-        given_starts = starts.copy()
-        x, f, iterations = _ascent(mode, starts, max_iter)
-        x_ref, f_ref, iterations_ref = row_major_ascent(mode, starts, max_iter)
-        assert iterations == iterations_ref
-        assert same_bits(x, x_ref)
-        assert same_bits(f, f_ref)
-        assert same_bits(starts, given_starts)
-
-    def test_zero_gradient_stops_after_one_step(self):
-        # With all four angles equal, every EPRB partial derivative is
-        # exactly zero, and |S| = 2 lies below the bound.
-        x, f, iterations = _ascent(Mode.EPRB, np.zeros((1, 4)), 250)
-        assert iterations == 1
-        assert same_bits(x, np.zeros((1, 4)))
-        assert f.tolist() == [2.0]
-        # At sequential (0, 0, 0) the gradient is zero too, but |S| = 2 is
-        # the bound, so the ascent stops before its first step.
-        x, f, iterations = _ascent(Mode.SEQUENTIAL, np.zeros((1, 3)), 250)
-        assert iterations == 0
-        assert same_bits(x, np.zeros((1, 3)))
-        assert f.tolist() == [2.0]
 
 
 class TestChshValue:
@@ -391,13 +301,17 @@ class TestScanGrid:
 
 
 wide_angles = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
+huge_angles = st.floats(min_value=-1e300, max_value=1e300, allow_nan=False)
 
 
 @st.composite
-def modes_and_inits(draw):
-    """A mode and one angle tuple for it, each angle within +-1e3."""
+def modes_and_inits(draw, elements=wide_angles):
+    """A mode and one angle tuple for it, each angle drawn from ``elements``."""
     mode = draw(st.sampled_from(list(Mode)))
-    return mode, draw(st.tuples(*[wide_angles] * (3 if mode is Mode.SEQUENTIAL else 4)))
+    return mode, draw(st.tuples(*[elements] * (3 if mode is Mode.SEQUENTIAL else 4)))
+
+#: EPRB inits at every scale up to +-1e300 radians.
+eprb_inits = st.tuples(*[wide_angles | huge_angles] * 4)
 
 
 class TestChshBound:
@@ -435,32 +349,70 @@ class TestChshBound:
 
 
 class TestMaximizeChsh:
-    @given(case=modes_and_inits())
+    @given(case=modes_and_inits() | modes_and_inits(huge_angles))
     @example(case=(Mode.SEQUENTIAL, None))
     @example(case=(Mode.EPRB, None))
     @example(case=(Mode.EPRB, MAGIC_ANGLES))
-    @settings(max_examples=20, deadline=None)
+    @example(case=(Mode.EPRB, (1e300, -1e300, 1e300, 3e299)))
+    @settings(max_examples=200, deadline=None)
     def test_certified_at_the_bound(self, case):
         mode, init = case
         report = maximize_chsh(mode, init_angles=init)
         assert report.converged
         assert abs(report.abs_s - CHSH_BOUNDS[mode]) <= 1e-12
-        # The sequential grid holds an exact optimum. A regression of the
-        # early stop runs the ascent to its 250-step cap.
-        assert report.iterations <= (0 if mode is Mode.SEQUENTIAL else 20)
+        assert report.iterations == 0
 
-    def test_sequential_reaches_classical_bound(self, sequential_optimum):
-        report = sequential_optimum
-        assert report.abs_s == pytest.approx(2.0, abs=1e-6)
-        assert report.converged
-        assert report.grad_norm <= report.tol
-        assert abs(report.s_value) == report.abs_s
+    @given(init=st.none() | st.tuples(*[wide_angles | huge_angles] * 3))
+    def test_sequential_reaches_classical_bound(self, init):
+        report = maximize_chsh(Mode.SEQUENTIAL, init_angles=init)
+        assert report.angles == (0.0, 0.0, 0.0)
+        assert report.s_value == -2.0
+        assert report.abs_s == 2.0
+        assert report.grad_norm == 0.0
 
     def test_eprb_reaches_quantum_maximum(self, eprb_optimum):
         report = eprb_optimum
         assert report.abs_s == pytest.approx(TSIRELSON, abs=1e-6)
         assert report.converged
-        assert report.grad_norm <= report.tol
+        assert report.grad_norm <= 1e-9
+
+    @given(init=eprb_inits)
+    @example(init=(0.0, 0.0, 0.0, 0.0))
+    @example(init=(1e300, -1e300, 0.0, 0.0))
+    @example(init=(-1e-300, 0.0, 0.0, 0.0))
+    def test_eprb_keeps_a_and_takes_the_nearer_a_prime(self, init):
+        report = maximize_chsh(Mode.EPRB, init_angles=init)
+        a = canonical_angle(init[0])
+        assert same_bits(np.array(report.angles[0]), np.array(a))
+        # a' is a +- pi/2 on the circle, whichever lies nearer the reduced a'.
+        offset = math.remainder(report.angles[1] - a, TWO_PI)
+        assert abs(abs(offset) - math.pi / 2.0) <= 1e-12
+        a_prime = canonical_angle(init[1])
+        moved = abs(math.remainder(report.angles[1] - a_prime, TWO_PI))
+        other = abs(math.remainder(a - offset - a_prime, TWO_PI))
+        assert moved <= other + 1e-9
+
+    @given(init=eprb_inits)
+    @example(init=(0.0, 0.0, 0.0, 0.0))
+    @example(init=MAGIC_ANGLES)
+    def test_eprb_sign_follows_s_at_the_reduced_init(self, init):
+        s_init = float(_chsh_eprb(*(canonical_angle(v) for v in init)))
+        report = maximize_chsh(Mode.EPRB, init_angles=init)
+        assert (report.s_value > 0.0) == (s_init >= 0.0)
+
+    @pytest.mark.parametrize(
+        "mode, init",
+        [
+            (Mode.SEQUENTIAL, (0.0, 0.0, 0.0, 0.0)),
+            (Mode.SEQUENTIAL, (0.0, math.inf, 0.0)),
+            (Mode.EPRB, (0.0, 0.0, 0.0)),
+            (Mode.EPRB, (0.0, 0.0, 0.0, math.nan)),
+            (Mode.EPRB, ((0.0, 0.0), (0.0, 0.0))),
+        ],
+    )
+    def test_bad_inits_refused(self, mode, init):
+        with pytest.raises(InvalidScenarioError):
+            maximize_chsh(mode, init_angles=init)
 
     def test_reported_value_reproducible(self, sequential_optimum, eprb_optimum):
         assert chsh_sequential_closed(*sequential_optimum.angles) == pytest.approx(
@@ -476,11 +428,15 @@ class TestMaximizeChsh:
         assert eprb_optimum.abs_s >= scan.max_abs_s - 1e-9
 
     def test_init_angles_are_honored(self):
+        # The magic angles already attain the maximum, so they come back.
         report = maximize_chsh(Mode.EPRB, init_angles=MAGIC_ANGLES)
-        assert report.abs_s == pytest.approx(TSIRELSON, abs=1e-6)
+        assert report.s_value == pytest.approx(TSIRELSON, abs=1e-12)
+        np.testing.assert_allclose(report.angles, MAGIC_ANGLES, rtol=0.0, atol=1e-12)
 
-    def test_angles_are_canonical(self, eprb_optimum):
-        for angle in eprb_optimum.angles:
+    @given(case=modes_and_inits(huge_angles))
+    def test_angles_are_canonical(self, case):
+        mode, init = case
+        for angle in maximize_chsh(mode, init_angles=init).angles:
             assert 0.0 <= angle < TWO_PI
 
     @given(angles, angles)
