@@ -101,7 +101,8 @@ class Mode(enum.Enum):
 def canonical_angle(value: float) -> float:
     """Reduce an angle in radians to the canonical range [0, 2*pi).
 
-    Idempotent: a value already in range is returned bit-exactly.
+    Idempotent: a value already in range is returned bit-exactly, except
+    -0.0, which becomes 0.0 so that one angle has one representation.
     """
     if not math.isfinite(value):
         raise InvalidScenarioError(f"angle must be finite, got {value!r}")
@@ -111,7 +112,7 @@ def canonical_angle(value: float) -> float:
     # fmod of a tiny negative can land exactly on 2*pi after the shift.
     if reduced >= TWO_PI:
         reduced = 0.0
-    return reduced
+    return reduced + 0.0  # adding 0.0 turns -0.0 into 0.0
 
 
 def _check_sign(sign: int) -> None:

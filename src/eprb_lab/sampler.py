@@ -24,18 +24,14 @@ platform reports CPU affinity (Linux).
 
 from __future__ import annotations
 
-import contextlib
+import functools
 import math
-import os
-import signal
-import threading
-import warnings
 from dataclasses import dataclass
-from pathlib import Path
 from typing import BinaryIO
 
 import numpy as np
 
+from ._shards import forked, shard_count
 from .errors import DistributionError, EmptySampleError, three_digits
 from .quantum import PAIR_SLOTS, QUADRUPLES, CorrelatorSet, GrandJointDistribution
 
@@ -161,119 +157,36 @@ _MIN_SHARD_DRAWS = 1 << 21
 _COUNTS_BYTES = 16 * np.dtype(np.int64).itemsize
 
 
-#: cgroup files that cap the process's CPU time as "quota period": v2, then v1.
-_QUOTA_FILES = (
-    ("/sys/fs/cgroup/cpu.max",),
-    ("/sys/fs/cgroup/cpu/cpu.cfs_quota_us", "/sys/fs/cgroup/cpu/cpu.cfs_period_us"),
-)
-
-
-def _quota_cpus() -> float:
-    """CPUs' worth of time the cgroup quota allows, rounded up; infinite
-    without a quota or where none can be read."""
-    for files in _QUOTA_FILES:
-        try:
-            quota, period = " ".join(Path(f).read_text() for f in files).split()
-            return math.inf if quota in ("max", "-1") else math.ceil(int(quota) / int(period))
-        except (OSError, ValueError, ZeroDivisionError):
-            continue
-    return math.inf
-
-
-def _shard_count(n: int) -> int:
-    """One shard per CPU the process may use, none of fewer than
-    ``_MIN_SHARD_DRAWS`` draws, and only one while other Python threads
-    run: a child would inherit any lock they hold at the fork."""
-    if n < 2 * _MIN_SHARD_DRAWS or threading.active_count() > 1:
-        return 1
-    if not hasattr(os, "sched_getaffinity"):  # no fork() shards off Linux
-        return 1
-    cpus = min(len(os.sched_getaffinity(0)), _quota_cpus())
-    return max(1, min(cpus, n // _MIN_SHARD_DRAWS))
-
-
-def _fork_tally(
-    distribution: GrandJointDistribution, seed: int, start: int, stop: int
-) -> tuple[int, BinaryIO]:
-    """Tally draws ``[start, stop)`` in a child that writes its 16 counts to
-    a pipe; return the child's pid and the pipe's read end."""
-    read_end, write_end = os.pipe()
-    try:
-        # numpy's import leaves an OpenBLAS thread running, and Python 3.12+
-        # warns when a threaded process forks. The child is safe: it runs
-        # only elementwise ufuncs and os.write, then leaves through _exit.
-        with warnings.catch_warnings():
-            warnings.filterwarnings(
-                "ignore", message=r".*use of fork\(\) may lead to deadlocks",
-                category=DeprecationWarning,
-            )
-            pid = os.fork()
-            if pid == 0:
-                status = 1
-                try:
-                    os.write(write_end, _tally(distribution, seed, start, stop).tobytes())
-                    status = 0
-                finally:
-                    # No stdio flush and no atexit: the parent owns both.
-                    os._exit(status)
-    except OSError:
-        os.close(read_end)
-        os.close(write_end)
-        raise
-    os.close(write_end)
-    return pid, open(read_end, "rb")
-
-
-def _end(pid: int, kill: bool) -> None:
-    """Reap a child, killing it first if asked. Where the caller ignores
-    SIGCHLD the kernel reaps children itself, so the child may be gone."""
-    with contextlib.suppress(ProcessLookupError, ChildProcessError):
-        if kill:
-            os.kill(pid, signal.SIGKILL)
-        os.waitpid(pid, 0)
-
-
-def _join(pid: int, pipe: BinaryIO) -> np.ndarray | None:
-    """Read a child's counts to end of file and reap it: None unless all 16
-    counts arrived, which the child writes in one call once its tally is
-    done. An interrupted read kills the child before reaping it."""
-    try:
-        with pipe:
-            data = pipe.read()
-    except BaseException:
-        _end(pid, kill=True)
-        raise
-    _end(pid, kill=False)
-    return np.frombuffer(data, dtype=np.int64) if len(data) == _COUNTS_BYTES else None
+def _write_tally(
+    distribution: GrandJointDistribution, seed: int, start: int, stop: int, sink: BinaryIO
+) -> None:
+    sink.write(_tally(distribution, seed, start, stop).tobytes())
 
 
 def sample(distribution: GrandJointDistribution, n: int, seed: int) -> OutcomeCounts:
     """Draw ``n`` quadruples by inverse-CDF over the canonical ordering.
 
-    The draw range is split contiguously into ``_shard_count(n)`` shards.
+    The draw range is split contiguously into ``shard_count`` shards.
     Shard 0 is tallied here and each other shard in a forked child; a shard
-    whose fork fails, or whose child does not deliver its counts, is tallied
-    here instead. The counts equal ``_tally(distribution, seed, 0, n)``, and
-    no child outlives the call.
+    whose fork fails, or whose child does not deliver its 16 counts, is
+    tallied here instead. The counts equal ``_tally(distribution, seed, 0,
+    n)``, and no child outlives the call.
     """
     _check_count(n)
-    shards = _shard_count(n)
+    shards = shard_count(n, _MIN_SHARD_DRAWS)
     edges = [w * n // shards for w in range(shards + 1)]
-    children: dict[int, tuple[int, BinaryIO]] = {}
-    try:
-        for w in range(1, shards):
-            with contextlib.suppress(OSError):
-                children[w] = _fork_tally(distribution, seed, edges[w], edges[w + 1])
+    tasks = (
+        functools.partial(_write_tally, distribution, seed, edges[w], edges[w + 1])
+        for w in range(1, shards)
+    )
+    with forked(tasks) as children:
         total = _tally(distribution, seed, edges[0], edges[1])
-        for w in range(1, shards):
-            counts = _join(*children.pop(w)) if w in children else None
-            if counts is None:
-                counts = _tally(distribution, seed, edges[w], edges[w + 1])
-            total += counts
-    finally:
-        for pid, pipe in children.values():  # left only when unwinding
-            pipe.close()
-            _end(pid, kill=True)
+        for w, child in enumerate(children, 1):
+            data = b"".join(child.chunks()) if child.join() else b""
+            if len(data) == _COUNTS_BYTES:
+                total += np.frombuffer(data, dtype=np.int64)
+            else:
+                total += _tally(distribution, seed, edges[w], edges[w + 1])
     return OutcomeCounts(counts=total, n=n, seed=seed)
 
 

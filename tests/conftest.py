@@ -1,5 +1,6 @@
 """Shared test plumbing: the acceptance-criteria result banner, the angle
-rows of a scan, and a guard against child processes left behind.
+rows of a scan, a guard against child processes left behind, and the
+means to force and count forked shards.
 
 Acceptance tests register one verdict each via :func:`record_criterion`;
 the verdicts are printed as a summary section at the end of the pytest
@@ -8,10 +9,13 @@ run so that each criterion yields one visible pass/fail line.
 
 from __future__ import annotations
 
+import contextlib
 import os
 
 import numpy as np
 import pytest
+
+from eprb_lab import _shards
 
 _ACCEPTANCE_RESULTS: list[tuple[int, str, bool]] = []
 
@@ -20,6 +24,31 @@ def angle_rows(report) -> np.ndarray:
     """One row of angles per cell of a scan report, in its cell order."""
     mesh = np.meshgrid(*([report.axis] * len(report.argmax_angles)), indexing="ij")
     return np.stack([m.reshape(-1) for m in mesh], axis=-1)
+
+
+def open_fds() -> int:
+    return len(os.listdir("/proc/self/fd"))
+
+
+@contextlib.contextmanager
+def counted_forks(monkeypatch):
+    """Count the ``os.fork`` calls made while the context is open."""
+    calls = []
+    real_fork = os.fork
+
+    def fork():
+        calls.append(1)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    yield calls
+
+
+def force_cpus(monkeypatch, cpus: int) -> None:
+    """Let the process use ``cpus`` CPUs with no cgroup quota, so forked
+    shards run as if on a machine of that many CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    monkeypatch.setattr(_shards, "_QUOTA_FILES", ())
 
 
 @pytest.fixture(autouse=True)

@@ -4,13 +4,16 @@ from __future__ import annotations
 
 import collections
 import contextlib
+import errno
 import io
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 import tempfile
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -20,7 +23,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import eprb_lab
-from conftest import angle_rows
+from conftest import angle_rows, counted_forks, force_cpus, open_fds
 from eprb_lab import __version__, cli
 from eprb_lab.cli import (
     EXIT_INPUT,
@@ -248,21 +251,39 @@ class TestScanCsvFormat:
             (Mode.EPRB, 12.0, 2.5),
         ],
     )
-    def test_renderer_peak_memory(self, mode, step, bound):
+    def test_renderer_peak_memory(self, mode, step, bound, monkeypatch):
         # The bound is a multiple of the S array. The first two cases are
         # the ceilings np.unique's inverse held (near 5.1x); the last two
         # are _distinct's: it peaks near 2.1x (EPRB 12°: 2.14x measured),
         # and on the sequential grid the 360,205 distinct S strings take
-        # about 3.5x and the rows joined from them the rest (4.98x).
+        # about 3.5x and the rows joined from them the rest (4.98x). One
+        # shard, so the whole render runs in this process.
         report = scan_grid(mode, math.radians(step))
-        tracemalloc.start()
-        try:
-            # Drop each block once read, as writelines does.
-            collections.deque(_scan_csv_lines(report), maxlen=0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= bound * report.s_values.nbytes
+        assert _render_peak(report, monkeypatch, cpus=1) <= bound * report.s_values.nbytes
+
+    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no CPU affinity")
+    @pytest.mark.parametrize("mode, step", [(Mode.SEQUENTIAL, 3.6), (Mode.EPRB, 12.0)])
+    def test_two_shard_peak_is_no_higher(self, mode, step, monkeypatch):
+        # The parent renders half the grid and streams the child's half in
+        # chunks of at most 1 MiB.
+        report = scan_grid(mode, math.radians(step))
+        one = _render_peak(report, monkeypatch, cpus=1)
+        with counted_forks(monkeypatch) as forks:
+            two = _render_peak(report, monkeypatch, cpus=2)
+        assert len(forks) == 1
+        assert two <= one
+
+
+def _render_peak(report, monkeypatch, cpus):
+    """Peak traced memory of this process over a whole scan CSV render."""
+    force_cpus(monkeypatch, cpus)
+    tracemalloc.start()
+    try:
+        # Drop each block once read, as writelines does.
+        collections.deque(_scan_csv_lines(report), maxlen=0)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def run_to_file(tmp_path, subcommand, fmt="json", name="out.txt", **overrides):
@@ -409,6 +430,14 @@ class TestRunChshMax:
         report, _ = run_to_file(tmp_path, "chsh-max")
         assert report.payload["abs_s"] == pytest.approx(2.0, abs=1e-6)
         assert len(report.payload["optimal_angles_deg"]) == 3
+
+    @pytest.mark.parametrize("mode", ["eprb", "sequential"])
+    def test_negative_zero_angle_gives_the_zero_payload(self, tmp_path, mode):
+        angles = {"a": 0.0, "a_prime": 90.0, "b": 45.0, "b_prime": 135.0}
+        zero, _ = run_to_file(tmp_path, "chsh-max", mode=mode, **angles)
+        negative, _ = run_to_file(tmp_path, "chsh-max", mode=mode, **{**angles, "a": -0.0})
+        assert negative.config["a"] == -0.0  # the echo keeps the config as given
+        assert json.dumps(negative.payload) == json.dumps(zero.payload)
 
 
 class TestRunHvmCheck:
@@ -753,6 +782,144 @@ class TestOneWritePath:
         )
         assert proc.returncode == EXIT_OK
         assert proc.stdout == expected.encode("utf-8")
+
+
+def child_only(monkeypatch, misbehave):
+    """Make ``cli._shard_lines`` call ``misbehave()`` first in forked children only."""
+    parent = os.getpid()
+    real = cli._shard_lines
+
+    def shard_lines(*args):
+        if os.getpid() != parent:
+            misbehave()
+        return real(*args)
+
+    monkeypatch.setattr(cli, "_shard_lines", shard_lines)
+
+
+def _raise_error():
+    raise RuntimeError("render failed in the child")
+
+
+def _killed():
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+class BrokenOutput:
+    """Standard output that takes ``accepted`` lines, then fails."""
+
+    def __init__(self, accepted, error):
+        self.accepted, self.error = accepted, error
+
+    def writelines(self, lines):
+        for _ in zip(range(self.accepted), lines):
+            pass
+        raise self.error
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no CPU affinity")
+class TestShardedScanCsv:
+    """A scan CSV of three forced shards, two of them rendered in forked
+    children, has the bytes of the one-shard render whatever happens to
+    the children, and a failed write leaves no child and no memory file."""
+
+    #: 12**4 = 20,736 cells: 1,728 heads in shards of 576.
+    STEP = 30.0
+
+    def scan(self, tmp_path, monkeypatch, cpus=3, fmt="csv"):
+        force_cpus(monkeypatch, cpus)
+        monkeypatch.setattr(cli, "_MIN_SHARD_CELLS", 1000)
+        path = write_config(tmp_path, **{**MAGIC_CONFIG, "format": fmt})
+        out = tmp_path / f"scan-{cpus}.{fmt}"
+        assert main(["chsh-scan", "--config", path, "--step", str(self.STEP), "--out", str(out)]) == 0
+        return out.read_bytes()
+
+    def one_shard(self, tmp_path):
+        with pytest.MonkeyPatch.context() as mp, counted_forks(mp) as forks:
+            text = self.scan(tmp_path, mp, cpus=1)
+        assert forks == []
+        return text
+
+    def test_shards_give_the_one_shard_bytes(self, tmp_path, monkeypatch):
+        want = self.one_shard(tmp_path)
+        fds = open_fds()
+        with counted_forks(monkeypatch) as forks:
+            assert self.scan(tmp_path, monkeypatch) == want
+        assert len(forks) == 2
+        assert open_fds() == fds
+
+    @pytest.mark.parametrize("call", ["fork", "memfd_create"])
+    def test_failed_fork_is_rendered_in_process(self, tmp_path, monkeypatch, call):
+        def fail(*args):
+            raise BlockingIOError("no more processes")
+
+        want = self.one_shard(tmp_path)
+        fds = open_fds()
+        monkeypatch.setattr(os, call, fail)
+        assert self.scan(tmp_path, monkeypatch) == want
+        assert open_fds() == fds
+
+    @pytest.mark.parametrize("misbehave", [_raise_error, _killed], ids=["raise_error", "killed"])
+    def test_failed_child_is_rendered_in_process(self, tmp_path, monkeypatch, misbehave):
+        want = self.one_shard(tmp_path)
+        child_only(monkeypatch, misbehave)
+        fds = open_fds()
+        with counted_forks(monkeypatch) as forks:
+            assert self.scan(tmp_path, monkeypatch) == want
+        assert len(forks) == 2
+        assert open_fds() == fds
+
+    @pytest.mark.parametrize(
+        "error",
+        [OSError(errno.ENOSPC, "No space left on device"), BrokenPipeError(errno.EPIPE, "Broken pipe")],
+        ids=["full", "closed"],
+    )
+    def test_failed_write_kills_and_reaps_every_child(self, tmp_path, monkeypatch, capsys, error):
+        # The children would sleep for a minute; the write fails after the
+        # header and the parent's first block, and the run must not wait.
+        child_only(monkeypatch, lambda: time.sleep(60))
+        force_cpus(monkeypatch, 3)
+        monkeypatch.setattr(cli, "_MIN_SHARD_CELLS", 1000)
+        monkeypatch.setattr(sys, "stdout", BrokenOutput(2, error))
+        path = write_config(tmp_path, **MAGIC_CONFIG)
+        fds = open_fds()
+        begun = time.monotonic()
+        with counted_forks(monkeypatch) as forks:
+            code = main(["chsh-scan", "--config", path, "--step", str(self.STEP)])
+        assert time.monotonic() - begun < 30
+        assert code == EXIT_INPUT
+        assert capsys.readouterr().err == f"error: cannot write standard output: {error}\n"
+        assert len(forks) == 2
+        with pytest.raises(ChildProcessError):  # no child left, running or unreaped
+            os.waitpid(-1, os.WNOHANG)
+        assert open_fds() == fds
+
+    def test_run_ends_its_children_before_it_raises(self, tmp_path, monkeypatch):
+        # The raised error holds the frames of the render; the children must
+        # be gone while it is still held, not when it is collected.
+        child_only(monkeypatch, lambda: time.sleep(60))
+        force_cpus(monkeypatch, 3)
+        monkeypatch.setattr(cli, "_MIN_SHARD_CELLS", 1000)
+        monkeypatch.setattr(sys, "stdout", BrokenOutput(2, BrokenPipeError(errno.EPIPE, "Broken pipe")))
+        config = parse_config(config_text(**MAGIC_CONFIG, step=self.STEP))
+        with pytest.raises(ConfigError) as caught:
+            run("chsh-scan", config)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert caught.value.__traceback__ is not None
+
+    @pytest.mark.parametrize(
+        "mode, fmt, step", [("eprb", "json", 12.0), ("sequential", "json", 3.6), ("sequential", "csv", 5.0)]
+    )
+    def test_json_and_small_grids_never_fork(self, tmp_path, monkeypatch, mode, fmt, step):
+        # EPRB 12 degrees has 810,000 cells and sequential 3.6 degrees a
+        # million; sequential 5 degrees has 373,248, fewer than two shards of
+        # _MIN_SHARD_CELLS.
+        force_cpus(monkeypatch, 3)
+        path = write_config(tmp_path, **{**MAGIC_CONFIG, "mode": mode, "format": fmt})
+        with counted_forks(monkeypatch) as forks:
+            assert main(["chsh-scan", "--config", path, "--step", str(step), "--out", str(tmp_path / "out")]) == 0
+        assert forks == []
 
 
 _CSV_HEADERS = {

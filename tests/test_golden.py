@@ -13,6 +13,8 @@ import json
 
 import pytest
 
+from conftest import counted_forks, force_cpus
+from eprb_lab import cli
 from eprb_lab.cli import SUBCOMMANDS, main
 
 CONFIGS = {
@@ -84,7 +86,9 @@ def test_every_case_is_pinned():
 #: (mode, step in degrees) -> SHA-256 of the ``chsh-scan`` CSV written to
 #: ``--out``, all four angles 0. The grids run to a million rows, so the
 #: CSV spans many rendering blocks; 7 degrees does not divide 360, and the
-#: 100-degree grid fits in one partial block.
+#: 100-degree grid fits in one partial block. Each grid is rendered in 1,
+#: 2 and 3 forced shards; the 7- and 13-degree grids' heads do not split
+#: evenly in 2 or 3.
 LARGE_SCAN_GOLDEN = {
     ("eprb", 12.0): "a94c028548c34a17aa488675581770f3365f814b871a3a867e1c5a9a1b01aba2",
     ("sequential", 3.6): "585a4948c853a1c9d8149cfdcae32f231fd10998c810acc7de217bc308dc6590",
@@ -100,6 +104,11 @@ def test_large_scan_csv(key, tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"mode": mode, "a": 0, "a_prime": 0, "b": 0, "b_prime": 0}))
     out = tmp_path / "scan.csv"
-    code = main(["chsh-scan", "--config", str(config), "--step", str(step), "--out", str(out)])
-    assert code == 0
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == LARGE_SCAN_GOLDEN[key]
+    for shards in (1, 2, 3):
+        with pytest.MonkeyPatch.context() as mp, counted_forks(mp) as forks:
+            force_cpus(mp, shards)
+            mp.setattr(cli, "_MIN_SHARD_CELLS", 1)
+            code = main(["chsh-scan", "--config", str(config), "--step", str(step), "--out", str(out)])
+        assert (code, len(forks)) == (0, shards - 1)
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == LARGE_SCAN_GOLDEN[key], f"{shards} shards"

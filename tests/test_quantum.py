@@ -68,6 +68,10 @@ class TestCanonicalAngle:
         assert canonical_angle(-1e-20) == 0.0
         assert canonical_angle(math.pi) == math.pi
 
+    @pytest.mark.parametrize("zero", [0.0, -0.0, TWO_PI, -TWO_PI, 4.0 * TWO_PI])
+    def test_zero_is_positive_zero(self, zero):
+        assert math.copysign(1.0, canonical_angle(zero)) == 1.0
+
     def test_small_negative(self):
         value = canonical_angle(-1e-9)
         assert 0.0 <= value < TWO_PI

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import contextlib
 import math
 import os
 import signal
@@ -16,7 +15,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from eprb_lab import sampler
+from conftest import counted_forks, force_cpus, open_fds
+from eprb_lab import _shards, sampler
 from eprb_lab.errors import DistributionError, EmptySampleError
 from eprb_lab.quantum import (
     QUADRUPLES,
@@ -380,24 +380,6 @@ class TestSampleSharded:
             sample_sharded(d, 10, seed=0, workers=-2)
 
 
-def open_fds() -> int:
-    return len(os.listdir("/proc/self/fd"))
-
-
-@contextlib.contextmanager
-def counted_forks(monkeypatch):
-    """Count the ``os.fork`` calls made while the context is open."""
-    calls = []
-    real_fork = os.fork
-
-    def fork():
-        calls.append(1)
-        return real_fork()
-
-    monkeypatch.setattr(os, "fork", fork)
-    yield calls
-
-
 @st.composite
 def shard_requests(draw):
     """(min_shard, n): a shard floor and a count near one of its multiples,
@@ -410,8 +392,7 @@ def shard_requests(draw):
 
 def three_cpus(monkeypatch):
     """Three CPUs, no cgroup quota, and shards of 1000 draws or more."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
-    monkeypatch.setattr(sampler, "_QUOTA_FILES", ())
+    force_cpus(monkeypatch, 3)
     monkeypatch.setattr(sampler, "_MIN_SHARD_DRAWS", 1000)
 
 
@@ -440,8 +421,7 @@ class TestForkedShards:
         fds = open_fds()
         with pytest.MonkeyPatch.context() as mp, counted_forks(mp) as forks:
             mp.setattr(sampler, "_MIN_SHARD_DRAWS", min_shard)
-            mp.setattr(sampler, "_QUOTA_FILES", ())
-            mp.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+            force_cpus(mp, cpus)
             got = sample(d, n, seed)
         assert len(forks) == max(0, min(cpus, n // min_shard) - 1)
         assert got.counts == tuple(int(c) for c in _tally(d, seed, 0, n))
@@ -617,8 +597,8 @@ class TestForkedShards:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
         monkeypatch.setattr(sampler, "_MIN_SHARD_DRAWS", 1000)
         v1 = tuple(str(tmp_path / f) for f in ("cfs_quota_us", "cfs_period_us"))
-        monkeypatch.setattr(sampler, "_QUOTA_FILES", ((str(tmp_path / "cpu.max"),), v1))
-        assert sampler._quota_cpus() == cpus
+        monkeypatch.setattr(_shards, "_QUOTA_FILES", ((str(tmp_path / "cpu.max"),), v1))
+        assert _shards._quota_cpus() == cpus
         with counted_forks(monkeypatch) as forks:
             got = sample(self.D, 10_007, seed=10)
         assert len(forks) == min(4, cpus) - 1
