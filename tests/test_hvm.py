@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 from dataclasses import replace
 
@@ -339,6 +340,34 @@ class TestModelFile:
         assert loaded.side1_table() == model.side1_table()
         assert loaded.side2_table() == model.side2_table()
         assert loaded.context == model.context
+
+    #: Analyzer angles (degrees) of the ``seq`` and ``seq-aligned`` golden
+    #: configs -> SHA-256 of the model file that ``save_model`` writes there.
+    SAVED_GOLDEN = {
+        (0.0, 36.0, 60.0, 102.0): "f7dd0f77db6a9b7f1384ea5ce57f944e10fd3675ec0ef20ebd0f0d997eff8633",
+        (20.0, 70.0, 20.0, 110.0): "54f9318af1e82c14ee468b1dba1ea92adec353c0cc9ad7142769e3b6bf469cbb",
+    }
+
+    @pytest.mark.parametrize("degrees", list(SAVED_GOLDEN), ids=["seq", "seq-aligned"])
+    def test_saved_bytes_are_pinned(self, tmp_path, degrees):
+        path = tmp_path / "model.json"
+        save_model(build_contextual_model(Scenario(*map(math.radians, degrees))), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == self.SAVED_GOLDEN[degrees]
+
+    @given(scenarios)
+    @settings(max_examples=50, deadline=None)
+    def test_round_trip_is_bit_exact(self, tmp_path_factory, sc: Scenario):
+        # save_model writes each float's shortest repr, so saving the loaded
+        # model again gives the same bytes exactly when every weight and
+        # table entry came back bit for bit.
+        model = build_contextual_model(sc)
+        first = tmp_path_factory.mktemp("model") / "first.json"
+        again = first.with_name("again.json")
+        save_model(model, first)
+        loaded = load_model(first)
+        save_model(loaded, again)
+        assert again.read_bytes() == first.read_bytes()
+        assert induced_distribution(loaded).probs == induced_distribution(model).probs
 
     def test_round_trip_preserves_statistics(self, tmp_path):
         model = build_contextual_model(Scenario(0.37, 1.71, 2.29, 5.13))
