@@ -449,7 +449,7 @@ def _payload_hvm_check(config: RunConfig) -> _Payload:
     passed = fact.passed and reconstruction_dev <= 1e-12
     payload = {
         "atom_ids": list(model.atom_ids),
-        "weights": list(model.weights),
+        "weights": list(model.table("weights")),
         "context": model.context.as_dict(),
         "factorizability": dataclasses.asdict(fact),
         "reconstruction_max_deviation": reconstruction_dev,

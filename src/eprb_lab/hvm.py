@@ -9,11 +9,11 @@ sign, and the late outcome follows the single-particle transition rule.
 Given the hidden variable, the two sides are independent by construction;
 that product structure is what "factorizable" means here.
 
-Responses are stored as functions ``(atom index, Scenario) -> 4 probs``
-so that :func:`check_factorizability` can actually probe whether a side's
-table shifts when the opposite side's analyzers move. Models loaded from
-disk wrap their static tables in constant functions and pass the probe
-trivially.
+A model's three components, the weights and the two sides' response
+tables, are functions ``(atom index, Scenario) -> value``, so that
+:func:`check_factorizability` can probe whether one moves with a setting
+that its :class:`ContextDescriptor` entry does not list. Models loaded
+from disk wrap constants and pass the probe trivially.
 
 Dropping the second time step yields the EPRB limit, where the four
 pairwise distributions become targets for a single joint distribution
@@ -29,10 +29,11 @@ Model file schema (JSON, one object):
   and the four analyzer angles ``"a"``, ``"a_prime"``, ``"b"``,
   ``"b_prime"`` in radians.
 - ``"context"``: object with keys ``"weights"``, ``"side1"``, ``"side2"``,
-  each listing the setting names that component depends on.
+  each listing the setting names that component depends on; a side may
+  list only its own two analyzers.
 - ``"atoms"``: list of objects with ``"id"`` (string), ``"weight"``
-  (float), ``"side1"`` and ``"side2"`` (four floats each, over the sign
-  pairs in canonical order).
+  (number), ``"side1"`` and ``"side2"`` (four numbers each, over the sign
+  pairs in canonical order). Numbers are finite and not booleans.
 
 Floats survive a save/load round trip bit-exactly.
 """
@@ -45,7 +46,7 @@ import json
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -77,15 +78,18 @@ from .quantum import (
 )
 
 _SETTING_NAMES = ("a", "a_prime", "b", "b_prime")
-_CONTEXT_FIELDS = ("weights", "side1", "side2")
+#: Each model component and the settings it may list: a side only its own.
+_READABLE = {"weights": _SETTING_NAMES, "side1": _SETTING_NAMES[:2], "side2": _SETTING_NAMES[2:]}
+_CONTEXT_FIELDS = tuple(_READABLE)
 
 ResponseTable = tuple[float, float, float, float]
-ResponseFunc = Callable[[int, Scenario], ResponseTable]
+Component = Callable[[int, Scenario], Any]  # a weight or a ResponseTable
 
 
 @dataclass(frozen=True)
 class ContextDescriptor:
-    """Which analyzer settings each model component may depend on."""
+    """Which analyzer settings each model component may depend on; a side
+    may list only its own analyzers."""
 
     weights: tuple[str, ...]
     side1: tuple[str, ...]
@@ -96,8 +100,9 @@ class ContextDescriptor:
             names = tuple(getattr(self, field))
             object.__setattr__(self, field, names)
             for name in names:
-                if name not in _SETTING_NAMES:
-                    raise InvalidScenarioError(f"unknown setting name: {name!r}")
+                if name not in _READABLE[field]:
+                    readable = ", ".join(_READABLE[field])
+                    raise InvalidScenarioError(f"{field} may list only {readable}, got {name!r}")
 
     def as_dict(self) -> dict[str, list[str]]:
         """The descriptor as the model file and the reports write it."""
@@ -108,33 +113,30 @@ class ContextDescriptor:
 class HVModel:
     """A factorizable hidden-variable model over a finite atom space.
 
-    ``side1_response(i, scenario)`` returns the conditional distribution
-    of ``(A1, A2)`` given atom ``i``, over the sign pairs in canonical
-    order; ``side2_response`` does the same for ``(B1, B2)``. The
-    functions receive the full scenario so that setting-independence is a
-    checkable property rather than an assumption.
+    ``weights(i, scenario)`` is atom ``i``'s weight. ``side1(i, scenario)``
+    is the conditional distribution of ``(A1, A2)`` given atom ``i``, over
+    the sign pairs in canonical order; ``side2`` does the same for
+    ``(B1, B2)``. Every component receives the full scenario, so that
+    reading only the settings that ``context`` lists is a checkable
+    property rather than an assumption.
     """
 
     scenario: Scenario
     atom_ids: tuple[str, ...]
-    weights: tuple[float, ...]
-    side1_response: ResponseFunc
-    side2_response: ResponseFunc
+    weights: Component
+    side1: Component
+    side2: Component
     context: ContextDescriptor
 
     def __post_init__(self) -> None:
-        if len(self.atom_ids) != len(self.weights):
-            raise DistributionError(
-                f"{len(self.atom_ids)} atom ids but {len(self.weights)} weights"
-            )
         if len(set(self.atom_ids)) != len(self.atom_ids):
             raise DistributionError("atom ids must be unique")
         object.__setattr__(self, "atom_ids", tuple(str(i) for i in self.atom_ids))
-        object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
-        for w in self.weights:
+        weights = self.table("weights")
+        for w in weights:
             if not math.isfinite(w) or w < 0.0:
                 raise DistributionError(f"atom weight is invalid: {w!r}")
-        total = math.fsum(self.weights)
+        total = math.fsum(weights)
         if abs(total - 1.0) > 1e-12:
             raise DistributionError(f"atom weights sum to {total!r}, not 1")
 
@@ -142,13 +144,11 @@ class HVModel:
     def n_atoms(self) -> int:
         return len(self.atom_ids)
 
-    def side1_table(self, scenario: Scenario | None = None) -> tuple[ResponseTable, ...]:
+    def table(self, component: str, scenario: Scenario | None = None) -> tuple:
+        """Each atom's ``component`` at ``scenario``, by default the model's own."""
         sc = self.scenario if scenario is None else scenario
-        return tuple(self.side1_response(i, sc) for i in range(self.n_atoms))
-
-    def side2_table(self, scenario: Scenario | None = None) -> tuple[ResponseTable, ...]:
-        sc = self.scenario if scenario is None else scenario
-        return tuple(self.side2_response(i, sc) for i in range(self.n_atoms))
+        read = getattr(self, component)
+        return tuple([read(i, sc) for i in range(self.n_atoms)])
 
 
 _ATOM_SIGNS: tuple[tuple[int, int], ...] = SIGN_PAIRS  # (alpha, beta) per atom
@@ -162,6 +162,11 @@ def _transition_table(sign: int, c: float) -> ResponseTable:
         (1.0 if s1 == sign else 0.0) * 0.5 * (1.0 + s1 * s2 * c)
         for s1, s2 in SIGN_PAIRS
     )
+
+
+def _sequential_weight(i: int, sc: Scenario) -> float:
+    alpha, beta = _ATOM_SIGNS[i]
+    return 0.25 * (1.0 - alpha * beta * math.cos(sc.theta_ab))
 
 
 def _sequential_side1(i: int, sc: Scenario) -> ResponseTable:
@@ -185,16 +190,12 @@ def build_contextual_model(scenario: Scenario) -> HVModel:
             "the contextual model reproduces sequential-run statistics; "
             "EPRB-mode scenarios have no grand joint to reproduce"
         )
-    c_ab = math.cos(scenario.theta_ab)
-    weights = tuple(
-        0.25 * (1.0 - alpha * beta * c_ab) for alpha, beta in _ATOM_SIGNS
-    )
     return HVModel(
         scenario=scenario,
         atom_ids=_ATOM_IDS,
-        weights=weights,
-        side1_response=_sequential_side1,
-        side2_response=_sequential_side2,
+        weights=_sequential_weight,
+        side1=_sequential_side1,
+        side2=_sequential_side2,
         context=ContextDescriptor(
             weights=("a", "b"), side1=("a", "a_prime"), side2=("b", "b_prime")
         ),
@@ -204,9 +205,7 @@ def build_contextual_model(scenario: Scenario) -> HVModel:
 def induced_distribution(model: HVModel) -> GrandJointDistribution:
     """Mix the per-atom product responses into a joint over quadruples."""
     probs = [0.0] * 16
-    side1 = model.side1_table()
-    side2 = model.side2_table()
-    for w, t1, t2 in zip(model.weights, side1, side2):
+    for w, t1, t2 in zip(*map(model.table, _CONTEXT_FIELDS)):
         for idx, q in enumerate(QUADRUPLES):
             probs[idx] += w * t1[PAIR_INDEX[(q.a1, q.a2)]] * t2[PAIR_INDEX[(q.b1, q.b2)]]
     return GrandJointDistribution(tuple(probs))
@@ -216,10 +215,11 @@ def induced_distribution(model: HVModel) -> GrandJointDistribution:
 class FactorizabilityReport:
     """Outcome of the factorizability and locality checks.
 
-    ``max_deviation`` is the worst violation of locality: invariance of
-    each side's table under changes to the other side's analyzers. A
-    model stores one response table per side, so its per-atom joint is
-    their product by construction and needs no check.
+    ``max_deviation`` is the worst violation of setting independence: how
+    far a component moves with a setting that its descriptor does not
+    list, such as the other side's analyzers. A model stores one response
+    table per side, so its per-atom joint is their product by
+    construction and needs no check.
     ``normalization_error`` tracks how far weights and response tables
     stray from exact normalization; it gates ``passed`` but is reported
     separately because it measures validity, not factorizability.
@@ -241,46 +241,40 @@ _FACTORIZABILITY_TOL = 1e-12
 def check_factorizability(model: HVModel) -> FactorizabilityReport:
     """Verify setting independence and normalization of a model.
 
-    Each side's response table must be unchanged when the other side's
-    analyzers are displaced by fixed probe offsets. Models built by
-    :func:`build_contextual_model` pass with deviation exactly zero; the
-    check guards hand-built or file-loaded models. Every check allows
-    1e-12.
+    Each component must not move when the settings that its descriptor
+    does not list move by fixed probe offsets, each alone and then all
+    together. Models built by :func:`build_contextual_model` pass with
+    deviation exactly zero; the check guards hand-built or file-loaded
+    models. Every check allows 1e-12.
     """
     tol = _FACTORIZABILITY_TOL
     sc = model.scenario
-    # Each side's table, its table at another scenario, and the opposite
-    # side's two analyzers.
-    sides = (
-        (model.side1_table(), model.side1_table, "b", "b_prime"),
-        (model.side2_table(), model.side2_table, "a", "a_prime"),
-    )
-
-    normalization = abs(math.fsum(model.weights) - 1.0)
-    for table in (t for side in sides for t in side[0]):
-        for p in table:
-            if not math.isfinite(p) or p < -tol:
-                raise DistributionError(f"response probability is invalid: {p!r}")
-        normalization = max(normalization, abs(math.fsum(table) - 1.0))
-
-    locality_dev = 0.0
-    for delta in _PROBE_OFFSETS:
-        for tables, table_at, near, far in sides:
-            moved_near = getattr(sc, near) + delta
-            for probe in (
-                replace(sc, **{near: moved_near}),
-                replace(sc, **{far: getattr(sc, far) + delta}),
-                replace(sc, **{near: moved_near, far: getattr(sc, far) + 0.5 * delta}),
-            ):
-                for base, moved in zip(tables, table_at(probe)):
-                    locality_dev = max(
-                        locality_dev, max(abs(x - y) for x, y in zip(base, moved))
-                    )
+    normalization = deviation = 0.0
+    probes: dict[tuple, Scenario] = {}  # shared by components that move the same settings
+    for component in _CONTEXT_FIELDS:
+        table = model.table(component)
+        per_atom = component != "weights"  # a side holds a distribution per atom
+        for dist in table if per_atom else (table,):
+            for p in dist:
+                if not math.isfinite(p) or p < -tol:
+                    raise DistributionError(f"response probability is invalid: {p!r}")
+            normalization = max(normalization, abs(math.fsum(dist) - 1.0))
+        unread = [name for name in _SETTING_NAMES if name not in getattr(model.context, component)]
+        moves = [[name] for name in unread] + ([unread] if len(unread) > 1 else [])
+        for delta in _PROBE_OFFSETS:
+            for names in moves:
+                key = (delta, *names)
+                if key not in probes:
+                    probes[key] = replace(sc, **{name: getattr(sc, name) + delta for name in names})
+                moved = model.table(component, probes[key])
+                if moved != table:  # an unmoved table deviates by 0
+                    for before, after in zip(table, moved) if per_atom else [(table, moved)]:
+                        deviation = max(deviation, max(abs(x - y) for x, y in zip(before, after)))
 
     return FactorizabilityReport(
-        passed=locality_dev <= tol and normalization <= tol,
-        max_deviation=locality_dev,
-        locality_deviation=locality_dev,
+        passed=deviation <= tol and normalization <= tol,
+        max_deviation=deviation,
+        locality_deviation=deviation,
         normalization_error=normalization,
     )
 
@@ -306,20 +300,16 @@ def hv_correlator(model: HVModel, pair: Sequence[str]) -> float:
         )
     slot1, slot2 = slots[0], slots[1]
     total = 0.0
-    for i, w in enumerate(model.weights):
-        t1 = model.side1_response(i, model.scenario)
-        t2 = model.side2_response(i, model.scenario)
+    for w, t1, t2 in zip(*map(model.table, _CONTEXT_FIELDS)):
         e1 = math.fsum((s1, s2)[slot1] * p for (s1, s2), p in zip(SIGN_PAIRS, t1))
         e2 = math.fsum((s1, s2)[slot2] * p for (s1, s2), p in zip(SIGN_PAIRS, t2))
         total += w * e1 * e2
     return total
 
 
-def _static_response(tables: tuple[ResponseTable, ...]) -> ResponseFunc:
-    def response(i: int, _scenario: Scenario) -> ResponseTable:
-        return tables[i]
-
-    return response
+def _static(values: tuple) -> Component:
+    """A component that reads no setting: ``values[i]`` at every scenario."""
+    return lambda i, _scenario: values[i]
 
 
 def model_from_tables(
@@ -330,20 +320,19 @@ def model_from_tables(
     side2_tables: Sequence[Sequence[float]],
     context: ContextDescriptor,
 ) -> HVModel:
-    """Wrap static response tables (e.g. loaded from disk) as a model."""
+    """Wrap static weights and response tables (e.g. loaded from disk) as a model."""
     if not (len(atom_ids) == len(weights) == len(side1_tables) == len(side2_tables)):
         raise DistributionError("atom ids, weights, and tables must align")
-    s1 = tuple(tuple(float(p) for p in t) for t in side1_tables)
-    s2 = tuple(tuple(float(p) for p in t) for t in side2_tables)
+    s1, s2 = (tuple(tuple(float(p) for p in t) for t in ts) for ts in (side1_tables, side2_tables))
     for table in (*s1, *s2):
         if len(table) != 4:
             raise DistributionError(f"response tables need 4 entries, got {len(table)}")
     return HVModel(
         scenario=scenario,
         atom_ids=tuple(atom_ids),
-        weights=tuple(weights),
-        side1_response=_static_response(s1),
-        side2_response=_static_response(s2),
+        weights=_static(tuple(float(w) for w in weights)),
+        side1=_static(s1),
+        side2=_static(s2),
         context=context,
     )
 
@@ -354,31 +343,37 @@ _MODEL_FORMAT = "hvmodel-v1"
 def save_model(model: HVModel, path: str | Path) -> None:
     """Write a model to disk in the documented JSON schema."""
     sc = model.scenario
-    side1 = model.side1_table()
-    side2 = model.side2_table()
     doc = {
         "format": _MODEL_FORMAT,
         "scenario": {"mode": sc.mode.value, **{name: getattr(sc, name) for name in _SETTING_NAMES}},
         "context": model.context.as_dict(),
         "atoms": [
-            {
-                "id": model.atom_ids[i],
-                "weight": model.weights[i],
-                "side1": list(side1[i]),
-                "side2": list(side2[i]),
-            }
-            for i in range(model.n_atoms)
+            {"id": atom_id, "weight": w, "side1": list(t1), "side2": list(t2)}
+            for atom_id, w, t1, t2 in zip(model.atom_ids, *map(model.table, _CONTEXT_FIELDS))
         ],
     }
     Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
 
 
+def _checked(value: Any, kind: type) -> Any:
+    """``value`` if it has the JSON type ``kind``: ``list``, ``str``, or
+    ``float`` for a finite number that is not a bool (returned as a float)."""
+    if kind is float and isinstance(value, (int, float)) and not isinstance(value, bool):
+        if math.isfinite(value):  # OverflowError on an int past the float range
+            return float(value)
+    elif isinstance(value, kind):
+        return value
+    raise ModelFormatError(f"expected a JSON {kind.__name__}, got {value!r}")
+
+
 def load_model(path: str | Path) -> HVModel:
     """Read a model written by :func:`save_model`.
 
-    The loaded model's responses are constants in the scenario argument,
-    so the locality probe passes by construction; validity of the tables
-    is still enforced.
+    Raises :class:`ModelFormatError` unless the document has the schema's
+    keys and JSON types, a context that :class:`ContextDescriptor` accepts,
+    weights that form a distribution and tables of four entries. Whether
+    the tables are distributions is left to :func:`check_factorizability`,
+    whose probe the loaded constants pass by construction.
     """
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -392,17 +387,21 @@ def load_model(path: str | Path) -> HVModel:
             **{name: sc_doc[name] for name in _SETTING_NAMES}, mode=Mode(sc_doc["mode"])
         )
         ctx_doc = doc["context"]
-        context = ContextDescriptor(**{field: ctx_doc[field] for field in _CONTEXT_FIELDS})
+        # The descriptor rejects names that are not its setting names.
+        context = ContextDescriptor(**{f: _checked(ctx_doc[f], list) for f in _CONTEXT_FIELDS})
         atoms = doc["atoms"]
+        tables = [
+            [[_checked(p, float) for p in _checked(atom[side], list)] for atom in atoms]
+            for side in ("side1", "side2")
+        ]
         return model_from_tables(
-            scenario=scenario,
-            atom_ids=[atom["id"] for atom in atoms],
-            weights=[atom["weight"] for atom in atoms],
-            side1_tables=[atom["side1"] for atom in atoms],
-            side2_tables=[atom["side2"] for atom in atoms],
-            context=context,
+            scenario,
+            [_checked(atom["id"], str) for atom in atoms],
+            [_checked(atom["weight"], float) for atom in atoms],
+            *tables,
+            context,
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ModelFormatError(f"malformed model document: {exc}") from exc
 
 

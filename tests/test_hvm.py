@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import json
 import math
 from dataclasses import replace
 
@@ -39,6 +40,7 @@ from eprb_lab.hvm import (
 )
 from eprb_lab.quantum import (
     CROSS_PAIRS,
+    SIGN_PAIRS,
     CorrelatorSet,
     GrandJointDistribution,
     Mode,
@@ -93,6 +95,38 @@ def _shifted_a1_marginal(correlators: CorrelatorSet, shift: float) -> PairTarget
     return replace(base, ab_prime=PairDistribution("A1", "B2", (pp + shift, pm, mp - shift, mm)))
 
 
+def plain_document() -> dict:
+    """A valid one-atom model file that reads no setting."""
+    return {
+        "format": "hvmodel-v1",
+        "scenario": {"mode": "sequential", "a": 0.0, "a_prime": 0.5, "b": 1.0, "b_prime": 1.5},
+        "context": {"weights": [], "side1": [], "side2": []},
+        "atoms": [
+            {"id": "l0", "weight": 1.0, "side1": [1.0, 0.0, 0.0, 0.0],
+             "side2": [0.0, 1.0, 0.0, 0.0]}
+        ],
+    }
+
+
+def sign_model(weight, context: ContextDescriptor) -> HVModel:
+    """Atoms (alpha, beta) with A1 = A2 = alpha and B1 = B2 = beta.
+
+    The responses read no setting; ``weight(alpha, beta, scenario)`` gives
+    each atom's weight.
+    """
+    point_mass = {
+        sign: tuple(1.0 if pair == (sign, sign) else 0.0 for pair in SIGN_PAIRS) for sign in (1, -1)
+    }
+    return HVModel(
+        scenario=Scenario(0.3, 1.7, 2.2, 5.1),
+        atom_ids=("++", "+-", "-+", "--"),
+        weights=lambda i, sc: weight(*SIGN_PAIRS[i], sc),
+        side1=lambda i, sc: point_mass[SIGN_PAIRS[i][0]],
+        side2=lambda i, sc: point_mass[SIGN_PAIRS[i][1]],
+        context=context,
+    )
+
+
 def deterministic_model(side1_pair: int, side2_pair: int) -> HVModel:
     """Single-atom model with point-mass responses at the given pair slots."""
     t1 = tuple(1.0 if i == side1_pair else 0.0 for i in range(4))
@@ -106,13 +140,13 @@ class TestBuildContextualModel:
     def test_weights_at_aligned_analyzers(self):
         model = build_contextual_model(Scenario(a=0.9, a_prime=0.0, b=0.9, b_prime=0.0))
         # Sign pairs order (++, +-, -+, --): anticorrelated pairs get 1/2.
-        assert model.weights == pytest.approx((0.0, 0.5, 0.5, 0.0), abs=ANALYTIC_TOL)
+        assert model.table("weights") == pytest.approx((0.0, 0.5, 0.5, 0.0), abs=ANALYTIC_TOL)
 
     def test_weights_at_right_angle(self):
         model = build_contextual_model(
             Scenario(a=math.pi / 2.0, a_prime=0.0, b=0.0, b_prime=0.0)
         )
-        assert model.weights == pytest.approx((0.25,) * 4, abs=ANALYTIC_TOL)
+        assert model.table("weights") == pytest.approx((0.25,) * 4, abs=ANALYTIC_TOL)
 
     def test_eprb_mode_rejected(self):
         with pytest.raises(InvalidScenarioError):
@@ -140,9 +174,9 @@ class TestBuildContextualModel:
         moved = Scenario(sc.a + delta, sc.a_prime, sc.b, sc.b_prime)
         m1 = build_contextual_model(sc)
         m2 = build_contextual_model(moved)
-        assert m1.side2_table() == m2.side2_table()
+        assert m1.table("side2") == m2.table("side2")
         if abs(math.cos(sc.theta_ab) - math.cos(moved.theta_ab)) > 1e-9:
-            assert m1.weights != m2.weights
+            assert m1.table("weights") != m2.table("weights")
 
 
 class TestInducedDistribution:
@@ -222,6 +256,15 @@ class TestHVModelValidation:
         with pytest.raises(InvalidScenarioError):
             ContextDescriptor(weights=("a", "q"), side1=(), side2=())
 
+    @pytest.mark.parametrize(
+        "side1, side2",
+        [(("b",), ()), (("a", "b_prime"), ()), ((), ("a_prime",))],
+        ids=["side1-b", "side1-b_prime", "side2-a_prime"],
+    )
+    def test_side_may_not_list_other_sides_analyzers(self, side1, side2):
+        with pytest.raises(InvalidScenarioError):
+            ContextDescriptor(weights=(), side1=side1, side2=side2)
+
 
 class TestCheckFactorizability:
     def test_constructor_model_passes_exactly(self):
@@ -244,12 +287,12 @@ class TestCheckFactorizability:
         def honest(i, sc):
             return (0.25, 0.25, 0.25, 0.25)
 
-        responses = {"side1_response": honest, "side2_response": honest}
-        responses[f"{side}_response"] = cheating
+        responses = {"side1": honest, "side2": honest}
+        responses[side] = cheating
         model = HVModel(
             scenario=Scenario(0.3, 1.7, 2.2, 5.1),
             atom_ids=("l0",),
-            weights=(1.0,),
+            weights=lambda i, sc: 1.0,
             context=PLAIN_CONTEXT,
             **responses,
         )
@@ -257,6 +300,39 @@ class TestCheckFactorizability:
         assert not report.passed
         assert report.locality_deviation > 1e-3
         assert report.max_deviation == report.locality_deviation
+
+    def test_weights_reading_unlisted_setting_fail(self):
+        model = sign_model(
+            lambda alpha, beta, sc: 0.25 * (1.0 - alpha * beta * math.cos(sc.a_prime - sc.b)),
+            ContextDescriptor(weights=("a", "b"), side1=(), side2=()),
+        )
+        report = check_factorizability(model)
+        assert not report.passed
+        assert report.max_deviation > 1e-3
+
+    def test_side_reading_own_unlisted_analyzer_fails(self):
+        # The side reads a_prime, its own analyzer, which its entry omits.
+        model = build_contextual_model(Scenario(0.3, 1.7, 2.2, 5.1))
+        model = replace(model, context=replace(model.context, side1=("a",)))
+        report = check_factorizability(model)
+        assert not report.passed
+        assert report.max_deviation > 1e-3
+
+    def test_setting_dependent_weights_pass_exactly(self):
+        # Weights read every setting, as listed; the responses read none.
+        def weight(alpha, beta, sc):
+            c = math.cos(sc.a - sc.b) * math.cos(sc.a_prime - sc.b_prime)
+            return 0.25 * (1.0 - alpha * beta * c)
+
+        every_setting = ("a", "a_prime", "b", "b_prime")
+        model = sign_model(weight, ContextDescriptor(weights=every_setting, side1=(), side2=()))
+        report = check_factorizability(model)
+        assert report.passed
+        assert report.max_deviation == 0.0
+        assert report.normalization_error <= 1e-15
+        assert hv_correlator(model, ("A1", "B1")) == pytest.approx(
+            -math.cos(0.3 - 2.2) * math.cos(1.7 - 5.1), abs=ANALYTIC_TOL
+        )
 
     def test_loaded_model_passes(self, tmp_path):
         model = build_contextual_model(Scenario(0.3, 1.7, 2.2, 5.1))
@@ -336,9 +412,8 @@ class TestModelFile:
         loaded = load_model(path)
         assert loaded.scenario == model.scenario
         assert loaded.atom_ids == model.atom_ids
-        assert loaded.weights == model.weights
-        assert loaded.side1_table() == model.side1_table()
-        assert loaded.side2_table() == model.side2_table()
+        for component in ("weights", "side1", "side2"):
+            assert loaded.table(component) == model.table(component)
         assert loaded.context == model.context
 
     #: Analyzer angles (degrees) of the ``seq`` and ``seq-aligned`` golden
@@ -412,10 +487,48 @@ class TestModelFile:
         model = build_contextual_model(Scenario(0.3, 1.7, 2.2, 5.1))
         path = tmp_path / "model.json"
         save_model(model, path)
-        import json
-
         doc = json.loads(path.read_text())
         doc["atoms"][0]["side1"] = [1.0, 0.0]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ModelFormatError):
+            load_model(path)
+
+    @pytest.mark.parametrize(
+        "path_in_doc, value",
+        [
+            (("atoms", 0, "weight"), True),
+            (("atoms", 0, "weight"), "1.0"),
+            (("atoms", 0, "weight"), 10**400),
+            (("atoms", 0, "side1"), ["1.0", "0.0", "0.0", "0.0"]),
+            (("atoms", 0, "side2"), [1.0, 0.0, 0.0, math.nan]),
+            (("atoms", 0, "id"), 7),
+            (("context", "weights"), "ab"),
+            (("context", "side1"), ["b"]),
+        ],
+        ids=[
+            "bool-weight",
+            "string-weight",
+            "weight-past-float-range",
+            "string-entries",
+            "nan-entry",
+            "integer-id",
+            "string-context",
+            "side-reads-other-side",
+        ],
+    )
+    def test_rejects_loose_values(self, tmp_path, path_in_doc, value):
+        # Each value once loaded as something else: a bool or a string as a
+        # float, "ab" as ("a", "b"), 7 as "7". The integer past the float
+        # range raised OverflowError and the NaN entry loaded as it was.
+        doc = plain_document()
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        assert load_model(path).atom_ids == ("l0",)
+        *parents, key = path_in_doc
+        target = doc
+        for step in parents:
+            target = target[step]
+        target[key] = value
         path.write_text(json.dumps(doc))
         with pytest.raises(ModelFormatError):
             load_model(path)
