@@ -316,14 +316,14 @@ def model_from_tables(
     scenario: Scenario,
     atom_ids: Sequence[str],
     weights: Sequence[float],
-    side1_tables: Sequence[Sequence[float]],
-    side2_tables: Sequence[Sequence[float]],
+    side1: Sequence[Sequence[float]],
+    side2: Sequence[Sequence[float]],
     context: ContextDescriptor,
 ) -> HVModel:
     """Wrap static weights and response tables (e.g. loaded from disk) as a model."""
-    if not (len(atom_ids) == len(weights) == len(side1_tables) == len(side2_tables)):
+    if not (len(atom_ids) == len(weights) == len(side1) == len(side2)):
         raise DistributionError("atom ids, weights, and tables must align")
-    s1, s2 = (tuple(tuple(float(p) for p in t) for t in ts) for ts in (side1_tables, side2_tables))
+    s1, s2 = (tuple(tuple(float(p) for p in t) for t in side) for side in (side1, side2))
     for table in (*s1, *s2):
         if len(table) != 4:
             raise DistributionError(f"response tables need 4 entries, got {len(table)}")

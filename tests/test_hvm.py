@@ -301,7 +301,7 @@ class TestCheckFactorizability:
         assert report.locality_deviation > 1e-3
         assert report.max_deviation == report.locality_deviation
 
-    def test_weights_reading_unlisted_setting_fail(self):
+    def test_weights_reading_unlisted_setting_fails(self):
         model = sign_model(
             lambda alpha, beta, sc: 0.25 * (1.0 - alpha * beta * math.cos(sc.a_prime - sc.b)),
             ContextDescriptor(weights=("a", "b"), side1=(), side2=()),
@@ -517,9 +517,9 @@ class TestModelFile:
         ],
     )
     def test_rejects_loose_values(self, tmp_path, path_in_doc, value):
-        # Each value once loaded as something else: a bool or a string as a
-        # float, "ab" as ("a", "b"), 7 as "7". The integer past the float
-        # range raised OverflowError and the NaN entry loaded as it was.
+        # A coercing loader would take each of these: a bool or a string as
+        # a float, "ab" as ("a", "b"), 7 as "7" and the NaN as it is, while
+        # the integer past the float range would overflow in float().
         doc = plain_document()
         path = tmp_path / "model.json"
         path.write_text(json.dumps(doc))
