@@ -28,7 +28,9 @@ rules and messages as the config key it overrides.
 Angles are degrees at this boundary and radians everywhere inside the
 library. Reports contain no timestamps or machine identifiers: a given
 artifact version, subcommand, and configuration produce byte-identical
-output. CSV numbers carry 17 significant digits. JSON reports are strict
+output. CSV numbers carry 17 significant digits, as ``%.17g`` writes them;
+a scan's S column is computed exactly in numpy where 1e-4 <= |S| < 10,
+and by ``%`` otherwise (``_number_lines``). JSON reports are strict
 JSON: they never contain NaN or infinities. CSV is rendered only when it
 is written, a line (a block of lines for ``chsh-scan``) at a time; a large
 ``chsh-scan`` CSV is rendered in forked shards (``_scan_csv_lines``).
@@ -293,18 +295,114 @@ _SCAN_COLUMNS = {
 _SCAN_BLOCK_LINES = 1 << 16
 
 
+#: Values per chunk of ``_number_lines``; larger chunks raise the renderer's
+#: peak memory (``test_renderer_peak_memory``) more than they save time.
+_NUMBER_CHUNK = 1 << 13
+
+#: 10**k, exact for k <= 22 (5**22 < 2**53), and each split into halves
+#: of 26 bits for Dekker's exact product.
+_POW10 = 10.0 ** np.arange(23)
+
+
+def _halves(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Veltkamp's split: ``a == hi + lo`` exactly, each half of 26 bits."""
+    t = a * 134217729.0  # 2**27 + 1
+    hi = t - (t - a)
+    return hi, a - hi
+
+
+_POW10_HI, _POW10_LO = _halves(_POW10)
+
+#: What ``%g`` writes before the first significant digit, by exponent -4 to 0,
+#: in bytes 1-5 of an 8-byte word.
+_PREFIX = np.array(
+    [b"\0" + p.ljust(7, b"\0") for p in (b"0.000", b"0.00", b"0.0", b"0.", b"")]
+).view(np.uint64)
+
+#: Four digits as 4 bytes: ``%04d`` of g at g, and with its trailing zeros
+#: turned to NUL at 10000 + g.
+_GROUPS = np.array(
+    [b"%04d" % g for g in range(10_000)] + [(b"%04d" % g).rstrip(b"0") for g in range(10_000)],
+    dtype="S4",
+).view(np.uint32)
+
+
+def _rounded(a: np.ndarray, a_hi: np.ndarray, a_lo: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """``a * 10**k`` rounded half to even, as int64; exact where it is >= 2**53.
+
+    Dekker's two-product gives ``a * 10**k == p + err`` exactly with
+    ``p = fl(a * 10**k)``. From 2**53 up, ``p`` is an even integer, so the
+    rounded product is ``p + rint(err)`` (``rint`` rounds ties to even).
+    """
+    c_hi, c_lo = _POW10_HI[k], _POW10_LO[k]
+    p = a * _POW10[k]
+    err = ((a_hi * c_hi - p) + a_hi * c_lo + a_lo * c_hi) + a_lo * c_lo
+    return p.astype(np.int64) + np.rint(err).astype(np.int64)
+
+
+def _number_chunk(x: np.ndarray) -> list[str]:
+    """``_fmt(v) + "\\n"`` for each value of ``x``.
+
+    For 1e-4 <= |v| < 10 after rounding, ``%.17g`` writes fixed notation:
+    the 17 digits of N = round(|v| * 10**(16 - E)), E the decimal exponent
+    of the rounded value, with trailing zeros and a bare point dropped.
+    N is computed exactly (``_rounded``): E is first taken from ``log10``,
+    which can be one off near a power of ten, and where N then falls
+    outside [10**16, 10**17) it is computed once more with E moved by one.
+    That also carries a value that rounds up to the next power of ten.
+
+    Each value is laid out in a 32-byte row, NUL where no character goes:
+    sign, ``_PREFIX``, first digit, point, four ``_GROUPS`` of digits,
+    newline. Every other value (zero, |v| < 1e-4 after rounding, |v| >= 10,
+    non-finite) goes through ``%``, and its line fills its row. Dropping
+    the NULs leaves the lines.
+    """
+    a = np.abs(x)
+    # Below 9e-5 every value rounds under 1e-4. The guess of E is then -5 to
+    # 1, and with its one correction 16 - E stays within _POW10.
+    fixed = (a >= 9e-5) & (a < 10.0)
+    a = np.where(fixed, a, 1.0)
+    e = np.floor(np.log10(a)).astype(np.int64)
+    a_hi, a_lo = _halves(a)
+    n = _rounded(a, a_hi, a_lo, 16 - e)
+    low, high = n < 10**16, n >= 10**17
+    e += high.astype(np.int64) - low
+    redo = np.flatnonzero(low | high)
+    n[redo] = _rounded(a[redo], a_hi[redo], a_lo[redo], 16 - e[redo])
+    fixed &= (e >= -4) & (e <= 0)
+
+    hi, lo = np.divmod(n, 10**8)
+    first, hi = np.divmod(hi, 10**8)
+    groups = (*np.divmod(hi, 10**4), *np.divmod(lo, 10**4))
+    rows = np.zeros((len(x), 32), dtype=np.uint8)
+    rows.view(np.uint64)[:, 0] = _PREFIX.take(e + 4, mode="clip")
+    rows[:, 0] = np.where(x < 0.0, ord("-"), 0)
+    rows[:, 6] = first + ord("0")
+    digits = rows.view(np.uint32)[:, 2:6]  # bytes 8-23
+    zeros_after = np.ones(len(x), dtype=bool)  # all digits after group i are 0
+    for i in (3, 2, 1, 0):
+        digits[:, i] = _GROUPS[groups[i] + 10_000 * zeros_after]
+        zeros_after &= groups[i] == 0
+    rows[:, 7] = np.where((e == 0) & ~zeros_after, ord("."), 0)
+    rows[:, 24] = ord("\n")
+
+    other = (x[~fixed] + 0.0).tolist()  # adding 0.0 as in _fmt
+    if other:
+        text = ((_NUMBER + "\n") * len(other)) % tuple(other)
+        rows.view("S32")[~fixed, 0] = text.splitlines(keepends=True)
+    return rows[rows != 0].tobytes().decode("ascii").splitlines(keepends=True)
+
+
 def _number_lines(values: np.ndarray) -> np.ndarray:
     """``_fmt(x) + "\\n"`` for each value, as an object array.
 
-    One ``%`` pass formats a chunk of ``_SCAN_BLOCK_LINES`` values, so the
-    float objects and the joined text of only one chunk live at a time.
+    The text is made ``_NUMBER_CHUNK`` values at a time (``_number_chunk``),
+    in numpy where |x| is from 1e-4 to 10 and by ``%`` otherwise, so the
+    buffers and strings of only one chunk live at a time.
     """
-    values = values + 0.0  # as in _fmt
     lines = np.empty(len(values), dtype=object)
-    for i in range(0, len(values), _SCAN_BLOCK_LINES):
-        chunk = values[i : i + _SCAN_BLOCK_LINES].tolist()
-        text = ((_NUMBER + "\n") * len(chunk)) % tuple(chunk)
-        lines[i : i + len(chunk)] = text.splitlines(keepends=True)
+    for i in range(0, len(values), _NUMBER_CHUNK):
+        lines[i : i + _NUMBER_CHUNK] = _number_chunk(values[i : i + _NUMBER_CHUNK])
     return lines
 
 
@@ -330,8 +428,8 @@ def _distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return distinct, inverse
 
 
-#: Fewest cells worth a forked render shard: rendering them takes 0.06 s
-#: (EPRB) to 0.16 s (sequential), against about 3 ms to fork and reap a
+#: Fewest cells worth a forked render shard: rendering them takes 0.04 s
+#: (EPRB) to 0.10 s (sequential), against about 3 ms to fork and reap a
 #: child and about 20 ms to copy its 18 MB of lines to the output.
 _MIN_SHARD_CELLS = 1 << 18
 
@@ -342,8 +440,8 @@ def _shard_lines(report: ScanReport, axis_text: list[str], lo: int, hi: int) -> 
     A head is a cell's angles but the last, in cell order; its row is the
     run of the last axis. Each axis value is formatted once, in
     ``axis_text``. The shard's distinct S values (``_distinct``) are
-    formatted in chunks of ``_SCAN_BLOCK_LINES``, one ``%`` pass per chunk,
-    into an object array; a block's S column is gathered from it by index.
+    formatted once each (``_number_lines``) into an object array; a
+    block's S column is gathered from it by index.
     A line joins the strings of its cell. The bytes equal those of the
     per-cell row ``_fmt(math.degrees(angle))``, ..., ``_fmt(float(s))``.
     """

@@ -44,6 +44,7 @@ import enum
 import itertools
 import json
 import math
+import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Callable, Sequence
@@ -109,6 +110,22 @@ class ContextDescriptor:
         return {field: list(getattr(self, field)) for field in _CONTEXT_FIELDS}
 
 
+def _checked(value: Any, kind: type) -> Any:
+    """``value`` if it is a ``kind``: ``list``, ``str``, or ``float`` for
+    a finite int or float that is not a bool (returned as a float).
+
+    The one type rule of models, whether built in code or loaded from a
+    file: nothing is coerced.
+    """
+    if kind is float and isinstance(value, (int, float)) and not isinstance(value, bool):
+        if abs(value) <= sys.float_info.max:  # false for NaN, infinities and huge ints
+            return float(value)
+    elif isinstance(value, kind):
+        return value
+    expected = "finite number" if kind is float else kind.__name__
+    raise DistributionError(f"expected a {expected}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class HVModel:
     """A factorizable hidden-variable model over a finite atom space.
@@ -129,12 +146,12 @@ class HVModel:
     context: ContextDescriptor
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "atom_ids", tuple(_checked(i, str) for i in self.atom_ids))
         if len(set(self.atom_ids)) != len(self.atom_ids):
             raise DistributionError("atom ids must be unique")
-        object.__setattr__(self, "atom_ids", tuple(str(i) for i in self.atom_ids))
         weights = self.table("weights")
         for w in weights:
-            if not math.isfinite(w) or w < 0.0:
+            if _checked(w, float) < 0.0:
                 raise DistributionError(f"atom weight is invalid: {w!r}")
         total = math.fsum(weights)
         if abs(total - 1.0) > 1e-12:
@@ -245,7 +262,8 @@ def check_factorizability(model: HVModel) -> FactorizabilityReport:
     does not list move by fixed probe offsets, each alone and then all
     together. Models built by :func:`build_contextual_model` pass with
     deviation exactly zero; the check guards hand-built or file-loaded
-    models. Every check allows 1e-12.
+    models. Every check allows 1e-12. A non-finite entry at the model's
+    scenario or at a probe raises :class:`DistributionError`.
     """
     tol = _FACTORIZABILITY_TOL
     sc = model.scenario
@@ -269,7 +287,10 @@ def check_factorizability(model: HVModel) -> FactorizabilityReport:
                 moved = model.table(component, probes[key])
                 if moved != table:  # an unmoved table deviates by 0
                     for before, after in zip(table, moved) if per_atom else [(table, moved)]:
-                        deviation = max(deviation, max(abs(x - y) for x, y in zip(before, after)))
+                        for x, y in zip(before, after):
+                            if not math.isfinite(y):  # max() would drop a NaN deviation
+                                raise DistributionError(f"response probability is invalid: {y!r}")
+                            deviation = max(deviation, abs(x - y))
 
     return FactorizabilityReport(
         passed=deviation <= tol and normalization <= tol,
@@ -323,14 +344,14 @@ def model_from_tables(
     """Wrap static weights and response tables (e.g. loaded from disk) as a model."""
     if not (len(atom_ids) == len(weights) == len(side1) == len(side2)):
         raise DistributionError("atom ids, weights, and tables must align")
-    s1, s2 = (tuple(tuple(float(p) for p in t) for t in side) for side in (side1, side2))
+    s1, s2 = (tuple(tuple(_checked(p, float) for p in t) for t in side) for side in (side1, side2))
     for table in (*s1, *s2):
         if len(table) != 4:
             raise DistributionError(f"response tables need 4 entries, got {len(table)}")
     return HVModel(
         scenario=scenario,
         atom_ids=tuple(atom_ids),
-        weights=_static(tuple(float(w) for w in weights)),
+        weights=_static(tuple(_checked(w, float) for w in weights)),
         side1=_static(s1),
         side2=_static(s2),
         context=context,
@@ -353,17 +374,6 @@ def save_model(model: HVModel, path: str | Path) -> None:
         ],
     }
     Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
-
-
-def _checked(value: Any, kind: type) -> Any:
-    """``value`` if it has the JSON type ``kind``: ``list``, ``str``, or
-    ``float`` for a finite number that is not a bool (returned as a float)."""
-    if kind is float and isinstance(value, (int, float)) and not isinstance(value, bool):
-        if math.isfinite(value):  # OverflowError on an int past the float range
-            return float(value)
-    elif isinstance(value, kind):
-        return value
-    raise ModelFormatError(f"expected a JSON {kind.__name__}, got {value!r}")
 
 
 def load_model(path: str | Path) -> HVModel:
@@ -390,14 +400,12 @@ def load_model(path: str | Path) -> HVModel:
         # The descriptor rejects names that are not its setting names.
         context = ContextDescriptor(**{f: _checked(ctx_doc[f], list) for f in _CONTEXT_FIELDS})
         atoms = doc["atoms"]
-        tables = [
-            [[_checked(p, float) for p in _checked(atom[side], list)] for atom in atoms]
-            for side in ("side1", "side2")
-        ]
+        # model_from_tables checks the ids, weights and entries by _checked.
+        tables = [[_checked(atom[side], list) for atom in atoms] for side in ("side1", "side2")]
         return model_from_tables(
             scenario,
-            [_checked(atom["id"], str) for atom in atoms],
-            [_checked(atom["weight"], float) for atom in atoms],
+            [atom["id"] for atom in atoms],
+            [atom["weight"] for atom in atoms],
             *tables,
             context,
         )

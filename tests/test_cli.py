@@ -198,6 +198,69 @@ def _report_of(mode: Mode, values: list[float]) -> ScanReport:
     return ScanReport(mode, 2.0 * math.pi / size, axis, s_values, 0.0, (0.0,) * k)
 
 
+def _number_lines_of(values) -> list[str]:
+    """The reference for ``cli._number_lines``: one ``%`` per value."""
+    return ["%.17g\n" % (v + 0.0) for v in np.asarray(values, dtype=float).tolist()]
+
+
+#: Values at the edges of the numpy formatter's fixed-notation range and
+#: its exact rounding. The literal 9.99999999999999999e-5 reads as the
+#: double nearest 1e-4, written 0.0001, and each of 1 + 2**-17,
+#: 1 + 3 * 2**-17, 0.5 + 2**-18 and 0.5 + 3 * 2**-18 lies exactly halfway
+#: between two 17-digit decimals.
+_NUMBER_EDGES = [
+    0.0,
+    -0.0,
+    5e-324,
+    9.99999999999999999e-5,
+    *[y for k in range(5) for y in _ulp_neighbours(10.0**-k)],
+    *_ulp_neighbours(2.0),
+    *_ulp_neighbours(10.0),
+    *[s * t for s in (1, -1) for t in (1 + 2**-17, 1 + 3 * 2**-17, 0.5 + 2**-18, 0.5 + 3 * 2**-18)],
+]
+
+
+class TestNumberLines:
+    """``_number_lines`` writes each value as ``%.17g`` does, byte for byte."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        values=st.lists(
+            st.sampled_from(_NUMBER_EDGES) | st.floats(allow_nan=False),
+            min_size=0,
+            max_size=60,
+        ).map(lambda v: v + v[::3])  # unsorted, with repeats
+    )
+    @example(values=_NUMBER_EDGES)
+    @example(values=[-x for x in _NUMBER_EDGES])
+    @example(values=[math.inf, -math.inf, math.nan, 1e300, -1e-300])
+    def test_equals_percent_format(self, values):
+        values = np.array(values, dtype=float)
+        assert cli._number_lines(values).tolist() == _number_lines_of(values)
+
+    def test_across_chunk_edges(self):
+        # Random bit patterns from 2**-15 to 16, both formatters' ranges
+        # mixed, over more than two chunks.
+        rng = np.random.default_rng(17)
+        low, high = np.uint64(0x3F00_0000_0000_0000), np.uint64(0x4030_0000_0000_0000)
+        bits = rng.integers(low, high, 2 * cli._NUMBER_CHUNK + 5, dtype=np.uint64)
+        bits |= rng.integers(0, 2, len(bits), dtype=np.uint64) << np.uint64(63)  # random signs
+        values = bits.view(np.float64)
+        assert cli._number_lines(values).tolist() == _number_lines_of(values)
+
+    @pytest.mark.parametrize("mode, step", [(Mode.SEQUENTIAL, 3.6), (Mode.EPRB, 12.0)])
+    def test_percent_formats_only_values_outside_fixed_notation(self, mode, step, monkeypatch):
+        # Marking the % format shows which lines it wrote: only zeros,
+        # values that %g writes with an exponent, |S| >= 10 and non-finite.
+        distinct, _ = cli._distinct(scan_grid(mode, math.radians(step)).s_values)
+        monkeypatch.setattr(cli, "_NUMBER", "%.17g~")
+        marked = ["~" in line for line in cli._number_lines(distinct).tolist()]
+        want = [
+            v == 0.0 or "e" in "%.17g" % v or not abs(v) < 10.0 for v in distinct.tolist()
+        ]
+        assert marked == want
+
+
 class TestScanCsvFormat:
     """The scan renderer writes each cell as its per-cell row would."""
 

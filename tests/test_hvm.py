@@ -353,6 +353,86 @@ class TestCheckFactorizability:
         with pytest.raises(DistributionError):
             check_factorizability(model)
 
+    def test_nan_at_a_probe_scenario_rejected(self):
+        # Finite at the model's own scenario, NaN once b moves: max() would
+        # drop the NaN deviation and report a pass.
+        own = Scenario(0.0, 0.0, 0.0, 0.0)
+
+        def side1(i, sc):
+            return (1.0, 0.0, 0.0, 0.0) if sc.b == own.b else (math.nan,) * 4
+
+        model = HVModel(
+            scenario=own,
+            atom_ids=("l0",),
+            weights=lambda i, sc: 1.0,
+            side1=side1,
+            side2=lambda i, sc: (1.0, 0.0, 0.0, 0.0),
+            context=PLAIN_CONTEXT,
+        )
+        with pytest.raises(DistributionError):
+            check_factorizability(model)
+
+
+#: Arguments of a valid one-atom model_from_tables call.
+ONE_ATOM = {
+    "scenario": Scenario(0.0, 0.0, 0.0, 0.0),
+    "atom_ids": ("l0",),
+    "weights": (1.0,),
+    "side1": ((1.0, 0.0, 0.0, 0.0),),
+    "side2": ((1.0, 0.0, 0.0, 0.0),),
+    "context": PLAIN_CONTEXT,
+}
+
+
+class TestNoCoercion:
+    """Models built in code meet the type rule of model files."""
+
+    def test_valid_arguments_build(self):
+        assert model_from_tables(**ONE_ATOM).table("weights") == (1.0,)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("atom_ids", (7,)),
+            ("weights", (True,)),
+            ("weights", ("1.0",)),
+            ("weights", (10**400,)),
+            ("side1", (("1", "0", 0, 0),)),
+            ("side1", ((True, False, False, False),)),
+            ("side2", ((1.0, 0.0, 0.0, math.nan),)),
+            ("side2", ((1.0, 0.0, 0.0, math.inf),)),
+        ],
+        ids=[
+            "integer-id",
+            "bool-weight",
+            "string-weight",
+            "weight-past-float-range",
+            "string-entries",
+            "bool-entries",
+            "nan-entry",
+            "infinite-entry",
+        ],
+    )
+    def test_model_from_tables_refuses(self, field, value):
+        with pytest.raises(DistributionError):
+            model_from_tables(**{**ONE_ATOM, field: value})
+
+    @pytest.mark.parametrize(
+        "atom_ids, weight",
+        [((7,), 1.0), (("l0",), True)],
+        ids=["integer-id", "bool-weight"],
+    )
+    def test_hv_model_refuses(self, atom_ids, weight):
+        with pytest.raises(DistributionError):
+            HVModel(
+                scenario=ONE_ATOM["scenario"],
+                atom_ids=atom_ids,
+                weights=lambda i, sc: weight,
+                side1=lambda i, sc: (1.0, 0.0, 0.0, 0.0),
+                side2=lambda i, sc: (1.0, 0.0, 0.0, 0.0),
+                context=PLAIN_CONTEXT,
+            )
+
 
 class TestHvCorrelator:
     def test_deterministic_anticorrelation(self):
