@@ -75,7 +75,6 @@ from .sampler import (
     COUNTS_CSV_HEADER,
     EstimatedCorrelators,
     OutcomeCounts,
-    counts_to_csv,
     empirical_correlators,
     sample,
     sample_sharded,
@@ -134,7 +133,6 @@ __all__ = [
     "COUNTS_CSV_HEADER",
     "EstimatedCorrelators",
     "OutcomeCounts",
-    "counts_to_csv",
     "empirical_correlators",
     "sample",
     "sample_sharded",

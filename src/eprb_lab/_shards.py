@@ -1,25 +1,22 @@
 """Contiguous shards of one job, run in forked children: the package's one
 fork path, shared by ``sampler.sample`` and the ``chsh-scan`` CSV render.
 
-A caller splits its work into shards (``shard_count``), opens ``forked``
-with one task per shard after the first, does shard 0 itself, then joins
-each child in turn. A child runs its task against an anonymous memory
-file (``os.memfd_create``) and leaves through ``os._exit``; its output is
-used only when it exited 0, and the caller does any other shard itself.
-No child outlives the ``forked`` block: one that has not been joined when
-the block unwinds is killed and reaped, and every memory file is closed.
+``split`` is the whole protocol. Each child runs its shard's task against
+an anonymous memory file (``os.memfd_create``) and leaves through
+``os._exit``; no child outlives the generator.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import math
 import os
 import signal
 import threading
 import warnings
 from pathlib import Path
-from typing import BinaryIO, Callable, Iterable, Iterator
+from typing import BinaryIO, Callable, Generator, Iterator
 
 #: cgroup files that cap the process's CPU time as "quota period": v2, then v1.
 _QUOTA_FILES = (
@@ -29,6 +26,9 @@ _QUOTA_FILES = (
 
 #: Largest read of a child's output, so a caller never holds a whole shard.
 _CHUNK_BYTES = 1 << 20
+
+#: A shard's task: ``task(lo, hi, sink)`` does units lo..hi-1 into ``sink``.
+Task = Callable[[int, int, BinaryIO], object]
 
 
 def _quota_cpus() -> float:
@@ -56,7 +56,7 @@ def shard_count(units: int, min_units: int) -> int:
 
 
 class Child:
-    """One task in a forked child, which writes to an anonymous memory file.
+    """One shard's task in a forked child, which writes to a memory file.
 
     ``pid`` is None once the child is reaped, or when it never started.
     """
@@ -65,9 +65,9 @@ class Child:
         self.pid: int | None = None
         self.fd = -1
 
-    def start(self, task: Callable[[BinaryIO], object]) -> None:
-        """Fork a child that runs ``task`` on the memory file; a child that
-        cannot be made is left unstarted, and its join fails."""
+    def start(self, task: Task, lo: int, hi: int) -> None:
+        """Fork a child that runs ``task(lo, hi, sink)`` on the memory file;
+        a child that cannot be made is left unstarted, and joins as None."""
         try:
             self.fd = os.memfd_create("eprb-lab-shard", os.MFD_CLOEXEC)
             # numpy's import leaves an OpenBLAS thread running, and Python
@@ -87,33 +87,29 @@ class Child:
             status = 1
             try:
                 with open(self.fd, "wb", closefd=False) as sink:
-                    task(sink)
+                    task(lo, hi, sink)
                 status = 0
             finally:
                 # No stdio flush and no atexit: the parent owns both.
                 os._exit(status)
         self.pid = pid
 
-    def join(self) -> bool:
-        """Wait for the child to exit: True if it exited 0, and its output
-        then reads from the start. Where the caller ignores SIGCHLD the
-        kernel reaps the child and its exit status is lost: False."""
+    def join(self) -> Iterator[bytes] | None:
+        """Wait for the child to exit. If it exited 0, its output from the
+        start, in reads of at most ``_CHUNK_BYTES``; otherwise None. Where
+        the caller ignores SIGCHLD the kernel reaps the child and its exit
+        status is lost: None."""
         if self.pid is None:
-            return False
+            return None
         try:
             _, status = os.waitpid(self.pid, 0)
         except ChildProcessError:
             status = -1
         self.pid = None
         if status != 0:
-            return False
+            return None
         os.lseek(self.fd, 0, os.SEEK_SET)
-        return True
-
-    def chunks(self) -> Iterator[bytes]:
-        """A joined child's output, in reads of at most ``_CHUNK_BYTES``."""
-        while chunk := os.read(self.fd, _CHUNK_BYTES):
-            yield chunk
+        return iter(functools.partial(os.read, self.fd, _CHUNK_BYTES), b"")
 
     def close(self) -> None:
         """Kill and reap the child if it is still there; close its memory file."""
@@ -127,16 +123,31 @@ class Child:
             self.fd = -1
 
 
-@contextlib.contextmanager
-def forked(tasks: Iterable[Callable[[BinaryIO], object]]) -> Iterator[list[Child]]:
-    """One child per task, all started before the block runs and all
-    closed when it ends, however it ends."""
-    children: list[Child] = []
+def split(
+    units: int, min_units: int, task: Task
+) -> Generator[tuple[int, int, Iterator[bytes] | None], None, None]:
+    """Each contiguous shard of ``range(units)`` as ``(lo, hi, output)``,
+    in ascending order.
+
+    Every shard after the first runs ``task(lo, hi, sink)`` in a forked
+    child, and all children start before shard 0 is yielded. ``output``
+    reads a child's bytes, in chunks of at most ``_CHUNK_BYTES``, once it
+    has exited 0, until the next shard is asked for. It is None for shard
+    0 and for any shard whose fork or child failed: the caller does those
+    shards itself. Ending or closing the generator kills and reaps every
+    child; a caller holds it in ``contextlib.closing``, so that happens
+    however its loop ends.
+    """
+    shards = shard_count(units, min_units)
+    edges = [w * units // shards for w in range(shards + 1)]
+    children = [Child() for _ in range(shards - 1)]
     try:
-        for task in tasks:
-            children.append(Child())
-            children[-1].start(task)
-        yield children
+        for w, child in enumerate(children, 1):
+            child.start(task, edges[w], edges[w + 1])
+        yield edges[0], edges[1], None
+        for w, child in enumerate(children, 1):
+            yield edges[w], edges[w + 1], child.join()
+            child.close()  # frees the shard's memory file
     finally:
         for child in children:
             child.close()

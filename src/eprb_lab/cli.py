@@ -33,7 +33,7 @@ a scan's S column is computed exactly in numpy where 1e-4 <= |S| < 10,
 and by ``%`` otherwise (``_number_lines``). JSON reports are strict
 JSON: they never contain NaN or infinities. CSV is rendered only when it
 is written, a line (a block of lines for ``chsh-scan``) at a time; a large
-``chsh-scan`` CSV is rendered in forked shards (``_scan_csv_lines``).
+``chsh-scan`` CSV is rendered by shards in children (``_scan_csv_lines``).
 
 Run as ``eprb-lab`` or as ``python -m eprb_lab.cli``.
 
@@ -59,7 +59,7 @@ from typing import Any, BinaryIO, Callable, Generator, Iterable, Iterator
 import numpy as np
 
 from . import __version__
-from ._shards import forked, shard_count
+from ._shards import split
 from .errors import BoundViolationError, ConfigError, EprbLabError
 from .hvm import (
     Verdict,
@@ -84,7 +84,7 @@ from .quantum import (
     grand_joint_quantum,
     marginal_pair,
 )
-from .sampler import counts_to_csv, empirical_correlators, sample
+from .sampler import COUNTS_CSV_HEADER, empirical_correlators, sample
 
 SUBCOMMANDS = ("exact", "sample", "chsh-scan", "chsh-max", "hvm-check", "joint-feasibility")
 
@@ -282,7 +282,7 @@ def _payload_sample(config: RunConfig) -> _Payload:
         estimated = empirical_correlators(counts)
         payload["estimates"] = estimated.estimates.as_dict()
         payload["std_errors"] = dict(zip(payload["estimates"], estimated.std_errors))
-    return payload, (counts_to_csv(c) for c in [counts])
+    return payload, _csv_lines(COUNTS_CSV_HEADER, [map(_cell, (*counts.counts, counts.n))])
 
 
 _SCAN_COLUMNS = {
@@ -437,9 +437,9 @@ def _distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return distinct, inverse
 
 
-#: Fewest cells worth a forked render shard: rendering them takes 0.04 s
-#: (EPRB) to 0.10 s (sequential), against about 3 ms to fork and reap a
-#: child and about 20 ms to copy its 18 MB of lines to the output.
+#: Fewest cells worth a render shard in a child process: rendering them
+#: takes 0.04 s (EPRB) to 0.10 s (sequential), against about 3 ms to fork
+#: and reap a child and about 20 ms to copy its 18 MB of lines to the output.
 _MIN_SHARD_CELLS = 1 << 18
 
 
@@ -475,37 +475,29 @@ def _shard_lines(report: ScanReport, axis_text: list[str], lo: int, hi: int) -> 
 def _scan_csv_lines(report: ScanReport) -> Generator[str, None, None]:
     """The header, then a scan's CSV rows in blocks of whole lines.
 
-    The heads are split contiguously into ``shard_count`` shards, so each
-    holds whole lines. Once the header is read, each shard after the first
-    is rendered (``_shard_lines``) in a forked child into a memory file,
-    while shard 0 is rendered here and goes to the reader as it is
-    formatted. Each child's lines then follow in chunks of at most 1 MiB.
-    A shard whose fork fails, or whose child does not exit 0, is rendered
-    here instead, and closing the lines early kills and reaps every child.
+    Once the header is read, the heads are rendered (``_shard_lines``) in
+    contiguous shards (``_shards.split``) of at least ``_MIN_SHARD_CELLS``
+    cells, so each holds whole lines. Shard 0, and any shard whose child
+    fails, is rendered here and goes to the reader as it is formatted; a
+    child's output is its shard's ASCII lines, decoded a chunk at a time.
     """
     columns = _SCAN_COLUMNS[report.mode]
     yield ",".join(columns) + ",s\n"
     axis_text = [_fmt(math.degrees(v)) for v in report.axis]
-    n_heads = len(axis_text) ** (len(columns) - 1)
-    shards = min(n_heads, shard_count(report.n_cells, _MIN_SHARD_CELLS))
-    edges = [w * n_heads // shards for w in range(shards + 1)]
 
-    def shard(w: int) -> Iterator[str]:
-        return _shard_lines(report, axis_text, edges[w], edges[w + 1])
-
-    def write(w: int, sink: BinaryIO) -> None:
-        for text in shard(w):
+    def task(lo: int, hi: int, sink: BinaryIO) -> None:
+        for text in _shard_lines(report, axis_text, lo, hi):
             sink.write(text.encode("ascii"))
 
-    with forked(functools.partial(write, w) for w in range(1, shards)) as children:
-        yield from shard(0)
-        for w, child in enumerate(children, 1):
-            if child.join():
-                for chunk in child.chunks():
-                    yield chunk.decode("ascii")
+    n_heads = len(axis_text) ** (len(columns) - 1)
+    min_heads = math.ceil(_MIN_SHARD_CELLS / len(axis_text))
+    with contextlib.closing(split(n_heads, min_heads, task)) as shards:
+        for lo, hi, output in shards:
+            if output is None:
+                yield from _shard_lines(report, axis_text, lo, hi)
             else:
-                yield from shard(w)
-            child.close()  # frees the shard's memory file
+                for chunk in output:
+                    yield chunk.decode("ascii")
 
 
 def _payload_chsh_scan(config: RunConfig) -> _Payload:
@@ -622,7 +614,7 @@ def run(subcommand: str, config: RunConfig) -> Report:
         payload=payload,
     )
     lines = [report.to_json()] if config.format == "json" else csv_lines
-    # Closing the CSV lines ends a scan's forked render, also when a write fails.
+    # Closing the CSV lines ends a scan's render children, also when a write fails.
     with contextlib.closing(csv_lines):
         try:
             if config.out is None:

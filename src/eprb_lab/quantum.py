@@ -142,7 +142,11 @@ class Scenario:
             raw = getattr(self, name)
             if isinstance(raw, bool) or not isinstance(raw, (int, float)):
                 raise InvalidScenarioError(f"angle {name} must be a number, got {raw!r}")
-            object.__setattr__(self, name, canonical_angle(float(raw)))
+            try:
+                value = float(raw)
+            except OverflowError:  # an int beyond the float range
+                raise InvalidScenarioError(f"angle {name} lies beyond the float range") from None
+            object.__setattr__(self, name, canonical_angle(value))
 
     @property
     def theta_ab(self) -> float:

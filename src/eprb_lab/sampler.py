@@ -18,20 +18,20 @@ Outcomes invert the cumulative distribution over the 16 quadruples in
 canonical ``QUADRUPLES`` order: draw ``u`` lands in cell ``#{k: cdf[k] <= u}``.
 Blocks of 2**16 draws are tallied by counting the draws below each
 distinct entry under 1. ``sample`` tallies a large request in contiguous
-shards on the CPUs the process may use, in forked children, where the
+shards on the CPUs the process may use (``_shards.split``), where the
 platform reports CPU affinity (Linux).
 """
 
 from __future__ import annotations
 
-import functools
+import contextlib
 import math
 from dataclasses import dataclass
 from typing import BinaryIO
 
 import numpy as np
 
-from ._shards import forked, shard_count
+from ._shards import split
 from .errors import DistributionError, EmptySampleError, three_digits
 from .quantum import PAIR_SLOTS, QUADRUPLES, CorrelatorSet, GrandJointDistribution
 
@@ -62,8 +62,13 @@ def _mix64(z: np.ndarray, work: np.ndarray) -> None:
     z ^= work
 
 
+def _is_int(value: object) -> bool:
+    """The integer rule of every count, index and seed: an int, not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _check_count(n: int) -> None:
-    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
+    if not _is_int(n) or n < 0:
         raise DistributionError(f"sample count must be a nonnegative integer, got {n!r}")
     if n > _MAX_DRAWS:
         raise DistributionError(
@@ -72,7 +77,7 @@ def _check_count(n: int) -> None:
 
 
 def _check_seed(seed: int) -> None:
-    if isinstance(seed, bool) or not isinstance(seed, int):
+    if not _is_int(seed):
         raise DistributionError(f"seed must be an integer, got {seed!r}")
     if not 0 <= seed <= _U64_MAX:
         raise DistributionError(f"seed must fit in 64 bits, got {seed!r}")
@@ -86,7 +91,7 @@ def uniforms(seed: int, start: int, count: int) -> np.ndarray:
     ``(i + 1) * GOLDEN mod 2**64 = 0``.
     """
     _check_seed(seed)
-    if start < 0 or count < 0 or start + count > _U64_MAX + 1:
+    if not (_is_int(start) and _is_int(count) and 0 <= start <= start + count <= _U64_MAX + 1):
         raise DistributionError(f"invalid draw range: start={start!r}, count={count!r}")
     # seed + (start + 1 + j) * GOLDEN, mod 2**64, for j = 0..count-1.
     z = np.arange(count, dtype=np.uint64)
@@ -150,43 +155,34 @@ def _tally(distribution: GrandJointDistribution, seed: int, start: int, stop: in
     return np.diff(below[level_of], prepend=0)
 
 
-#: Fewest draws worth a forked shard: tallying them takes about 20 ms,
-#: against about 3 ms to fork, exit and reap a child.
+#: Fewest draws worth a shard in a child process: tallying them takes about
+#: 20 ms, against about 3 ms to fork, exit and reap a child.
 _MIN_SHARD_DRAWS = 1 << 21
 
 _COUNTS_BYTES = 16 * np.dtype(np.int64).itemsize
 
 
-def _write_tally(
-    distribution: GrandJointDistribution, seed: int, start: int, stop: int, sink: BinaryIO
-) -> None:
-    sink.write(_tally(distribution, seed, start, stop).tobytes())
-
-
 def sample(distribution: GrandJointDistribution, n: int, seed: int) -> OutcomeCounts:
     """Draw ``n`` quadruples by inverse-CDF over the canonical ordering.
 
-    The draw range is split contiguously into ``shard_count`` shards.
-    Shard 0 is tallied here and each other shard in a forked child; a shard
-    whose fork fails, or whose child does not deliver its 16 counts, is
-    tallied here instead. The counts equal ``_tally(distribution, seed, 0,
-    n)``, and no child outlives the call.
+    The draw range is tallied in contiguous shards (``_shards.split``). A
+    child's output is its shard's 16 int64 counts; a shard that comes
+    without exactly those is tallied here. The counts equal
+    ``_tally(distribution, seed, 0, n)``.
     """
     _check_count(n)
-    shards = shard_count(n, _MIN_SHARD_DRAWS)
-    edges = [w * n // shards for w in range(shards + 1)]
-    tasks = (
-        functools.partial(_write_tally, distribution, seed, edges[w], edges[w + 1])
-        for w in range(1, shards)
-    )
-    with forked(tasks) as children:
-        total = _tally(distribution, seed, edges[0], edges[1])
-        for w, child in enumerate(children, 1):
-            data = b"".join(child.chunks()) if child.join() else b""
+
+    def task(lo: int, hi: int, sink: BinaryIO) -> None:
+        sink.write(_tally(distribution, seed, lo, hi).tobytes())
+
+    total = np.zeros(16, dtype=np.int64)
+    with contextlib.closing(split(n, _MIN_SHARD_DRAWS, task)) as shards:
+        for lo, hi, output in shards:
+            data = b"".join(output or ())
             if len(data) == _COUNTS_BYTES:
                 total += np.frombuffer(data, dtype=np.int64)
             else:
-                total += _tally(distribution, seed, edges[w], edges[w + 1])
+                total += _tally(distribution, seed, lo, hi)
     return OutcomeCounts(counts=total, n=n, seed=seed)
 
 
@@ -199,7 +195,7 @@ def sample_sharded(
     each index maps to its word independently of the split, the combined
     tally equals ``sample(distribution, n, seed)`` for every worker count.
     """
-    if not isinstance(workers, int) or isinstance(workers, bool) or workers < 1:
+    if not _is_int(workers) or workers < 1:
         raise DistributionError(f"worker count must be a positive integer, got {workers!r}")
     _check_count(n)
     total = sum(_tally(distribution, seed, w * n // workers, (w + 1) * n // workers)
@@ -247,9 +243,3 @@ def _sign_label(q) -> str:
 
 #: CSV header: one column per quadruple (signs in A1 B1 A2 B2 order), then n.
 COUNTS_CSV_HEADER = ",".join([_sign_label(q) for q in QUADRUPLES] + ["n"])
-
-
-def counts_to_csv(counts: OutcomeCounts) -> str:
-    """One-row CSV: the 16 canonical counts followed by the total."""
-    row = ",".join(str(c) for c in (*counts.counts, counts.n))
-    return COUNTS_CSV_HEADER + "\n" + row + "\n"

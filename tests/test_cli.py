@@ -1077,12 +1077,22 @@ class TestFuzz:
             Path(path).write_text(json.dumps(doc) if text is None else text)
             argv = [subcommand, "--config", path, *(f"{k}={v}" for k, v in flags.items())]
             out, err = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                try:
-                    code = main(argv)
-                except SystemExit as exc:
-                    code = exc.code
-        out, err = out.getvalue(), err.getvalue()
+            # A string "out" is a valid relative path: the report goes there,
+            # inside the temporary directory.
+            cwd = os.getcwd()
+            os.chdir(tmp)
+            try:
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    try:
+                        code = main(argv)
+                    except SystemExit as exc:
+                        code = exc.code
+            finally:
+                os.chdir(cwd)
+            out, err = out.getvalue(), err.getvalue()
+            target = doc.get("out") if text is None else None
+            if code == EXIT_OK and isinstance(target, str):
+                out = Path(tmp, target).read_text()
         assert code in (EXIT_OK, EXIT_INPUT), err
         assert err == "" or (err.count("\n") == 1 and err.endswith("\n")), err
         assert "Traceback" not in err

@@ -127,6 +127,15 @@ class TestScenario:
         with pytest.raises(InvalidScenarioError):
             Scenario(0.0, 0.0, 0.0, 0.0, mode="sequential")
 
+    @pytest.mark.parametrize("name", ["a", "a_prime", "b", "b_prime"])
+    @pytest.mark.parametrize(
+        "huge", [2**1024, -(10**400), 10**5000], ids=["2^1024", "-10^400", "10^5000"]
+    )
+    def test_int_angle_beyond_the_float_range_rejected(self, name, huge):
+        angles = dict.fromkeys(("a", "a_prime", "b", "b_prime"), 0)
+        with pytest.raises(InvalidScenarioError, match=f"angle {name} lies beyond the float range"):
+            Scenario(**{**angles, name: huge})
+
 
 class TestSpinStates:
     def test_plus_state_examples(self):

@@ -17,10 +17,12 @@ from hypothesis import strategies as st
 
 from conftest import counted_forks, force_cpus, open_fds
 from eprb_lab import _shards, sampler
+from eprb_lab.cli import RunConfig, _payload_sample
 from eprb_lab.errors import DistributionError, EmptySampleError
 from eprb_lab.quantum import (
     QUADRUPLES,
     GrandJointDistribution,
+    Mode,
     Scenario,
     closed_form_correlators,
     grand_joint_quantum,
@@ -33,7 +35,6 @@ from eprb_lab.sampler import (
     _cdf,
     _tally,
     OutcomeCounts,
-    counts_to_csv,
     empirical_correlators,
     sample,
     sample_sharded,
@@ -163,6 +164,14 @@ class TestUniforms:
             uniforms(0, -1, 1)
         with pytest.raises(DistributionError):
             uniforms(0, 0, -1)
+
+    @pytest.mark.parametrize(
+        "start, count",
+        [(True, 1), (0, True), (2.0, 1), (0, 2.0), (0.5, 1), ("3", 1), (0, "3"), (None, 1)],
+    )
+    def test_non_int_start_or_count_rejected(self, start, count):
+        with pytest.raises(DistributionError, match="invalid draw range"):
+            uniforms(0, start, count)
 
     def test_range_past_the_counter_domain_rejected(self):
         for start, count in [(MASK64, 2), (MASK64 + 1, 1), (0, MASK64 + 2)]:
@@ -673,9 +682,9 @@ class TestCountsCsv:
         assert cols[16] == "n"
 
     def test_single_row_round_trip(self):
-        counts = sample(grand_joint_quantum(Scenario(0.3, 1.7, 2.2, 5.1)), 5000, seed=1)
-        text = counts_to_csv(counts)
-        lines = text.strip().splitlines()
+        config = RunConfig(Mode.SEQUENTIAL, 17.0, 97.0, 126.0, 292.0, n=5000, seed=1)
+        counts = sample(grand_joint_quantum(config.scenario()), 5000, seed=1)
+        lines = "".join(_payload_sample(config)[1]).splitlines()
         assert lines[0] == COUNTS_CSV_HEADER
         values = [int(v) for v in lines[1].split(",")]
         assert tuple(values[:16]) == counts.counts
