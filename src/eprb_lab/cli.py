@@ -31,9 +31,9 @@ artifact version, subcommand, and configuration produce byte-identical
 output. CSV numbers carry 17 significant digits, as ``%.17g`` writes them;
 a scan's S column is computed exactly in numpy where 1e-4 <= |S| < 10,
 and by ``%`` otherwise (``_number_lines``). JSON reports are strict
-JSON: they never contain NaN or infinities. CSV is rendered only when it
-is written, a line (a block of lines for ``chsh-scan``) at a time; a large
-``chsh-scan`` CSV is rendered by shards in children (``_scan_csv_lines``).
+JSON: they never contain NaN or infinities. Reports are ASCII bytes; CSV
+is rendered only when it is written, a line (for ``chsh-scan``, a slab) at
+a time, a large ``chsh-scan`` CSV by shards in children (``_scan_csv_lines``).
 
 Run as ``eprb-lab`` or as ``python -m eprb_lab.cli``.
 
@@ -60,7 +60,7 @@ import numpy as np
 
 from . import __version__
 from ._shards import split
-from .errors import BoundViolationError, ConfigError, EprbLabError
+from .errors import BoundViolationError, ConfigError, EprbLabError, quoted
 from .hvm import (
     Verdict,
     build_contextual_model,
@@ -133,18 +133,18 @@ _DEFAULTS: dict[str, Any] = {
 def _require_number(doc: dict[str, Any], key: str) -> float:
     value = doc[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"field {key!r} must be a number, got {value!r}")
+        raise ConfigError(f"field {key!r} must be a number, got {quoted(value)}")
     if not abs(value) <= sys.float_info.max:  # false for NaN, infinities and huge ints
-        raise ConfigError(f"field {key!r} must be finite, got {value!r}")
+        raise ConfigError(f"field {key!r} must be finite, got {quoted(value)}")
     return float(value)
 
 
 def _require_int(doc: dict[str, Any], key: str, minimum: int, maximum: int | None = None) -> int:
     value = doc[key]
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"field {key!r} must be an integer, got {value!r}")
+        raise ConfigError(f"field {key!r} must be an integer, got {quoted(value)}")
     if value < minimum or (maximum is not None and value > maximum):
-        raise ConfigError(f"field {key!r} out of range: {value!r}")
+        raise ConfigError(f"field {key!r} out of range: {quoted(value)}")
     return value
 
 
@@ -235,15 +235,15 @@ def _cell(value: Any) -> str:
     return _fmt(value) if isinstance(value, float) else str(value)
 
 
-def _csv_lines(header: str, rows: Iterable[Iterable[str]]) -> Generator[str, None, None]:
-    """CSV lines; a row is formatted only when its line is read."""
-    yield header + "\n"
+def _csv_lines(header: str, rows: Iterable[Iterable[str]]) -> Generator[bytes, None, None]:
+    """CSV lines as ASCII bytes; a row is formatted only when its line is read."""
+    yield (header + "\n").encode("ascii")
     for cells in rows:
-        yield ",".join(cells) + "\n"
+        yield (",".join(cells) + "\n").encode("ascii")
 
 
 #: A payload builder returns the JSON payload and the CSV lines, unread.
-_Payload = tuple[dict[str, Any], Generator[str, None, None]]
+_Payload = tuple[dict[str, Any], Generator[bytes, None, None]]
 
 
 def _payload_exact(config: RunConfig) -> _Payload:
@@ -289,10 +289,6 @@ _SCAN_COLUMNS = {
     Mode.SEQUENTIAL: ("theta_ab_deg", "theta_aa_prime_deg", "theta_bb_prime_deg"),
     Mode.EPRB: ("a_deg", "a_prime_deg", "b_deg", "b_prime_deg"),
 }
-
-
-#: Lines per block of a scan CSV, rounded down to whole runs of the last axis.
-_SCAN_BLOCK_LINES = 1 << 16
 
 
 #: Values per chunk of ``_number_lines``; larger chunks raise the renderer's
@@ -438,66 +434,55 @@ def _distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 #: Fewest cells worth a render shard in a child process: rendering them
-#: takes 0.04 s (EPRB) to 0.10 s (sequential), against about 3 ms to fork
-#: and reap a child and about 20 ms to copy its 18 MB of lines to the output.
+#: takes 0.03 s (EPRB) to 0.06 s (sequential), against about 2 ms to fork
+#: and reap a child and 16-19 ms to copy its 19 MB of lines to an output file.
 _MIN_SHARD_CELLS = 1 << 18
 
 
-def _shard_lines(report: ScanReport, axis_text: list[str], lo: int, hi: int) -> Iterator[str]:
-    """The CSV rows of heads ``lo`` to ``hi - 1``, in blocks of whole lines.
+def _shard_lines(report: ScanReport, axis_text: list[str], lo: int, hi: int) -> Iterator[bytes]:
+    """The CSV rows of slabs ``lo`` to ``hi - 1``, a slab of ASCII lines at a time.
 
-    A head is a cell's angles but the last, in cell order; its row is the
-    run of the last axis. Each axis value is formatted once, in
+    A slab is the cells that share one value of the first angle, in cell
+    order. The text of their other angles, the tail, is the same in every
+    slab and is joined once; each axis value is formatted once, in
     ``axis_text``. The shard's distinct S values (``_distinct``) are
-    formatted once each (``_number_lines``) into an object array; a
-    block's S column is gathered from it by index.
-    A line joins the strings of its cell. The bytes equal those of the
-    per-cell row ``_fmt(math.degrees(angle))``, ..., ``_fmt(float(s))``.
+    formatted once each (``_number_lines``), and a slab's S column is
+    gathered from them by index. A line joins the strings of its cell; the
+    bytes equal those of the per-cell row ``_fmt(math.degrees(angle))``,
+    ..., ``_fmt(float(s))``.
     """
-    last = [text + "," for text in axis_text]
-    distinct, inverse = _distinct(report.s_values[lo * len(last) : hi * len(last)])
+    k = len(_SCAN_COLUMNS[report.mode])
+    slab = len(axis_text) ** (k - 1)
+    distinct, inverse = _distinct(report.s_values[lo * slab : hi * slab])
     s_text = _number_lines(distinct)
     del distinct  # a generator's locals live until it is closed
-    products = itertools.product(axis_text, repeat=len(_SCAN_COLUMNS[report.mode]) - 1)
-    heads = (",".join(p) + "," for p in itertools.islice(products, lo, hi))
-    per_block = max(1, _SCAN_BLOCK_LINES // len(last))
-    start = 0
-    while block := list(itertools.islice(heads, per_block)):
-        stop = start + len(block) * len(last)
-        parts = [""] * (3 * (stop - start))  # per line: head, last angle, S
-        parts[0::3] = [head for head in block for _ in last]
-        parts[1::3] = last * len(block)
-        parts[2::3] = s_text[inverse[start:stop]].tolist()
-        yield "".join(parts)
-        start = stop
+    parts = [""] * (3 * slab)  # per line: head, tail, S
+    parts[1::3] = [",".join(tail) + "," for tail in itertools.product(axis_text, repeat=k - 1)]
+    for i, head in enumerate(axis_text[lo:hi]):
+        parts[0::3] = [head + ","] * slab
+        parts[2::3] = s_text[inverse[i * slab : (i + 1) * slab]].tolist()
+        yield "".join(parts).encode("ascii")
 
 
-def _scan_csv_lines(report: ScanReport) -> Generator[str, None, None]:
-    """The header, then a scan's CSV rows in blocks of whole lines.
+def _scan_csv_lines(report: ScanReport) -> Generator[bytes, None, None]:
+    """The header, then a scan's CSV rows a slab at a time, as ASCII bytes.
 
-    Once the header is read, the heads are rendered (``_shard_lines``) in
+    Once the header is read, the slabs are rendered (``_shard_lines``) in
     contiguous shards (``_shards.split``) of at least ``_MIN_SHARD_CELLS``
-    cells, so each holds whole lines. Shard 0, and any shard whose child
-    fails, is rendered here and goes to the reader as it is formatted; a
-    child's output is its shard's ASCII lines, decoded a chunk at a time.
+    cells. Shard 0, and any shard whose child fails, is rendered here as it
+    is read; a child's output goes to the reader in the chunks read from it.
     """
     columns = _SCAN_COLUMNS[report.mode]
-    yield ",".join(columns) + ",s\n"
+    yield (",".join(columns) + ",s\n").encode("ascii")
     axis_text = [_fmt(math.degrees(v)) for v in report.axis]
 
     def task(lo: int, hi: int, sink: BinaryIO) -> None:
-        for text in _shard_lines(report, axis_text, lo, hi):
-            sink.write(text.encode("ascii"))
+        sink.writelines(_shard_lines(report, axis_text, lo, hi))
 
-    n_heads = len(axis_text) ** (len(columns) - 1)
-    min_heads = math.ceil(_MIN_SHARD_CELLS / len(axis_text))
-    with contextlib.closing(split(n_heads, min_heads, task)) as shards:
+    min_slabs = math.ceil(_MIN_SHARD_CELLS / len(axis_text) ** (len(columns) - 1))
+    with contextlib.closing(split(len(axis_text), min_slabs, task)) as shards:
         for lo, hi, output in shards:
-            if output is None:
-                yield from _shard_lines(report, axis_text, lo, hi)
-            else:
-                for chunk in output:
-                    yield chunk.decode("ascii")
+            yield from output or _shard_lines(report, axis_text, lo, hi)
 
 
 def _payload_chsh_scan(config: RunConfig) -> _Payload:
@@ -613,15 +598,19 @@ def run(subcommand: str, config: RunConfig) -> Report:
         config=config.echo(),
         payload=payload,
     )
-    lines = [report.to_json()] if config.format == "json" else csv_lines
+    lines = [report.to_json().encode("ascii")] if config.format == "json" else csv_lines
     # Closing the CSV lines ends a scan's render children, also when a write fails.
     with contextlib.closing(csv_lines):
         try:
-            if config.out is None:
-                sys.stdout.writelines(lines)
-            else:
-                with open(config.out, "w", encoding="utf-8", newline="") as handle:
+            if config.out is not None:
+                with open(config.out, "wb") as handle:
                     handle.writelines(lines)
+            elif hasattr(sys.stdout, "buffer"):  # written after what its text layer holds
+                sys.stdout.flush()
+                sys.stdout.buffer.writelines(lines)
+                sys.stdout.buffer.flush()
+            else:  # a text-only stream, such as io.StringIO
+                sys.stdout.writelines(line.decode("ascii") for line in lines)
         except OSError as exc:  # also a reader that closed the pipe early
             target = "standard output" if config.out is None else f"output path {config.out!r}"
             raise ConfigError(f"cannot write {target}: {exc}") from exc

@@ -1,4 +1,4 @@
-"""Exception hierarchy shared by all eprb_lab modules, and a message helper."""
+"""Exception hierarchy shared by all eprb_lab modules, and two message helpers."""
 
 from __future__ import annotations
 
@@ -55,10 +55,17 @@ class ConfigError(EprbLabError, ValueError):
 def three_digits(count: int | float) -> str:
     """An int of 3 digits or more, or inf, to 3 significant digits.
 
-    The int is rounded as an int: it can lie far beyond the float range,
-    and a message that quotes it stays one short line.
+    The int is rounded half to even as a decimal: it can lie beyond the float
+    range and the int-to-text limit, and a message that quotes it stays short.
     """
     if count == float("inf"):
         return "inf"
-    digits = str(round(count, 3 - len(str(count))))
-    return f"{digits[0]}.{digits[1:3]}e+{len(digits) - 1}"
+    import decimal  # here, so that only a message pays for its import
+    with decimal.localcontext(decimal.Context()):  # half to even, whatever the caller set
+        return f"{decimal.Decimal(count):.2e}"
+
+
+def quoted(value: object) -> str:
+    """``repr(value)``, or ``three_digits`` for an int of 640 digits or
+    more, which Python's int-to-text limit may refuse."""
+    return three_digits(value) if isinstance(value, int) and abs(value) >= 10**639 else repr(value)

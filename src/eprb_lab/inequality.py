@@ -146,7 +146,10 @@ def _n_angles(mode: Mode) -> int:
 
 def _check_angles(mode: Mode, angles) -> np.ndarray:
     expected = _n_angles(mode)
-    x = np.asarray(angles, dtype=float)
+    try:
+        x = np.asarray(angles, dtype=float)
+    except OverflowError:  # an int beyond the float range, as canonical_angle says
+        raise InvalidScenarioError("angles lie beyond the float range") from None
     if x.shape != (expected,):
         raise InvalidScenarioError(
             f"{mode.value} mode takes {expected} angles, got shape {x.shape}"

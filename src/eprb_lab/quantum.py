@@ -98,14 +98,20 @@ class Mode(enum.Enum):
     EPRB = "eprb"
 
 
-def canonical_angle(value: float) -> float:
+def canonical_angle(value: float, name: str = "angle") -> float:
     """Reduce an angle in radians to the canonical range [0, 2*pi).
 
     Idempotent: a value already in range is returned bit-exactly, except
-    -0.0, which becomes 0.0 so that one angle has one representation.
+    -0.0, which becomes 0.0 so that one angle has one representation. An
+    angle not finite or beyond the float range raises ``InvalidScenarioError``
+    naming ``name``.
     """
-    if not math.isfinite(value):
-        raise InvalidScenarioError(f"angle must be finite, got {value!r}")
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        raise InvalidScenarioError(f"{name} lies beyond the float range") from None
+    if not finite:
+        raise InvalidScenarioError(f"{name} must be finite, got {value!r}")
     reduced = math.fmod(value, TWO_PI)
     if reduced < 0.0:
         reduced += TWO_PI
@@ -142,11 +148,7 @@ class Scenario:
             raw = getattr(self, name)
             if isinstance(raw, bool) or not isinstance(raw, (int, float)):
                 raise InvalidScenarioError(f"angle {name} must be a number, got {raw!r}")
-            try:
-                value = float(raw)
-            except OverflowError:  # an int beyond the float range
-                raise InvalidScenarioError(f"angle {name} lies beyond the float range") from None
-            object.__setattr__(self, name, canonical_angle(value))
+            object.__setattr__(self, name, canonical_angle(raw, f"angle {name}"))
 
     @property
     def theta_ab(self) -> float:
@@ -181,8 +183,7 @@ def make_spin_state(angle: float, sign: int) -> np.ndarray:
     ``(-sin(angle/2), cos(angle/2))`` for outcome ``-1``.
     """
     _check_sign(sign)
-    if not math.isfinite(angle):
-        raise InvalidScenarioError(f"angle must be finite, got {angle!r}")
+    canonical_angle(angle)  # the check only: the state's half angle is not reduced
     half = 0.5 * angle
     if sign == 1:
         return np.array([math.cos(half), math.sin(half)], dtype=complex)

@@ -32,7 +32,7 @@ from typing import BinaryIO
 import numpy as np
 
 from ._shards import split
-from .errors import DistributionError, EmptySampleError, three_digits
+from .errors import DistributionError, EmptySampleError, quoted, three_digits
 from .quantum import PAIR_SLOTS, QUADRUPLES, CorrelatorSet, GrandJointDistribution
 
 GOLDEN = 0x9E3779B97F4A7C15
@@ -69,7 +69,7 @@ def _is_int(value: object) -> bool:
 
 def _check_count(n: int) -> None:
     if not _is_int(n) or n < 0:
-        raise DistributionError(f"sample count must be a nonnegative integer, got {n!r}")
+        raise DistributionError(f"sample count must be a nonnegative integer, got {quoted(n)}")
     if n > _MAX_DRAWS:
         raise DistributionError(
             f"sample count {three_digits(n)} exceeds the draw budget of {_MAX_DRAWS}"
@@ -80,7 +80,7 @@ def _check_seed(seed: int) -> None:
     if not _is_int(seed):
         raise DistributionError(f"seed must be an integer, got {seed!r}")
     if not 0 <= seed <= _U64_MAX:
-        raise DistributionError(f"seed must fit in 64 bits, got {seed!r}")
+        raise DistributionError(f"seed must fit in 64 bits, got {quoted(seed)}")
 
 
 def uniforms(seed: int, start: int, count: int) -> np.ndarray:
@@ -92,7 +92,7 @@ def uniforms(seed: int, start: int, count: int) -> np.ndarray:
     """
     _check_seed(seed)
     if not (_is_int(start) and _is_int(count) and 0 <= start <= start + count <= _U64_MAX + 1):
-        raise DistributionError(f"invalid draw range: start={start!r}, count={count!r}")
+        raise DistributionError(f"invalid draw range: start={quoted(start)}, count={quoted(count)}")
     # seed + (start + 1 + j) * GOLDEN, mod 2**64, for j = 0..count-1.
     z = np.arange(count, dtype=np.uint64)
     z *= np.uint64(GOLDEN)

@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 
 import eprb_lab
 from conftest import angle_rows, counted_forks, force_cpus, open_fds
-from eprb_lab import __version__, cli
+from eprb_lab import __version__, _shards, cli
 from eprb_lab.cli import (
     EXIT_INPUT,
     EXIT_OK,
@@ -121,6 +121,12 @@ class TestParseConfig:
     def test_bad_mode_rejected(self):
         with pytest.raises(ConfigError, match="mode"):
             parse_config(config_text(mode="quantum"))
+
+    @pytest.mark.parametrize("key, sign", [("a", 1), ("n", -1), ("seed", 1)])
+    def test_override_past_the_int_text_limit_is_quoted_in_one_line(self, key, sign):
+        # Flags and JSON refuse such ints; a library caller's override does not.
+        with pytest.raises(ConfigError, match=r"^field '\w+' .* -?1\.00e\+5000$"):
+            parse_config(config_text(), {key: sign * 10**5000})
 
     @pytest.mark.parametrize("step", [0.0, -1.0, 361.0])
     def test_step_range_enforced(self, step):
@@ -284,9 +290,41 @@ class TestScanCsvFormat:
             ",".join([*map(_fmt, map(math.degrees, angles)), _fmt(float(s))]) + "\n"
             for angles, s in zip(angle_rows(report), report.s_values)
         ]
-        lines = "".join(_scan_csv_lines(report)).splitlines(keepends=True)
+        lines = b"".join(_scan_csv_lines(report)).decode("ascii").splitlines(keepends=True)
         assert lines[0] == ",".join(cli._SCAN_COLUMNS[mode]) + ",s\n"
         assert lines[1:] == rows
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        mode=st.sampled_from(list(Mode)),
+        values=st.lists(st.floats(allow_nan=False), min_size=1, max_size=300),
+        data=st.data(),
+    )
+    def test_shard_is_its_slabs_of_the_one_shard_render(self, mode, values, data):
+        report = _report_of(mode, values)
+        n = len(report.axis)
+        lo = data.draw(st.integers(0, n - 1), label="lo")
+        hi = data.draw(st.integers(lo + 1, n), label="hi")
+        slab = n ** (len(cli._SCAN_COLUMNS[mode]) - 1)
+        lines = b"".join(_scan_csv_lines(report)).splitlines(keepends=True)[1:]
+        axis_text = [_fmt(math.degrees(v)) for v in report.axis]
+        blocks = list(cli._shard_lines(report, axis_text, lo, hi))
+        assert len(blocks) == hi - lo  # one block per slab
+        assert b"".join(blocks) == b"".join(lines[lo * slab : hi * slab])
+
+    @pytest.mark.parametrize("mode, step", [(Mode.SEQUENTIAL, 3.6), (Mode.EPRB, 12.0)])
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_benchmark_grids_take_a_shard_per_cpu(self, mode, step, cpus, monkeypatch):
+        force_cpus(monkeypatch, cpus)
+        counts = []
+
+        def split(units, min_units, task):
+            counts.append(_shards.shard_count(units, min_units))
+            yield from ()
+
+        monkeypatch.setattr(cli, "split", split)
+        collections.deque(_scan_csv_lines(scan_grid(mode, math.radians(step))), maxlen=0)
+        assert counts == [cpus]
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -319,7 +357,7 @@ class TestScanCsvFormat:
         # the ceilings np.unique's inverse held (near 5.1x); the last two
         # are _distinct's: it peaks near 2.1x (EPRB 12°: 2.14x measured),
         # and on the sequential grid the 360,205 distinct S strings take
-        # about 3.5x and the rows joined from them the rest (4.98x). One
+        # about 3.5x and the rows joined from them the rest (4.51x). One
         # shard, so the whole render runs in this process.
         report = scan_grid(mode, math.radians(step))
         assert _render_peak(report, monkeypatch, cpus=1) <= bound * report.s_values.nbytes
@@ -847,6 +885,20 @@ class TestOneWritePath:
         assert proc.stdout == expected.encode("utf-8")
 
 
+def test_module_scan_to_a_pipe_equals_the_out_bytes(tmp_path):
+    # EPRB 12 degrees, 810,000 rows: forked shards where two CPUs are free.
+    path = write_config(tmp_path, **MAGIC_CONFIG)
+    args = ["chsh-scan", "--config", path, "--step", "12"]
+    out = tmp_path / "scan.csv"
+    assert main([*args, "--out", str(out)]) == EXIT_OK
+    env = {**os.environ, "PYTHONPATH": str(Path(eprb_lab.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "eprb_lab.cli", *args], stdout=subprocess.PIPE, env=env, timeout=120
+    )
+    assert proc.returncode == EXIT_OK
+    assert proc.stdout == out.read_bytes()
+
+
 def child_only(monkeypatch, misbehave):
     """Make ``cli._shard_lines`` call ``misbehave()`` first in forked children only."""
     parent = os.getpid()
@@ -886,7 +938,7 @@ class TestShardedScanCsv:
     children, has the bytes of the one-shard render whatever happens to
     the children, and a failed write leaves no child and no memory file."""
 
-    #: 12**4 = 20,736 cells: 1,728 heads in shards of 576.
+    #: 12**4 = 20,736 cells: 12 slabs of 1,728 cells, in shards of 4 slabs.
     STEP = 30.0
 
     def scan(self, tmp_path, monkeypatch, cpus=3, fmt="csv"):
@@ -910,6 +962,15 @@ class TestShardedScanCsv:
             assert self.scan(tmp_path, monkeypatch) == want
         assert len(forks) == 2
         assert open_fds() == fds
+
+    def test_stdout_without_a_binary_layer_gets_the_same_text(self, tmp_path, monkeypatch):
+        want = self.scan(tmp_path, monkeypatch)
+        path = write_config(tmp_path, **MAGIC_CONFIG)
+        out = io.StringIO()
+        with counted_forks(monkeypatch) as forks, contextlib.redirect_stdout(out):
+            assert main(["chsh-scan", "--config", path, "--step", str(self.STEP)]) == EXIT_OK
+        assert len(forks) == 2
+        assert out.getvalue() == want.decode("ascii")
 
     @pytest.mark.parametrize("call", ["fork", "memfd_create"])
     def test_failed_fork_is_rendered_in_process(self, tmp_path, monkeypatch, call):
@@ -939,7 +1000,7 @@ class TestShardedScanCsv:
     )
     def test_failed_write_kills_and_reaps_every_child(self, tmp_path, monkeypatch, capsys, error):
         # The children would sleep for a minute; the write fails after the
-        # header and the parent's first block, and the run must not wait.
+        # header and the parent's first slab, and the run must not wait.
         child_only(monkeypatch, lambda: time.sleep(60))
         force_cpus(monkeypatch, 3)
         monkeypatch.setattr(cli, "_MIN_SHARD_CELLS", 1000)

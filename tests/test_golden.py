@@ -85,10 +85,10 @@ def test_every_case_is_pinned():
 
 #: (mode, step in degrees) -> SHA-256 of the ``chsh-scan`` CSV written to
 #: ``--out``, all four angles 0. The grids run to a million rows, so the
-#: CSV spans many rendering blocks; 7 degrees does not divide 360, and the
-#: 100-degree grid fits in one partial block. Each grid is rendered in 1,
-#: 2 and 3 forced shards; the 7- and 13-degree grids' heads do not split
-#: evenly in 2 or 3.
+#: CSV spans many rendering slabs; 7 degrees does not divide 360, and the
+#: 100-degree grid has only four slabs. Each grid is rendered in 1, 2 and
+#: 3 forced shards; the 7- and 13-degree grids' 52 and 28 slabs do not
+#: split evenly in 3.
 LARGE_SCAN_GOLDEN = {
     ("eprb", 12.0): "a94c028548c34a17aa488675581770f3365f814b871a3a867e1c5a9a1b01aba2",
     ("sequential", 3.6): "585a4948c853a1c9d8149cfdcae32f231fd10998c810acc7de217bc308dc6590",

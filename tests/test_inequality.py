@@ -414,6 +414,10 @@ class TestMaximizeChsh:
         with pytest.raises(InvalidScenarioError):
             maximize_chsh(mode, init_angles=init)
 
+    def test_int_init_beyond_the_float_range_refused(self):
+        with pytest.raises(InvalidScenarioError, match="^angles lie beyond the float range$"):
+            maximize_chsh(Mode.EPRB, init_angles=(10**400, 0, 0, 0))
+
     def test_reported_value_reproducible(self, sequential_optimum, eprb_optimum):
         assert chsh_sequential_closed(*sequential_optimum.angles) == pytest.approx(
             sequential_optimum.s_value, abs=1e-9

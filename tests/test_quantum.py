@@ -82,6 +82,10 @@ class TestCanonicalAngle:
             with pytest.raises(InvalidScenarioError):
                 canonical_angle(bad)
 
+    def test_int_beyond_the_float_range_rejected(self):
+        with pytest.raises(InvalidScenarioError, match="^angle lies beyond the float range$"):
+            canonical_angle(10**400)
+
     @given(angles)
     def test_range_and_idempotence(self, x: float):
         reduced = canonical_angle(x)
@@ -159,6 +163,10 @@ class TestSpinStates:
             make_spin_state(0.0, 2)
         with pytest.raises(InvalidScenarioError):
             make_spin_state(math.nan, 1)
+
+    def test_int_beyond_the_float_range_rejected(self):
+        with pytest.raises(InvalidScenarioError, match="^angle lies beyond the float range$"):
+            make_spin_state(10**400, 1)
 
     @given(angles, signs)
     def test_unit_norm(self, angle: float, sign: int):

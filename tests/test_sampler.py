@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import decimal
 import math
 import os
 import signal
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 from conftest import counted_forks, force_cpus, open_fds
 from eprb_lab import _shards, sampler
 from eprb_lab.cli import RunConfig, _payload_sample
-from eprb_lab.errors import DistributionError, EmptySampleError
+from eprb_lab.errors import DistributionError, EmptySampleError, three_digits
 from eprb_lab.quantum import (
     QUADRUPLES,
     GrandJointDistribution,
@@ -172,6 +173,11 @@ class TestUniforms:
     def test_non_int_start_or_count_rejected(self, start, count):
         with pytest.raises(DistributionError, match="invalid draw range"):
             uniforms(0, start, count)
+
+    def test_range_past_the_int_text_limit_quoted_in_one_line(self):
+        with pytest.raises(DistributionError) as caught:
+            uniforms(0, 10**5000, 1)
+        assert str(caught.value) == "invalid draw range: start=1.00e+5000, count=1"
 
     def test_range_past_the_counter_domain_rejected(self):
         for start, count in [(MASK64, 2), (MASK64 + 1, 1), (0, MASK64 + 2)]:
@@ -380,6 +386,12 @@ class TestSampleSharded:
                 # One block of draws alone would take 8 * 2**16 bytes.
                 assert peak < 64_000
                 assert len(str(caught.value)) < 200
+
+    def test_count_past_the_int_text_limit_quoted_in_one_line(self):
+        # 10**5000 has more digits than Python turns into text by default.
+        with pytest.raises(DistributionError) as caught:
+            sample(point_mass(0), 10**5000, 0)
+        assert str(caught.value) == "sample count 1.00e+5000 exceeds the draw budget of 1073741824"
 
     def test_invalid_workers_rejected(self):
         d = point_mass(0)
@@ -684,8 +696,39 @@ class TestCountsCsv:
     def test_single_row_round_trip(self):
         config = RunConfig(Mode.SEQUENTIAL, 17.0, 97.0, 126.0, 292.0, n=5000, seed=1)
         counts = sample(grand_joint_quantum(config.scenario()), 5000, seed=1)
-        lines = "".join(_payload_sample(config)[1]).splitlines()
+        lines = b"".join(_payload_sample(config)[1]).decode("ascii").splitlines()
         assert lines[0] == COUNTS_CSV_HEADER
         values = [int(v) for v in lines[1].split(",")]
         assert tuple(values[:16]) == counts.counts
         assert values[16] == 5000
+
+
+class TestThreeDigits:
+    """``three_digits`` quotes an int of any length without turning it all
+    into text, which Python refuses beyond 4,300 digits."""
+
+    @pytest.mark.parametrize(
+        "count, text",
+        [
+            (100, "1.00e+2"),
+            (12_345, "1.23e+4"),
+            (9_985, "9.98e+3"),  # half to even, down
+            (9_995, "1.00e+4"),  # half to even, up to the next power of ten
+            (10**4299, "1.00e+4299"),
+            (10**4301, "1.00e+4301"),
+            (10**4301 - 1, "1.00e+4301"),
+            (float("inf"), "inf"),
+        ],
+        ids=["100", "12345", "9985", "9995", "10^4299", "10^4301", "10^4301-1", "inf"],
+    )
+    def test_three_significant_digits(self, count, text):
+        assert three_digits(count) == text
+
+    def test_rounding_ignores_the_callers_decimal_context(self):
+        with decimal.localcontext(decimal.Context(prec=2, rounding=decimal.ROUND_DOWN)):
+            assert three_digits(9_995) == "1.00e+4"
+
+    @given(st.integers(100, 10**700))
+    def test_equals_rounding_the_full_text(self, count):
+        digits = str(round(count, 3 - len(str(count))))
+        assert three_digits(count) == f"{digits[0]}.{digits[1:3]}e+{len(digits) - 1}"
