@@ -60,7 +60,7 @@ import numpy as np
 
 from . import __version__
 from ._shards import split
-from .errors import BoundViolationError, ConfigError, EprbLabError, quoted
+from .errors import BoundViolationError, ConfigError, EprbLabError, integer, real
 from .hvm import (
     Verdict,
     build_contextual_model,
@@ -123,29 +123,12 @@ class RunConfig:
         return doc
 
 
+_ANGLE_KEYS = ("a", "a_prime", "b", "b_prime")
 _FIELDS = dataclasses.fields(RunConfig)
 _REQUIRED_KEYS = tuple(f.name for f in _FIELDS if f.default is dataclasses.MISSING)
 _DEFAULTS: dict[str, Any] = {
     f.name: f.default for f in _FIELDS if f.default is not dataclasses.MISSING
 }
-
-
-def _require_number(doc: dict[str, Any], key: str) -> float:
-    value = doc[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"field {key!r} must be a number, got {quoted(value)}")
-    if not abs(value) <= sys.float_info.max:  # false for NaN, infinities and huge ints
-        raise ConfigError(f"field {key!r} must be finite, got {quoted(value)}")
-    return float(value)
-
-
-def _require_int(doc: dict[str, Any], key: str, minimum: int, maximum: int | None = None) -> int:
-    value = doc[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"field {key!r} must be an integer, got {quoted(value)}")
-    if value < minimum or (maximum is not None and value > maximum):
-        raise ConfigError(f"field {key!r} out of range: {quoted(value)}")
-    return value
 
 
 def parse_config(text: str, overrides: dict[str, Any] | None = None) -> RunConfig:
@@ -178,7 +161,7 @@ def parse_config(text: str, overrides: dict[str, Any] | None = None) -> RunConfi
         ) from None
 
     merged = {**_DEFAULTS, **doc}
-    step = _require_number(merged, "step")
+    step = real(merged["step"], "field 'step'", ConfigError)
     if step <= 0.0 or step > 360.0:
         raise ConfigError(f"field 'step' must be in (0, 360] degrees, got {step!r}")
     fmt = merged["format"]
@@ -190,13 +173,10 @@ def parse_config(text: str, overrides: dict[str, Any] | None = None) -> RunConfi
 
     return RunConfig(
         mode=mode,
-        a=_require_number(doc, "a"),
-        a_prime=_require_number(doc, "a_prime"),
-        b=_require_number(doc, "b"),
-        b_prime=_require_number(doc, "b_prime"),
+        **{key: real(doc[key], f"field {key!r}", ConfigError) for key in _ANGLE_KEYS},
         step=step,
-        n=_require_int(merged, "n", 0),
-        seed=_require_int(merged, "seed", 0, 2**64 - 1),
+        n=integer(merged["n"], "field 'n'", ConfigError),
+        seed=integer(merged["seed"], "field 'seed'", ConfigError, high=2**64 - 1),
         format=fmt,
         out=out,
     )

@@ -1,6 +1,19 @@
-"""Exception hierarchy shared by all eprb_lab modules, and two message helpers."""
+"""Exception hierarchy shared by all eprb_lab modules, the input rules of
+every boundary, and two message helpers.
+
+The rules: a number (``real``) is an int or a float, not a bool, within
+the float range, so neither NaN, an infinity nor an int beyond the range;
+an integer (``integer``) is an int, not a bool, within the caller's
+bounds. ``quantum.probabilities`` adds the rule of a distribution. Nothing
+is coerced: a string, a bool or None is refused, and the error is the
+caller's ``EprbLabError`` subclass with a one-line message that names the
+value.
+"""
 
 from __future__ import annotations
+
+import math
+import sys
 
 
 class EprbLabError(Exception):
@@ -66,6 +79,27 @@ def three_digits(count: int | float) -> str:
 
 
 def quoted(value: object) -> str:
-    """``repr(value)``, or ``three_digits`` for an int of 640 digits or
-    more, which Python's int-to-text limit may refuse."""
-    return three_digits(value) if isinstance(value, int) and abs(value) >= 10**639 else repr(value)
+    """``repr(value)``, or ``three_digits`` for an int beyond the float
+    range, whose text is long and may pass Python's int-to-text limit."""
+    huge = isinstance(value, int) and abs(value) > sys.float_info.max
+    return three_digits(value) if huge else repr(value)
+
+
+def real(value: object, what: str, error: type[EprbLabError]) -> float:
+    """``value`` as a float if it is a number: an int or a float, not a
+    bool, finite and within the float range. Otherwise raises ``error``."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        if abs(value) <= sys.float_info.max:  # false for NaN, infinities and huge ints
+            return float(value)
+    raise error(f"{what} must be a finite number, got {quoted(value)}")
+
+
+def integer(
+    value: object, what: str, error: type[EprbLabError], low: int = 0, high: float = math.inf
+) -> int:
+    """``value`` if it is an int, not a bool, from ``low`` to ``high``.
+    Otherwise raises ``error``."""
+    if isinstance(value, int) and not isinstance(value, bool) and low <= value <= high:
+        return value
+    span = f"of at least {low}" if high == math.inf else f"from {low} to {high}"
+    raise error(f"{what} must be an integer {span}, got {quoted(value)}")

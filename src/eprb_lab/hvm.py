@@ -44,7 +44,6 @@ import enum
 import itertools
 import json
 import math
-import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Callable, Sequence
@@ -57,6 +56,8 @@ from .errors import (
     InvalidScenarioError,
     ModelFormatError,
     UnknownPairError,
+    quoted,
+    real,
 )
 from .linfeas import solve_equality_feasibility
 from .quantum import (
@@ -76,6 +77,7 @@ from .quantum import (
     correlator_pair,
     grand_joint_quantum,
     marginal_pair,
+    probabilities,
 )
 
 _SETTING_NAMES = ("a", "a_prime", "b", "b_prime")
@@ -111,19 +113,12 @@ class ContextDescriptor:
 
 
 def _checked(value: Any, kind: type) -> Any:
-    """``value`` if it is a ``kind``: ``list``, ``str``, or ``float`` for
-    a finite int or float that is not a bool (returned as a float).
-
-    The one type rule of models, whether built in code or loaded from a
-    file: nothing is coerced.
-    """
-    if kind is float and isinstance(value, (int, float)) and not isinstance(value, bool):
-        if abs(value) <= sys.float_info.max:  # false for NaN, infinities and huge ints
-            return float(value)
-    elif isinstance(value, kind):
+    """``value`` if it is a ``kind``, such as ``list`` or ``str``: models
+    built in code and loaded from a file coerce nothing. Numbers meet
+    ``errors.real``."""
+    if isinstance(value, kind):
         return value
-    expected = "finite number" if kind is float else kind.__name__
-    raise DistributionError(f"expected a {expected}, got {value!r}")
+    raise DistributionError(f"expected a {kind.__name__}, got {quoted(value)}")
 
 
 @dataclass(frozen=True)
@@ -149,13 +144,7 @@ class HVModel:
         object.__setattr__(self, "atom_ids", tuple(_checked(i, str) for i in self.atom_ids))
         if len(set(self.atom_ids)) != len(self.atom_ids):
             raise DistributionError("atom ids must be unique")
-        weights = self.table("weights")
-        for w in weights:
-            if _checked(w, float) < 0.0:
-                raise DistributionError(f"atom weight is invalid: {w!r}")
-        total = math.fsum(weights)
-        if abs(total - 1.0) > 1e-12:
-            raise DistributionError(f"atom weights sum to {total!r}, not 1")
+        probabilities(self.table("weights"), "atom weight")
 
     @property
     def n_atoms(self) -> int:
@@ -344,14 +333,15 @@ def model_from_tables(
     """Wrap static weights and response tables (e.g. loaded from disk) as a model."""
     if not (len(atom_ids) == len(weights) == len(side1) == len(side2)):
         raise DistributionError("atom ids, weights, and tables must align")
-    s1, s2 = (tuple(tuple(_checked(p, float) for p in t) for t in side) for side in (side1, side2))
+    s1, s2 = (tuple(tuple(real(p, "response entry", DistributionError) for p in t) for t in side)
+              for side in (side1, side2))
     for table in (*s1, *s2):
         if len(table) != 4:
             raise DistributionError(f"response tables need 4 entries, got {len(table)}")
     return HVModel(
         scenario=scenario,
         atom_ids=tuple(atom_ids),
-        weights=_static(tuple(_checked(w, float) for w in weights)),
+        weights=_static(probabilities(weights, "atom weight")),
         side1=_static(s1),
         side2=_static(s2),
         context=context,
@@ -400,7 +390,7 @@ def load_model(path: str | Path) -> HVModel:
         # The descriptor rejects names that are not its setting names.
         context = ContextDescriptor(**{f: _checked(ctx_doc[f], list) for f in _CONTEXT_FIELDS})
         atoms = doc["atoms"]
-        # model_from_tables checks the ids, weights and entries by _checked.
+        # model_from_tables checks the ids, weights and entries.
         tables = [[_checked(atom[side], list) for atom in atoms] for side in ("side1", "side2")]
         return model_from_tables(
             scenario,

@@ -22,6 +22,8 @@ from .errors import (
     BoundViolationError,
     InvalidScenarioError,
     InvalidStepError,
+    quoted,
+    real,
     three_digits,
 )
 from .quantum import TWO_PI, CorrelatorSet, Mode, canonical_angle
@@ -140,23 +142,18 @@ _GRAD_FUNCS = {Mode.SEQUENTIAL: _grad_sequential, Mode.EPRB: _grad_eprb}
 def _n_angles(mode: Mode) -> int:
     """How many angles S takes in ``mode``, which must be a :class:`Mode`."""
     if not isinstance(mode, Mode):
-        raise InvalidScenarioError(f"mode must be a Mode, got {mode!r}")
+        raise InvalidScenarioError(f"mode must be a Mode, got {quoted(mode)}")
     return _N_ANGLES[mode]
 
 
 def _check_angles(mode: Mode, angles) -> np.ndarray:
     expected = _n_angles(mode)
-    try:
-        x = np.asarray(angles, dtype=float)
-    except OverflowError:  # an int beyond the float range, as canonical_angle says
-        raise InvalidScenarioError("angles lie beyond the float range") from None
+    x = np.asarray(angles, dtype=object)  # nothing coerced before ``real``
     if x.shape != (expected,):
         raise InvalidScenarioError(
             f"{mode.value} mode takes {expected} angles, got shape {x.shape}"
         )
-    if not np.all(np.isfinite(x)):
-        raise InvalidScenarioError(f"angles must be finite, got {angles!r}")
-    return x
+    return np.array([real(v, "angle", InvalidScenarioError) for v in x])
 
 
 def chsh_gradient(mode: Mode, angles) -> np.ndarray:
@@ -199,11 +196,7 @@ def _grid_axis(step: float, k: int) -> np.ndarray:
 
     The grid's cell count is checked before the axis is built.
     """
-    if (
-        isinstance(step, bool)
-        or not (isinstance(step, (int, float)) and math.isfinite(step))
-        or step <= 0.0
-    ):
+    if real(step, "grid step", InvalidStepError) <= 0.0:
         raise InvalidStepError(f"grid step must be a positive angle, got {step!r}")
     if step > TWO_PI:
         raise InvalidStepError(f"grid step exceeds the full circle: {step!r}")

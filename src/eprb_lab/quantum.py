@@ -40,6 +40,9 @@ from .errors import (
     DistributionError,
     InvalidScenarioError,
     UnknownPairError,
+    integer,
+    quoted,
+    real,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -103,16 +106,10 @@ def canonical_angle(value: float, name: str = "angle") -> float:
 
     Idempotent: a value already in range is returned bit-exactly, except
     -0.0, which becomes 0.0 so that one angle has one representation. An
-    angle not finite or beyond the float range raises ``InvalidScenarioError``
-    naming ``name``.
+    angle that is not a number (``errors.real``) raises
+    ``InvalidScenarioError`` naming ``name``.
     """
-    try:
-        finite = math.isfinite(value)
-    except OverflowError:  # an int beyond the float range
-        raise InvalidScenarioError(f"{name} lies beyond the float range") from None
-    if not finite:
-        raise InvalidScenarioError(f"{name} must be finite, got {value!r}")
-    reduced = math.fmod(value, TWO_PI)
+    reduced = math.fmod(real(value, name, InvalidScenarioError), TWO_PI)
     if reduced < 0.0:
         reduced += TWO_PI
     # fmod of a tiny negative can land exactly on 2*pi after the shift.
@@ -122,8 +119,8 @@ def canonical_angle(value: float, name: str = "angle") -> float:
 
 
 def _check_sign(sign: int) -> None:
-    if sign not in (1, -1):
-        raise InvalidScenarioError(f"outcome sign must be +1 or -1, got {sign!r}")
+    if integer(sign, "outcome sign", InvalidScenarioError, -1, 1) == 0:
+        raise InvalidScenarioError("outcome sign must be +1 or -1, got 0")
 
 
 @dataclass(frozen=True)
@@ -143,12 +140,9 @@ class Scenario:
 
     def __post_init__(self) -> None:
         if not isinstance(self.mode, Mode):
-            raise InvalidScenarioError(f"mode must be a Mode, got {self.mode!r}")
+            raise InvalidScenarioError(f"mode must be a Mode, got {quoted(self.mode)}")
         for name in ("a", "a_prime", "b", "b_prime"):
-            raw = getattr(self, name)
-            if isinstance(raw, bool) or not isinstance(raw, (int, float)):
-                raise InvalidScenarioError(f"angle {name} must be a number, got {raw!r}")
-            object.__setattr__(self, name, canonical_angle(raw, f"angle {name}"))
+            object.__setattr__(self, name, canonical_angle(getattr(self, name), f"angle {name}"))
 
     @property
     def theta_ab(self) -> float:
@@ -183,8 +177,7 @@ def make_spin_state(angle: float, sign: int) -> np.ndarray:
     ``(-sin(angle/2), cos(angle/2))`` for outcome ``-1``.
     """
     _check_sign(sign)
-    canonical_angle(angle)  # the check only: the state's half angle is not reduced
-    half = 0.5 * angle
+    half = 0.5 * real(angle, "angle", InvalidScenarioError)  # the half angle is not reduced
     if sign == 1:
         return np.array([math.cos(half), math.sin(half)], dtype=complex)
     return np.array([-math.sin(half), math.cos(half)], dtype=complex)
@@ -207,6 +200,23 @@ def transition_prob(m_from: float, s_from: int, m_to: float, s_to: int) -> float
     return float(abs(amp) ** 2)
 
 
+def probabilities(values: Sequence, what: str) -> tuple[float, ...]:
+    """``values`` as floats if they form a distribution: each is a number
+    (``errors.real``), none is negative and their ``fsum`` lies within
+    1e-12 of 1. Otherwise raises ``DistributionError`` naming ``what``."""
+    probs = tuple([real(p, what, DistributionError) for p in values])
+    for p in probs:
+        if p < 0.0:
+            raise DistributionError(f"{what} must not be negative, got {p!r}")
+    try:
+        total = math.fsum(probs)
+    except OverflowError:  # entries near the float maximum
+        total = math.inf
+    if abs(total - 1.0) > 1e-12:
+        raise DistributionError(f"{what} sum is {total!r}, not 1")
+    return probs
+
+
 @dataclass(frozen=True)
 class GrandJointDistribution:
     """Joint distribution over the 16 outcome quadruples.
@@ -220,13 +230,7 @@ class GrandJointDistribution:
     def __post_init__(self) -> None:
         if len(self.probs) != 16:
             raise DistributionError(f"expected 16 probabilities, got {len(self.probs)}")
-        object.__setattr__(self, "probs", tuple(float(p) for p in self.probs))
-        for q, p in zip(QUADRUPLES, self.probs):
-            if not math.isfinite(p) or p < 0.0:
-                raise DistributionError(f"probability of {tuple(q)} is invalid: {p!r}")
-        total = math.fsum(self.probs)
-        if abs(total - 1.0) > 1e-12:
-            raise DistributionError(f"probabilities sum to {total!r}, not 1")
+        object.__setattr__(self, "probs", probabilities(self.probs, "probability"))
 
     def prob(self, quadruple: Sequence[int]) -> float:
         key = OutcomeQuadruple(*quadruple)
@@ -257,18 +261,12 @@ class PairDistribution:
     def __post_init__(self) -> None:
         for name in (self.first, self.second):
             if name not in _OBS_SLOT:
-                raise UnknownPairError(f"unknown observable label: {name!r}")
+                raise UnknownPairError(f"unknown observable label: {quoted(name)}")
         if self.first == self.second:
             raise UnknownPairError(f"pair labels must differ, got {self.first!r} twice")
         if len(self.probs) != 4:
             raise DistributionError(f"expected 4 probabilities, got {len(self.probs)}")
-        object.__setattr__(self, "probs", tuple(float(p) for p in self.probs))
-        for p in self.probs:
-            if not math.isfinite(p) or p < 0.0:
-                raise DistributionError(f"pair probability is invalid: {p!r}")
-        total = math.fsum(self.probs)
-        if abs(total - 1.0) > 1e-12:
-            raise DistributionError(f"pair probabilities sum to {total!r}, not 1")
+        object.__setattr__(self, "probs", probabilities(self.probs, "pair probability"))
 
     def prob(self, s_first: int, s_second: int) -> float:
         _check_sign(s_first)
@@ -304,8 +302,10 @@ class CorrelatorSet:
 
     def __post_init__(self) -> None:
         for name, value in self.as_dict().items():
-            if not math.isfinite(value) or abs(value) > 1.0 + _CORRELATOR_TOL:
+            value = real(value, f"correlator {name}", CorrelatorRangeError)
+            if abs(value) > 1.0 + _CORRELATOR_TOL:
                 raise CorrelatorRangeError(f"correlator {name} out of range: {value!r}")
+            object.__setattr__(self, name, value)
 
     def as_dict(self) -> dict[str, float]:
         return {

@@ -32,7 +32,7 @@ from typing import BinaryIO
 import numpy as np
 
 from ._shards import split
-from .errors import DistributionError, EmptySampleError, quoted, three_digits
+from .errors import DistributionError, EmptySampleError, integer
 from .quantum import PAIR_SLOTS, QUADRUPLES, CorrelatorSet, GrandJointDistribution
 
 GOLDEN = 0x9E3779B97F4A7C15
@@ -62,25 +62,11 @@ def _mix64(z: np.ndarray, work: np.ndarray) -> None:
     z ^= work
 
 
-def _is_int(value: object) -> bool:
-    """The integer rule of every count, index and seed: an int, not a bool."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _check_count(n: int) -> None:
-    if not _is_int(n) or n < 0:
-        raise DistributionError(f"sample count must be a nonnegative integer, got {quoted(n)}")
-    if n > _MAX_DRAWS:
-        raise DistributionError(
-            f"sample count {three_digits(n)} exceeds the draw budget of {_MAX_DRAWS}"
-        )
-
-
-def _check_seed(seed: int) -> None:
-    if not _is_int(seed):
-        raise DistributionError(f"seed must be an integer, got {seed!r}")
-    if not 0 <= seed <= _U64_MAX:
-        raise DistributionError(f"seed must fit in 64 bits, got {quoted(seed)}")
+def _check_draws(n: int, seed: int) -> None:
+    """Refuse a sample before any draw: a count past the draw budget or a
+    seed outside 64 bits."""
+    integer(n, "sample count", DistributionError, high=_MAX_DRAWS)
+    integer(seed, "seed", DistributionError, high=_U64_MAX)
 
 
 def uniforms(seed: int, start: int, count: int) -> np.ndarray:
@@ -90,9 +76,9 @@ def uniforms(seed: int, start: int, count: int) -> np.ndarray:
     wraps as the contract's arithmetic does: index 2**64 - 1 gives
     ``(i + 1) * GOLDEN mod 2**64 = 0``.
     """
-    _check_seed(seed)
-    if not (_is_int(start) and _is_int(count) and 0 <= start <= start + count <= _U64_MAX + 1):
-        raise DistributionError(f"invalid draw range: start={quoted(start)}, count={quoted(count)}")
+    integer(seed, "seed", DistributionError, high=_U64_MAX)
+    integer(start, "draw start", DistributionError, high=_U64_MAX + 1)
+    integer(count, "draw count", DistributionError, high=_U64_MAX + 1 - start)
     # seed + (start + 1 + j) * GOLDEN, mod 2**64, for j = 0..count-1.
     z = np.arange(count, dtype=np.uint64)
     z *= np.uint64(GOLDEN)
@@ -170,7 +156,7 @@ def sample(distribution: GrandJointDistribution, n: int, seed: int) -> OutcomeCo
     without exactly those is tallied here. The counts equal
     ``_tally(distribution, seed, 0, n)``.
     """
-    _check_count(n)
+    _check_draws(n, seed)
 
     def task(lo: int, hi: int, sink: BinaryIO) -> None:
         sink.write(_tally(distribution, seed, lo, hi).tobytes())
@@ -191,15 +177,15 @@ def sample_sharded(
 ) -> OutcomeCounts:
     """Split the draw-index range contiguously across ``workers``.
 
-    Worker ``w`` handles indices [w*n//workers, (w+1)*n//workers). Since
-    each index maps to its word independently of the split, the combined
-    tally equals ``sample(distribution, n, seed)`` for every worker count.
+    Shard ``w`` of ``k = min(workers, max(n, 1))`` handles indices
+    [w*n//k, (w+1)*n//k): more workers than draws would only add empty
+    shards. Since each index maps to its word independently of the split,
+    the combined tally equals ``sample(distribution, n, seed)`` for every
+    worker count.
     """
-    if not _is_int(workers) or workers < 1:
-        raise DistributionError(f"worker count must be a positive integer, got {workers!r}")
-    _check_count(n)
-    total = sum(_tally(distribution, seed, w * n // workers, (w + 1) * n // workers)
-                for w in range(workers))
+    _check_draws(n, seed)
+    k = min(integer(workers, "worker count", DistributionError, low=1), max(n, 1))
+    total = sum(_tally(distribution, seed, w * n // k, (w + 1) * n // k) for w in range(k))
     return OutcomeCounts(counts=total, n=n, seed=seed)
 
 

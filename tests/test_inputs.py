@@ -1,0 +1,146 @@
+"""One table of bad values fed to every public boundary that takes a
+number, an integer or a distribution.
+
+Each case must raise an ``EprbLabError`` subclass whose message is one
+line under 200 characters and ends by naming the value. Nothing is
+coerced: a bool, a string or None is not a number, and neither is an int
+beyond the float range.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+
+import pytest
+
+from eprb_lab import (
+    CorrelatorSet,
+    GrandJointDistribution,
+    Mode,
+    PairDistribution,
+    Scenario,
+    canonical_angle,
+    chsh_gradient,
+    grand_joint_quantum,
+    make_spin_state,
+    maximize_chsh,
+    scan_grid,
+    transition_prob,
+)
+from eprb_lab.cli import parse_config
+from eprb_lab.errors import DistributionError, EprbLabError, quoted
+from eprb_lab.hvm import ContextDescriptor, model_from_tables
+from eprb_lab.sampler import sample, sample_sharded, uniforms
+
+BAD_VALUES = {
+    "true": True,
+    "string": "1",
+    "none": None,
+    "nan": math.nan,
+    "inf": math.inf,
+    "10^400": 10**400,
+    "10^5000": 10**5000,
+}
+
+D = grand_joint_quantum(Scenario(0.1, 0.2, 0.3, 0.4))
+CONFIG = json.dumps({"mode": "sequential", "a": 0, "a_prime": 0, "b": 0, "b_prime": 0})
+ONE_ATOM = dict(
+    scenario=Scenario(0.0, 0.0, 0.0, 0.0),
+    atom_ids=("l0",),
+    weights=(1.0,),
+    side1=((1.0, 0.0, 0.0, 0.0),),
+    side2=((1.0, 0.0, 0.0, 0.0),),
+    context=ContextDescriptor(weights=(), side1=(), side2=()),
+)
+
+BOUNDARIES = {
+    "Scenario-a": lambda v: Scenario(v, 0.0, 0.0, 0.0),
+    "Scenario-b_prime": lambda v: Scenario(0.0, 0.0, 0.0, v),
+    "canonical_angle": canonical_angle,
+    "make_spin_state-angle": lambda v: make_spin_state(v, 1),
+    "make_spin_state-sign": lambda v: make_spin_state(0.0, v),
+    "transition_prob-s_from": lambda v: transition_prob(0.0, v, 1.0, -1),
+    "transition_prob-s_to": lambda v: transition_prob(0.0, 1, 1.0, v),
+    "scan_grid-step": lambda v: scan_grid(Mode.EPRB, v),
+    "maximize_chsh-angle": lambda v: maximize_chsh(Mode.EPRB, init_angles=(0.0, v, 0.0, 0.0)),
+    "chsh_gradient-angle": lambda v: chsh_gradient(Mode.SEQUENTIAL, (0.0, 0.0, v)),
+    "uniforms-seed": lambda v: uniforms(v, 0, 1),
+    "uniforms-start": lambda v: uniforms(0, v, 1),
+    "uniforms-count": lambda v: uniforms(0, 0, v),
+    "sample-n": lambda v: sample(D, v, 0),
+    "sample-seed": lambda v: sample(D, 0, v),
+    "sample_sharded-workers": lambda v: sample_sharded(D, 10, 0, v),
+    "GrandJointDistribution-entry": lambda v: GrandJointDistribution((v,) + (0.0,) * 14 + (1.0,)),
+    "PairDistribution-entry": lambda v: PairDistribution("A1", "B1", (0.5, v, 0.0, 0.5)),
+    "CorrelatorSet-entry": lambda v: CorrelatorSet(0.0, 0.0, v, 0.0),
+    "model_from_tables-weight": lambda v: model_from_tables(**{**ONE_ATOM, "weights": (v,)}),
+    "model_from_tables-entry": lambda v: model_from_tables(
+        **{**ONE_ATOM, "side2": ((1.0, 0.0, v, 0.0),)}
+    ),
+    **{
+        f"parse_config-{key}": (lambda key: lambda v: parse_config(CONFIG, {key: v}))(key)
+        for key in ("a", "a_prime", "b", "b_prime", "step", "n", "seed")
+    },
+}
+
+#: Valid values among the bad ones: a worker count and a config's sample
+#: count have no upper bound. ``sample`` refuses counts past its draw
+#: budget (the ``sample-n`` rows), and more workers than draws only add
+#: empty shards (``test_huge_worker_count_tallies_at_most_one_shard_per_draw``
+#: in ``test_sampler.py``).
+VALID = {
+    ("sample_sharded-workers", "10^400"),
+    ("sample_sharded-workers", "10^5000"),
+    ("parse_config-n", "10^400"),
+    ("parse_config-n", "10^5000"),
+}
+
+
+@pytest.mark.parametrize(
+    "boundary, value",
+    [
+        pytest.param(boundary, value, id=f"{boundary}-{value}")
+        for boundary in BOUNDARIES
+        for value in BAD_VALUES
+        if (boundary, value) not in VALID
+    ],
+)
+def test_bad_value_is_a_package_error_of_one_short_line(boundary, value):
+    bad = BAD_VALUES[value]
+    with pytest.raises(EprbLabError) as caught:
+        BOUNDARIES[boundary](bad)
+    message = str(caught.value)
+    assert "\n" not in message and len(message) < 200, message
+    assert message.endswith(f", got {quoted(bad)}"), message
+
+
+@pytest.mark.parametrize(
+    "build, what",
+    [
+        (lambda: GrandJointDistribution((1e308,) * 16), "probability"),
+        (lambda: PairDistribution("A1", "B1", (1e308,) * 4), "pair probability"),
+    ],
+    ids=["grand-joint", "pair"],
+)
+def test_entries_whose_sum_overflows_are_not_a_distribution(build, what):
+    with pytest.raises(DistributionError, match=f"^{what} sum is inf, not 1$"):
+        build()
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Scenario(0.0, 0.0, 0.0, 0.0, mode=10**5000), "mode must be a Mode, got 1.00e+5000"),
+        (lambda: scan_grid(10**5000, 1.0), "mode must be a Mode, got 1.00e+5000"),
+        (
+            lambda: PairDistribution(10**5000, "B1", (1.0, 0.0, 0.0, 0.0)),
+            "unknown observable label: 1.00e+5000",
+        ),
+    ],
+    ids=["scenario-mode", "scan-mode", "pair-label"],
+)
+def test_ints_past_the_text_limit_are_quoted_where_a_mode_or_label_is_due(build, message):
+    with pytest.raises(EprbLabError) as caught:
+        build()
+    assert str(caught.value) == message

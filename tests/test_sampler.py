@@ -171,13 +171,16 @@ class TestUniforms:
         [(True, 1), (0, True), (2.0, 1), (0, 2.0), (0.5, 1), ("3", 1), (0, "3"), (None, 1)],
     )
     def test_non_int_start_or_count_rejected(self, start, count):
-        with pytest.raises(DistributionError, match="invalid draw range"):
+        message = r"^draw (start|count) must be an integer from 0 to 1844674407370955161[56], got "
+        with pytest.raises(DistributionError, match=message):
             uniforms(0, start, count)
 
     def test_range_past_the_int_text_limit_quoted_in_one_line(self):
         with pytest.raises(DistributionError) as caught:
             uniforms(0, 10**5000, 1)
-        assert str(caught.value) == "invalid draw range: start=1.00e+5000, count=1"
+        assert str(caught.value) == (
+            "draw start must be an integer from 0 to 18446744073709551616, got 1.00e+5000"
+        )
 
     def test_range_past_the_counter_domain_rejected(self):
         for start, count in [(MASK64, 2), (MASK64 + 1, 1), (0, MASK64 + 2)]:
@@ -358,7 +361,7 @@ class TestSampleSharded:
     @pytest.mark.parametrize("bad", [-1, True, 2.0, "3", None])
     def test_sample_count_checked_as_in_sample(self, bad):
         d = point_mass(0)
-        message = f"sample count must be a nonnegative integer, got {bad!r}"
+        message = f"sample count must be an integer from 0 to 1073741824, got {bad!r}"
         entry_points = (
             lambda: sample(d, bad, seed=0),
             lambda: sample_sharded(d, bad, seed=0, workers=2),
@@ -370,7 +373,7 @@ class TestSampleSharded:
 
     def test_draw_budget_refused_before_any_draw(self):
         d = point_mass(0)
-        sampler._check_count(_MAX_DRAWS)
+        sampler._check_draws(_MAX_DRAWS, 0)
         for n in (_MAX_DRAWS + 1, 2**64, 10**4000):
             for draw in (
                 lambda: sample(d, n, seed=0),
@@ -378,7 +381,7 @@ class TestSampleSharded:
             ):
                 tracemalloc.start()
                 try:
-                    with pytest.raises(DistributionError, match="draw budget") as caught:
+                    with pytest.raises(DistributionError, match="^sample count must be an integer from 0 to 1073741824, got ") as caught:
                         draw()
                     peak = tracemalloc.get_traced_memory()[1]
                 finally:
@@ -391,7 +394,9 @@ class TestSampleSharded:
         # 10**5000 has more digits than Python turns into text by default.
         with pytest.raises(DistributionError) as caught:
             sample(point_mass(0), 10**5000, 0)
-        assert str(caught.value) == "sample count 1.00e+5000 exceeds the draw budget of 1073741824"
+        assert str(caught.value) == (
+            "sample count must be an integer from 0 to 1073741824, got 1.00e+5000"
+        )
 
     def test_invalid_workers_rejected(self):
         d = point_mass(0)
@@ -399,6 +404,16 @@ class TestSampleSharded:
             sample_sharded(d, 10, seed=0, workers=0)
         with pytest.raises(DistributionError):
             sample_sharded(d, 10, seed=0, workers=-2)
+
+    def test_huge_worker_count_tallies_at_most_one_shard_per_draw(self, monkeypatch):
+        d = grand_joint_quantum(Scenario(0.3, 1.7, 2.2, 5.1))
+        for n in (0, 1, 10):
+            want = sample(d, n, 0)
+            shards = []
+            monkeypatch.setattr(sampler, "_tally", lambda *args: shards.append(args) or _tally(*args))
+            assert sample_sharded(d, n, 0, 10**5000) == want
+            assert len(shards) == max(n, 1)
+            monkeypatch.undo()
 
 
 @st.composite
@@ -448,6 +463,17 @@ class TestForkedShards:
         assert got.counts == tuple(int(c) for c in _tally(d, seed, 0, n))
         assert got == sample_sharded(d, n, seed, workers=3)
         assert open_fds() == fds
+
+    @pytest.mark.parametrize("n, seed", [(0, -1), (0, "x"), (0, 2**64), (10**7, -1)])
+    def test_seed_checked_with_the_count_before_any_fork(self, monkeypatch, n, seed):
+        force_cpus(monkeypatch, 2)
+        message = f"seed must be an integer from 0 to {MASK64}, got {seed!r}"
+        with counted_forks(monkeypatch) as forks:
+            for draw in (lambda: sample(self.D, n, seed), lambda: sample_sharded(self.D, n, seed, 3)):
+                with pytest.raises(DistributionError) as caught:
+                    draw()
+                assert str(caught.value) == message
+        assert forks == []
 
     def test_forks_at_most_one_child_per_other_cpu(self, monkeypatch):
         cpus = len(os.sched_getaffinity(0))
