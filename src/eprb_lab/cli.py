@@ -70,6 +70,7 @@ from .hvm import (
     pair_targets_from_scenario,
 )
 from .inequality import (
+    ANGLE_NAMES,
     ScanReport,
     chsh_report,
     maximize_chsh,
@@ -77,7 +78,9 @@ from .inequality import (
 )
 from .quantum import (
     CROSS_PAIRS,
+    SETTINGS,
     Mode,
+    OutcomeQuadruple,
     Scenario,
     closed_form_correlators,
     correlator_pair,
@@ -85,8 +88,6 @@ from .quantum import (
     marginal_pair,
 )
 from .sampler import COUNTS_CSV_HEADER, empirical_correlators, sample
-
-SUBCOMMANDS = ("exact", "sample", "chsh-scan", "chsh-max", "hvm-check", "joint-feasibility")
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -109,13 +110,8 @@ class RunConfig:
     out: str | None = None
 
     def scenario(self) -> Scenario:
-        return Scenario(
-            a=math.radians(self.a),
-            a_prime=math.radians(self.a_prime),
-            b=math.radians(self.b),
-            b_prime=math.radians(self.b_prime),
-            mode=self.mode,
-        )
+        angles = {name: math.radians(getattr(self, name)) for name in SETTINGS}
+        return Scenario(**angles, mode=self.mode)
 
     def echo(self) -> dict[str, Any]:
         doc = dataclasses.asdict(self)
@@ -123,7 +119,6 @@ class RunConfig:
         return doc
 
 
-_ANGLE_KEYS = ("a", "a_prime", "b", "b_prime")
 _FIELDS = dataclasses.fields(RunConfig)
 _REQUIRED_KEYS = tuple(f.name for f in _FIELDS if f.default is dataclasses.MISSING)
 _DEFAULTS: dict[str, Any] = {
@@ -173,7 +168,7 @@ def parse_config(text: str, overrides: dict[str, Any] | None = None) -> RunConfi
 
     return RunConfig(
         mode=mode,
-        **{key: real(doc[key], f"field {key!r}", ConfigError) for key in _ANGLE_KEYS},
+        **{key: real(doc[key], f"field {key!r}", ConfigError) for key in SETTINGS},
         step=step,
         n=integer(merged["n"], "field 'n'", ConfigError),
         seed=integer(merged["seed"], "field 'seed'", ConfigError, high=2**64 - 1),
@@ -235,10 +230,7 @@ def _payload_exact(config: RunConfig) -> _Payload:
     correlators = closed_form_correlators(scenario)
     report = chsh_report(correlators)
     payload = {
-        "distribution": [
-            {"a1": q.a1, "b1": q.b1, "a2": q.a2, "b2": q.b2, "probability": p}
-            for q, p in distribution.items()
-        ],
+        "distribution": [{**q._asdict(), "probability": p} for q, p in distribution.items()],
         "pair_marginals": {k: list(v.probs) for k, v in pairs.items()},
         "pair_correlators": {k: correlator_pair(v) for k, v in pairs.items()},
         "correlators": correlators.as_dict(),
@@ -246,7 +238,7 @@ def _payload_exact(config: RunConfig) -> _Payload:
         "bound_satisfied": report.bound_satisfied,
     }
     rows = (map(_cell, (*q, p)) for q, p in distribution.items())
-    return payload, _csv_lines("a1,b1,a2,b2,probability", rows)
+    return payload, _csv_lines(",".join((*OutcomeQuadruple._fields, "probability")), rows)
 
 
 def _payload_sample(config: RunConfig) -> _Payload:
@@ -265,10 +257,7 @@ def _payload_sample(config: RunConfig) -> _Payload:
     return payload, _csv_lines(COUNTS_CSV_HEADER, [map(_cell, (*counts.counts, counts.n))])
 
 
-_SCAN_COLUMNS = {
-    Mode.SEQUENTIAL: ("theta_ab_deg", "theta_aa_prime_deg", "theta_bb_prime_deg"),
-    Mode.EPRB: ("a_deg", "a_prime_deg", "b_deg", "b_prime_deg"),
-}
+_SCAN_COLUMNS = {mode: tuple(f"{n}_deg" for n in names) for mode, names in ANGLE_NAMES.items()}
 
 
 #: Values per chunk of ``_number_lines``; larger chunks raise the renderer's
@@ -480,10 +469,7 @@ def _payload_chsh_scan(config: RunConfig) -> _Payload:
 
 def _payload_chsh_max(config: RunConfig) -> _Payload:
     scenario = config.scenario()
-    if config.mode is Mode.SEQUENTIAL:
-        init = (scenario.theta_ab, scenario.theta_aa_prime, scenario.theta_bb_prime)
-    else:
-        init = (scenario.a, scenario.a_prime, scenario.b, scenario.b_prime)
+    init = [getattr(scenario, name) for name in ANGLE_NAMES[config.mode]]
     report = maximize_chsh(config.mode, init_angles=init)
     angles_deg = [math.degrees(v) for v in report.angles]
     payload = {
@@ -546,10 +532,7 @@ def _payload_joint_feasibility(config: RunConfig) -> _Payload:
             "value": result.certificate.value,
         }
         row = (result.verdict.value, *result.certificate.signs, result.certificate.value)
-    header = (
-        "verdict,sign_ab,sign_ab_prime,sign_a_prime_b,sign_a_prime_b_prime,"
-        "certificate_value"
-    )
+    header = ",".join(("verdict", *(f"sign_{pair}" for pair in CROSS_PAIRS), "certificate_value"))
     return payload, _csv_lines(header, [map(_cell, row)])
 
 
@@ -561,6 +544,8 @@ _PAYLOAD_BUILDERS: dict[str, Callable[[RunConfig], _Payload]] = {
     "hvm-check": _payload_hvm_check,
     "joint-feasibility": _payload_joint_feasibility,
 }
+
+SUBCOMMANDS = tuple(_PAYLOAD_BUILDERS)
 
 
 def run(subcommand: str, config: RunConfig) -> Report:

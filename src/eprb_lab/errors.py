@@ -4,16 +4,18 @@ every boundary, and two message helpers.
 The rules: a number (``real``) is an int or a float, not a bool, within
 the float range, so neither NaN, an infinity nor an int beyond the range;
 an integer (``integer``) is an int, not a bool, within the caller's
-bounds. ``quantum.probabilities`` adds the rule of a distribution. Nothing
-is coerced: a string, a bool or None is refused, and the error is the
-caller's ``EprbLabError`` subclass with a one-line message that names the
-value.
+bounds; a sequence (``sequence``) has a length, the caller's if it names
+one, and is not text, a set or a mapping. ``quantum.probabilities`` adds
+the rule of a distribution. Nothing is coerced: a string, a bool or None
+is refused, and the error is the caller's ``EprbLabError`` subclass with
+a one-line message that names the value.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from collections.abc import Mapping, Set
 
 
 class EprbLabError(Exception):
@@ -103,3 +105,19 @@ def integer(
         return value
     span = f"of at least {low}" if high == math.inf else f"from {low} to {high}"
     raise error(f"{what} must be an integer {span}, got {quoted(value)}")
+
+
+def sequence(
+    value: object, what: str, error: type[EprbLabError], length: int | None = None
+) -> tuple:
+    """``value`` as a tuple if it has a length and is not text, a set or a
+    mapping, with ``length`` items if given. Otherwise raises ``error``."""
+    try:
+        count = None if isinstance(value, (str, bytes, Set, Mapping)) else len(value)
+    except TypeError:  # also a 0-d numpy array
+        count = None
+    if count is None:
+        raise error(f"{what} must be a sequence, got {quoted(value)}")
+    if length is not None and count != length:
+        raise error(f"{what} must be a sequence of {length}, got {count} items")
+    return tuple(value)

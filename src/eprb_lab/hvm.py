@@ -58,6 +58,7 @@ from .errors import (
     UnknownPairError,
     quoted,
     real,
+    sequence,
 )
 from .linfeas import solve_equality_feasibility
 from .quantum import (
@@ -66,6 +67,7 @@ from .quantum import (
     PAIR_INDEX,
     PAIR_SLOTS,
     QUADRUPLES,
+    SETTINGS,
     SIGN_PAIRS,
     SIGNS,
     CorrelatorSet,
@@ -80,9 +82,8 @@ from .quantum import (
     probabilities,
 )
 
-_SETTING_NAMES = ("a", "a_prime", "b", "b_prime")
 #: Each model component and the settings it may list: a side only its own.
-_READABLE = {"weights": _SETTING_NAMES, "side1": _SETTING_NAMES[:2], "side2": _SETTING_NAMES[2:]}
+_READABLE = {"weights": SETTINGS, "side1": SETTINGS[:2], "side2": SETTINGS[2:]}
 _CONTEXT_FIELDS = tuple(_READABLE)
 
 ResponseTable = tuple[float, float, float, float]
@@ -144,7 +145,7 @@ class HVModel:
         object.__setattr__(self, "atom_ids", tuple(_checked(i, str) for i in self.atom_ids))
         if len(set(self.atom_ids)) != len(self.atom_ids):
             raise DistributionError("atom ids must be unique")
-        probabilities(self.table("weights"), "atom weight")
+        probabilities(self.table("weights"), "atom weight", self.n_atoms)
 
     @property
     def n_atoms(self) -> int:
@@ -176,11 +177,11 @@ def _sequential_weight(i: int, sc: Scenario) -> float:
 
 
 def _sequential_side1(i: int, sc: Scenario) -> ResponseTable:
-    return _transition_table(_ATOM_SIGNS[i][0], math.cos(sc.a - sc.a_prime))
+    return _transition_table(_ATOM_SIGNS[i][0], math.cos(sc.theta_aa_prime))
 
 
 def _sequential_side2(i: int, sc: Scenario) -> ResponseTable:
-    return _transition_table(_ATOM_SIGNS[i][1], math.cos(sc.b - sc.b_prime))
+    return _transition_table(_ATOM_SIGNS[i][1], math.cos(sc.theta_bb_prime))
 
 
 def build_contextual_model(scenario: Scenario) -> HVModel:
@@ -202,9 +203,7 @@ def build_contextual_model(scenario: Scenario) -> HVModel:
         weights=_sequential_weight,
         side1=_sequential_side1,
         side2=_sequential_side2,
-        context=ContextDescriptor(
-            weights=("a", "b"), side1=("a", "a_prime"), side2=("b", "b_prime")
-        ),
+        context=ContextDescriptor(weights=("a", "b"), side1=SETTINGS[:2], side2=SETTINGS[2:]),
     )
 
 
@@ -251,8 +250,9 @@ def check_factorizability(model: HVModel) -> FactorizabilityReport:
     does not list move by fixed probe offsets, each alone and then all
     together. Models built by :func:`build_contextual_model` pass with
     deviation exactly zero; the check guards hand-built or file-loaded
-    models. Every check allows 1e-12. A non-finite entry at the model's
-    scenario or at a probe raises :class:`DistributionError`.
+    models. Every check allows 1e-12. An entry at the model's scenario
+    outside [-1e-12, 1 + 1e-12], or a non-finite entry at a probe, raises
+    :class:`DistributionError`.
     """
     tol = _FACTORIZABILITY_TOL
     sc = model.scenario
@@ -263,10 +263,10 @@ def check_factorizability(model: HVModel) -> FactorizabilityReport:
         per_atom = component != "weights"  # a side holds a distribution per atom
         for dist in table if per_atom else (table,):
             for p in dist:
-                if not math.isfinite(p) or p < -tol:
+                if not -tol <= p <= 1.0 + tol:  # also NaN; so no fsum overflows
                     raise DistributionError(f"response probability is invalid: {p!r}")
             normalization = max(normalization, abs(math.fsum(dist) - 1.0))
-        unread = [name for name in _SETTING_NAMES if name not in getattr(model.context, component)]
+        unread = [name for name in SETTINGS if name not in getattr(model.context, component)]
         moves = [[name] for name in unread] + ([unread] if len(unread) > 1 else [])
         for delta in _PROBE_OFFSETS:
             for names in moves:
@@ -300,8 +300,7 @@ def hv_correlator(model: HVModel, pair: Sequence[str]) -> float:
 
     ``pair`` must name one observable from each side, e.g. ("A1", "B2").
     """
-    if len(pair) != 2:
-        raise UnknownPairError(f"expected two observable labels, got {pair!r}")
+    pair = sequence(pair, "pair", UnknownPairError, 2)
     slots = dict(_SIDE_SLOTS.get(label, (None, None)) for label in pair)
     if slots.keys() != {0, 1}:
         raise UnknownPairError(
@@ -330,18 +329,22 @@ def model_from_tables(
     side2: Sequence[Sequence[float]],
     context: ContextDescriptor,
 ) -> HVModel:
-    """Wrap static weights and response tables (e.g. loaded from disk) as a model."""
-    if not (len(atom_ids) == len(weights) == len(side1) == len(side2)):
-        raise DistributionError("atom ids, weights, and tables must align")
-    s1, s2 = (tuple(tuple(real(p, "response entry", DistributionError) for p in t) for t in side)
-              for side in (side1, side2))
-    for table in (*s1, *s2):
-        if len(table) != 4:
-            raise DistributionError(f"response tables need 4 entries, got {len(table)}")
+    """Wrap static weights and response tables (e.g. loaded from disk) as a
+    model. Each argument is a sequence with one item per atom id
+    (``errors.sequence``), and each table a sequence of 4 numbers."""
+    ids = sequence(atom_ids, "atom ids", DistributionError)
+    s1, s2 = (
+        tuple(
+            tuple([real(p, "response entry", DistributionError)
+                   for p in sequence(t, "response table", DistributionError, 4)])
+            for t in sequence(side, "response table list", DistributionError, len(ids))
+        )
+        for side in (side1, side2)
+    )
     return HVModel(
         scenario=scenario,
-        atom_ids=tuple(atom_ids),
-        weights=_static(probabilities(weights, "atom weight")),
+        atom_ids=ids,
+        weights=_static(probabilities(weights, "atom weight", len(ids))),
         side1=_static(s1),
         side2=_static(s2),
         context=context,
@@ -356,7 +359,7 @@ def save_model(model: HVModel, path: str | Path) -> None:
     sc = model.scenario
     doc = {
         "format": _MODEL_FORMAT,
-        "scenario": {"mode": sc.mode.value, **{name: getattr(sc, name) for name in _SETTING_NAMES}},
+        "scenario": {"mode": sc.mode.value, **{name: getattr(sc, name) for name in SETTINGS}},
         "context": model.context.as_dict(),
         "atoms": [
             {"id": atom_id, "weight": w, "side1": list(t1), "side2": list(t2)}
@@ -384,7 +387,7 @@ def load_model(path: str | Path) -> HVModel:
     try:
         sc_doc = doc["scenario"]
         scenario = Scenario(
-            **{name: sc_doc[name] for name in _SETTING_NAMES}, mode=Mode(sc_doc["mode"])
+            **{name: sc_doc[name] for name in SETTINGS}, mode=Mode(sc_doc["mode"])
         )
         ctx_doc = doc["context"]
         # The descriptor rejects names that are not its setting names.
@@ -407,8 +410,7 @@ def load_model(path: str | Path) -> HVModel:
 class PairTargets:
     """The four pairwise distributions a joint distribution must match.
 
-    Labels are fixed: ``ab`` pairs (A1, B1), ``ab_prime`` (A1, B2),
-    ``a_prime_b`` (A2, B1), ``a_prime_b_prime`` (A2, B2). Consistency of
+    A field per ``CROSS_PAIRS`` entry holds that pair. Consistency of
     the shared single-observable marginals is checked by
     :func:`noncontextual_feasibility`, not at construction, so that
     deliberately inconsistent targets remain expressible.
@@ -467,9 +469,8 @@ class Verdict(enum.Enum):
 class ChshCertificate:
     """A CHSH sign variant whose value exceeds 2.
 
-    ``signs`` applies to the correlators in the order
-    (e_ab, e_ab_prime, e_a_prime_b, e_a_prime_b_prime); the product of
-    the four signs is -1.
+    ``signs`` applies to the correlators in ``CROSS_PAIRS`` order; the
+    product of the four signs is -1.
     """
 
     signs: tuple[int, int, int, int]

@@ -6,9 +6,9 @@ difference angles ``(theta_ab, theta_aa', theta_bb')`` and never leaves
 [-2, 2]. In EPRB mode, with an independent singlet correlator per pair,
 it reaches 2*sqrt(2).
 
-Angle-tuple conventions: sequential-mode functions take the three
-difference angles in the order above; EPRB-mode functions take the four
-absolute analyzer angles ``(a, a_prime, b, b_prime)``.
+Angle-tuple conventions (``ANGLE_NAMES``): sequential-mode functions take
+the three difference angles in the order above; EPRB-mode functions take
+the four absolute analyzer angles ``(a, a_prime, b, b_prime)``.
 """
 
 from __future__ import annotations
@@ -24,9 +24,10 @@ from .errors import (
     InvalidStepError,
     quoted,
     real,
+    sequence,
     three_digits,
 )
-from .quantum import TWO_PI, CorrelatorSet, Mode, canonical_angle
+from .quantum import SETTINGS, TWO_PI, CorrelatorSet, Mode, canonical_angle
 
 #: Largest |S| any joint distribution over the four outcomes allows.
 CLASSICAL_BOUND = 2.0
@@ -37,7 +38,12 @@ BOUND_TOL = 1e-9
 #: Refuse scans whose cell count would exhaust memory.
 _MAX_GRID_CELLS = 20_000_000
 
-_N_ANGLES = {Mode.SEQUENTIAL: 3, Mode.EPRB: 4}
+#: The angles S takes in each mode, in angle-tuple order, as the names of
+#: the ``Scenario`` attributes that hold them.
+ANGLE_NAMES = {
+    Mode.SEQUENTIAL: ("theta_ab", "theta_aa_prime", "theta_bb_prime"),
+    Mode.EPRB: SETTINGS,
+}
 
 #: The largest |S| in each mode. Both are attained, so each is the exact
 #: maximum that ``maximize_chsh`` certifies.
@@ -143,17 +149,12 @@ def _n_angles(mode: Mode) -> int:
     """How many angles S takes in ``mode``, which must be a :class:`Mode`."""
     if not isinstance(mode, Mode):
         raise InvalidScenarioError(f"mode must be a Mode, got {quoted(mode)}")
-    return _N_ANGLES[mode]
+    return len(ANGLE_NAMES[mode])
 
 
 def _check_angles(mode: Mode, angles) -> np.ndarray:
-    expected = _n_angles(mode)
-    x = np.asarray(angles, dtype=object)  # nothing coerced before ``real``
-    if x.shape != (expected,):
-        raise InvalidScenarioError(
-            f"{mode.value} mode takes {expected} angles, got shape {x.shape}"
-        )
-    return np.array([real(v, "angle", InvalidScenarioError) for v in x])
+    angles = sequence(angles, "angles", InvalidScenarioError, _n_angles(mode))
+    return np.array([real(v, "angle", InvalidScenarioError) for v in angles])
 
 
 def chsh_gradient(mode: Mode, angles) -> np.ndarray:

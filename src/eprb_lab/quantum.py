@@ -43,6 +43,7 @@ from .errors import (
     integer,
     quoted,
     real,
+    sequence,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -58,8 +59,12 @@ OBSERVABLES: tuple[str, str, str, str] = ("A1", "B1", "A2", "B2")
 
 _OBS_SLOT: dict[str, int] = {name: i for i, name in enumerate(OBSERVABLES)}
 
+#: The four analyzer settings in ``Scenario`` field order: particle 1's, then particle 2's.
+SETTINGS: tuple[str, str, str, str] = ("a", "a_prime", "b", "b_prime")
+
 #: The four cross-particle pairs in correlator order, keyed by the suffix
-#: of their correlator name (``ab`` gives ``e_ab``).
+#: of their correlator name (``ab`` gives ``e_ab``, ``CorrelatorSet``'s
+#: field) and of their difference angle (``Scenario.theta_ab``).
 CROSS_PAIRS: dict[str, tuple[str, str]] = {
     "ab": ("A1", "B1"),
     "ab_prime": ("A1", "B2"),
@@ -141,7 +146,7 @@ class Scenario:
     def __post_init__(self) -> None:
         if not isinstance(self.mode, Mode):
             raise InvalidScenarioError(f"mode must be a Mode, got {quoted(self.mode)}")
-        for name in ("a", "a_prime", "b", "b_prime"):
+        for name in SETTINGS:
             object.__setattr__(self, name, canonical_angle(getattr(self, name), f"angle {name}"))
 
     @property
@@ -200,10 +205,12 @@ def transition_prob(m_from: float, s_from: int, m_to: float, s_to: int) -> float
     return float(abs(amp) ** 2)
 
 
-def probabilities(values: Sequence, what: str) -> tuple[float, ...]:
-    """``values`` as floats if they form a distribution: each is a number
-    (``errors.real``), none is negative and their ``fsum`` lies within
-    1e-12 of 1. Otherwise raises ``DistributionError`` naming ``what``."""
+def probabilities(values: Sequence, what: str, length: int) -> tuple[float, ...]:
+    """``values`` as floats if they form a distribution: a sequence of
+    ``length`` entries (``errors.sequence``), each a number
+    (``errors.real``), none negative, whose ``fsum`` lies within 1e-12 of
+    1. Otherwise raises ``DistributionError`` naming ``what``."""
+    values = sequence(values, f"{what} list", DistributionError, length)
     probs = tuple([real(p, what, DistributionError) for p in values])
     for p in probs:
         if p < 0.0:
@@ -228,9 +235,7 @@ class GrandJointDistribution:
     probs: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if len(self.probs) != 16:
-            raise DistributionError(f"expected 16 probabilities, got {len(self.probs)}")
-        object.__setattr__(self, "probs", probabilities(self.probs, "probability"))
+        object.__setattr__(self, "probs", probabilities(self.probs, "probability", 16))
 
     def prob(self, quadruple: Sequence[int]) -> float:
         key = OutcomeQuadruple(*quadruple)
@@ -264,9 +269,7 @@ class PairDistribution:
                 raise UnknownPairError(f"unknown observable label: {quoted(name)}")
         if self.first == self.second:
             raise UnknownPairError(f"pair labels must differ, got {self.first!r} twice")
-        if len(self.probs) != 4:
-            raise DistributionError(f"expected 4 probabilities, got {len(self.probs)}")
-        object.__setattr__(self, "probs", probabilities(self.probs, "pair probability"))
+        object.__setattr__(self, "probs", probabilities(self.probs, "pair probability", 4))
 
     def prob(self, s_first: int, s_second: int) -> float:
         _check_sign(s_first)
@@ -288,12 +291,9 @@ _CORRELATOR_TOL = 1e-12
 
 @dataclass(frozen=True)
 class CorrelatorSet:
-    """The four cross-particle correlators of one scenario.
-
-    ``e_ab`` pairs the early outcomes, ``e_ab_prime`` pairs A1 with B2,
-    ``e_a_prime_b`` pairs A2 with B1, and ``e_a_prime_b_prime`` pairs the
-    late outcomes. Each value must lie in [-1, 1] within 1e-12.
-    """
+    """The four cross-particle correlators of one scenario, a field
+    ``e_<pair>`` per ``CROSS_PAIRS`` entry, in its order. Each value must
+    lie in [-1, 1] within 1e-12."""
 
     e_ab: float
     e_ab_prime: float
@@ -308,15 +308,11 @@ class CorrelatorSet:
             object.__setattr__(self, name, value)
 
     def as_dict(self) -> dict[str, float]:
-        return {
-            "e_ab": self.e_ab,
-            "e_ab_prime": self.e_ab_prime,
-            "e_a_prime_b": self.e_a_prime_b,
-            "e_a_prime_b_prime": self.e_a_prime_b_prime,
-        }
+        """The correlators by field name, in ``CROSS_PAIRS`` order."""
+        return {f"e_{pair}": getattr(self, f"e_{pair}") for pair in CROSS_PAIRS}
 
     def as_tuple(self) -> tuple[float, float, float, float]:
-        return (self.e_ab, self.e_ab_prime, self.e_a_prime_b, self.e_a_prime_b_prime)
+        return tuple(self.as_dict().values())
 
 
 def _analyzer_matrix(angle: float) -> np.ndarray:
@@ -406,8 +402,5 @@ def closed_form_correlators(scenario: Scenario) -> CorrelatorSet:
             e_a_prime_b_prime=-c_ab * c_aa * c_bb,
         )
     return CorrelatorSet(
-        e_ab=-math.cos(scenario.theta_ab),
-        e_ab_prime=-math.cos(scenario.theta_ab_prime),
-        e_a_prime_b=-math.cos(scenario.theta_a_prime_b),
-        e_a_prime_b_prime=-math.cos(scenario.theta_a_prime_b_prime),
+        **{f"e_{pair}": -math.cos(getattr(scenario, f"theta_{pair}")) for pair in CROSS_PAIRS}
     )

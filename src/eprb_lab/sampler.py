@@ -32,7 +32,7 @@ from typing import BinaryIO
 import numpy as np
 
 from ._shards import split
-from .errors import DistributionError, EmptySampleError, integer
+from .errors import DistributionError, EmptySampleError, integer, quoted, sequence
 from .quantum import PAIR_SLOTS, QUADRUPLES, CorrelatorSet, GrandJointDistribution
 
 GOLDEN = 0x9E3779B97F4A7C15
@@ -92,22 +92,24 @@ def uniforms(seed: int, start: int, count: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class OutcomeCounts:
-    """Tally of sampled quadruples, in canonical QUADRUPLES order."""
+    """Tally of sampled quadruples, in canonical QUADRUPLES order: 16
+    integers (``errors.integer``) from 0 to ``n`` that sum to ``n``."""
 
     counts: tuple[int, ...]
     n: int
     seed: int
 
     def __post_init__(self) -> None:
-        if len(self.counts) != 16:
-            raise DistributionError(f"expected 16 counts, got {len(self.counts)}")
-        object.__setattr__(self, "counts", tuple(int(c) for c in self.counts))
-        if any(c < 0 for c in self.counts):
-            raise DistributionError("counts must be nonnegative")
-        if sum(self.counts) != self.n:
+        n = integer(self.n, "n", DistributionError)
+        integer(self.seed, "seed", DistributionError, high=_U64_MAX)
+        counts = sequence(self.counts, "count list", DistributionError, 16)
+        for c in counts:
+            integer(c, "count", DistributionError, high=n)
+        if sum(counts) != n:
             raise DistributionError(
-                f"counts sum to {sum(self.counts)}, expected n = {self.n}"
+                f"n must be the sum of the counts, {quoted(sum(counts))}, got {quoted(n)}"
             )
+        object.__setattr__(self, "counts", counts)
 
 
 #: Draws per tally block: memory stays fixed and a block's passes stay in cache.
@@ -169,7 +171,7 @@ def sample(distribution: GrandJointDistribution, n: int, seed: int) -> OutcomeCo
                 total += np.frombuffer(data, dtype=np.int64)
             else:
                 total += _tally(distribution, seed, lo, hi)
-    return OutcomeCounts(counts=total, n=n, seed=seed)
+    return OutcomeCounts(counts=total.tolist(), n=n, seed=seed)
 
 
 def sample_sharded(
@@ -186,16 +188,15 @@ def sample_sharded(
     _check_draws(n, seed)
     k = min(integer(workers, "worker count", DistributionError, low=1), max(n, 1))
     total = sum(_tally(distribution, seed, w * n // k, (w + 1) * n // k) for w in range(k))
-    return OutcomeCounts(counts=total, n=n, seed=seed)
+    return OutcomeCounts(counts=total.tolist(), n=n, seed=seed)
 
 
 @dataclass(frozen=True)
 class EstimatedCorrelators:
     """Empirical correlators with their standard errors.
 
-    ``std_errors`` follows the same order as ``CorrelatorSet.as_tuple``:
-    (e_ab, e_ab_prime, e_a_prime_b, e_a_prime_b_prime); each entry is
-    sqrt((1 - estimate**2) / n).
+    ``std_errors`` follows ``CROSS_PAIRS`` order, as
+    ``CorrelatorSet.as_tuple`` does; each is sqrt((1 - estimate**2) / n).
     """
 
     estimates: CorrelatorSet

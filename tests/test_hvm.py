@@ -353,6 +353,15 @@ class TestCheckFactorizability:
         with pytest.raises(DistributionError):
             check_factorizability(model)
 
+    def test_entries_whose_sum_overflows_rejected(self, tmp_path):
+        # Finite numbers, so the model builds and loads; their fsum overflows.
+        built = model_from_tables(**{**ONE_ATOM, "side1": ((1e308, 1e308, 0.0, 0.0),)})
+        path = tmp_path / "model.json"
+        save_model(built, path)
+        for model in (built, load_model(path)):
+            with pytest.raises(DistributionError, match=r"^response probability is invalid: 1e\+308$"):
+                check_factorizability(model)
+
     def test_nan_at_a_probe_scenario_rejected(self):
         # Finite at the model's own scenario, NaN once b moves: max() would
         # drop the NaN deviation and report a pass.

@@ -1,10 +1,11 @@
 """One table of bad values fed to every public boundary that takes a
-number, an integer or a distribution.
+number, an integer, a sequence or a distribution.
 
 Each case must raise an ``EprbLabError`` subclass whose message is one
 line under 200 characters and ends by naming the value. Nothing is
 coerced: a bool, a string or None is not a number, and neither is an int
-beyond the float range.
+beyond the float range. None of the bad values is a sequence: the string
+is text, and the others have no length.
 """
 
 from __future__ import annotations
@@ -29,9 +30,9 @@ from eprb_lab import (
     transition_prob,
 )
 from eprb_lab.cli import parse_config
-from eprb_lab.errors import DistributionError, EprbLabError, quoted
-from eprb_lab.hvm import ContextDescriptor, model_from_tables
-from eprb_lab.sampler import sample, sample_sharded, uniforms
+from eprb_lab.errors import DistributionError, EprbLabError, InvalidScenarioError, quoted
+from eprb_lab.hvm import ContextDescriptor, build_contextual_model, hv_correlator, model_from_tables
+from eprb_lab.sampler import OutcomeCounts, sample, sample_sharded, uniforms
 
 BAD_VALUES = {
     "true": True,
@@ -54,6 +55,11 @@ ONE_ATOM = dict(
     context=ContextDescriptor(weights=(), side1=(), side2=()),
 )
 
+
+def one_atom(**changes):
+    return model_from_tables(**{**ONE_ATOM, **changes})
+
+
 BOUNDARIES = {
     "Scenario-a": lambda v: Scenario(v, 0.0, 0.0, 0.0),
     "Scenario-b_prime": lambda v: Scenario(0.0, 0.0, 0.0, v),
@@ -74,6 +80,9 @@ BOUNDARIES = {
     "GrandJointDistribution-entry": lambda v: GrandJointDistribution((v,) + (0.0,) * 14 + (1.0,)),
     "PairDistribution-entry": lambda v: PairDistribution("A1", "B1", (0.5, v, 0.0, 0.5)),
     "CorrelatorSet-entry": lambda v: CorrelatorSet(0.0, 0.0, v, 0.0),
+    "OutcomeCounts-count": lambda v: OutcomeCounts(counts=(v,) + (0,) * 15, n=1, seed=0),
+    "OutcomeCounts-n": lambda v: OutcomeCounts(counts=(0,) * 16, n=v, seed=0),
+    "OutcomeCounts-seed": lambda v: OutcomeCounts(counts=(0,) * 16, n=0, seed=v),
     "model_from_tables-weight": lambda v: model_from_tables(**{**ONE_ATOM, "weights": (v,)}),
     "model_from_tables-entry": lambda v: model_from_tables(
         **{**ONE_ATOM, "side2": ((1.0, 0.0, v, 0.0),)}
@@ -82,14 +91,27 @@ BOUNDARIES = {
         f"parse_config-{key}": (lambda key: lambda v: parse_config(CONFIG, {key: v}))(key)
         for key in ("a", "a_prime", "b", "b_prime", "step", "n", "seed")
     },
+    # Boundaries that take a whole sequence.
+    "GrandJointDistribution-probs": GrandJointDistribution,
+    "PairDistribution-probs": lambda v: PairDistribution("A1", "B1", v),
+    "OutcomeCounts-counts": lambda v: OutcomeCounts(counts=v, n=0, seed=0),
+    "maximize_chsh-angles": lambda v: maximize_chsh(Mode.EPRB, init_angles=v),
+    **{
+        f"model_from_tables-{key}": (lambda key: lambda v: one_atom(**{key: v}))(key)
+        for key in ("atom_ids", "weights", "side1", "side2")
+    },
+    "model_from_tables-table": lambda v: one_atom(side1=(v,)),
+    "hv_correlator-pair": lambda v: hv_correlator(build_contextual_model(Scenario(0, 0, 0, 0)), v),
 }
 
 #: Valid values among the bad ones: a worker count and a config's sample
 #: count have no upper bound. ``sample`` refuses counts past its draw
 #: budget (the ``sample-n`` rows), and more workers than draws only add
 #: empty shards (``test_huge_worker_count_tallies_at_most_one_shard_per_draw``
-#: in ``test_sampler.py``).
+#: in ``test_sampler.py``). ``maximize_chsh`` starts from zeros when its
+#: angles are None.
 VALID = {
+    ("maximize_chsh-angles", "none"),
     ("sample_sharded-workers", "10^400"),
     ("sample_sharded-workers", "10^5000"),
     ("parse_config-n", "10^400"),
@@ -113,6 +135,19 @@ def test_bad_value_is_a_package_error_of_one_short_line(boundary, value):
     message = str(caught.value)
     assert "\n" not in message and len(message) < 200, message
     assert message.endswith(f", got {quoted(bad)}"), message
+
+
+def test_outcome_counts_truncate_nothing():
+    with pytest.raises(DistributionError, match=r"^count must be an integer from 0 to 1, got 1\.9$"):
+        OutcomeCounts(counts=(1.9,) + (0,) * 15, n=1, seed=0)
+
+
+@pytest.mark.parametrize(
+    "angles", [{0.0, 1.0, 2.0}, dict.fromkeys((0.0, 1.0, 2.0), 0.0)], ids=["set", "mapping"]
+)
+def test_sets_and_mappings_are_not_angle_tuples(angles):
+    with pytest.raises(InvalidScenarioError, match="^angles must be a sequence, got "):
+        chsh_gradient(Mode.SEQUENTIAL, angles)
 
 
 @pytest.mark.parametrize(
