@@ -113,15 +113,6 @@ class ContextDescriptor:
         return {field: list(getattr(self, field)) for field in _CONTEXT_FIELDS}
 
 
-def _checked(value: Any, kind: type) -> Any:
-    """``value`` if it is a ``kind``, such as ``list`` or ``str``: models
-    built in code and loaded from a file coerce nothing. Numbers meet
-    ``errors.real``."""
-    if isinstance(value, kind):
-        return value
-    raise DistributionError(f"expected a {kind.__name__}, got {quoted(value)}")
-
-
 @dataclass(frozen=True)
 class HVModel:
     """A factorizable hidden-variable model over a finite atom space.
@@ -142,7 +133,11 @@ class HVModel:
     context: ContextDescriptor
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "atom_ids", tuple(_checked(i, str) for i in self.atom_ids))
+        ids = sequence(self.atom_ids, "atom ids", DistributionError)
+        for atom_id in ids:
+            if not isinstance(atom_id, str):  # models coerce nothing, as model files do not
+                raise DistributionError(f"atom id must be a string, got {quoted(atom_id)}")
+        object.__setattr__(self, "atom_ids", ids)
         if len(set(self.atom_ids)) != len(self.atom_ids):
             raise DistributionError("atom ids must be unique")
         probabilities(self.table("weights"), "atom weight", self.n_atoms)
@@ -222,9 +217,9 @@ class FactorizabilityReport:
 
     ``max_deviation`` is the worst violation of setting independence: how
     far a component moves with a setting that its descriptor does not
-    list, such as the other side's analyzers. A model stores one response
-    table per side, so its per-atom joint is their product by
-    construction and needs no check.
+    list, such as the other side's analyzers, which is also the locality
+    check. A model stores one response table per side, so its per-atom
+    joint is their product by construction and needs no check.
     ``normalization_error`` tracks how far weights and response tables
     stray from exact normalization; it gates ``passed`` but is reported
     separately because it measures validity, not factorizability.
@@ -232,7 +227,6 @@ class FactorizabilityReport:
 
     passed: bool
     max_deviation: float
-    locality_deviation: float
     normalization_error: float
 
 
@@ -241,6 +235,13 @@ _PROBE_OFFSETS = (0.9, 2.1, 3.3)
 
 #: Slack on negative response probabilities, normalization and locality.
 _FACTORIZABILITY_TOL = 1e-12
+
+
+def _distributions(model: HVModel, component: str, scenario: Scenario | None = None) -> tuple:
+    """The distributions ``component`` holds at ``scenario``: the weights
+    are one, and a side holds one per atom."""
+    table = model.table(component, scenario)
+    return (table,) if component == "weights" else table
 
 
 def check_factorizability(model: HVModel) -> FactorizabilityReport:
@@ -257,11 +258,9 @@ def check_factorizability(model: HVModel) -> FactorizabilityReport:
     tol = _FACTORIZABILITY_TOL
     sc = model.scenario
     normalization = deviation = 0.0
-    probes: dict[tuple, Scenario] = {}  # shared by components that move the same settings
     for component in _CONTEXT_FIELDS:
-        table = model.table(component)
-        per_atom = component != "weights"  # a side holds a distribution per atom
-        for dist in table if per_atom else (table,):
+        dists = _distributions(model, component)
+        for dist in dists:
             for p in dist:
                 if not -tol <= p <= 1.0 + tol:  # also NaN; so no fsum overflows
                     raise DistributionError(f"response probability is invalid: {p!r}")
@@ -270,12 +269,10 @@ def check_factorizability(model: HVModel) -> FactorizabilityReport:
         moves = [[name] for name in unread] + ([unread] if len(unread) > 1 else [])
         for delta in _PROBE_OFFSETS:
             for names in moves:
-                key = (delta, *names)
-                if key not in probes:
-                    probes[key] = replace(sc, **{name: getattr(sc, name) + delta for name in names})
-                moved = model.table(component, probes[key])
-                if moved != table:  # an unmoved table deviates by 0
-                    for before, after in zip(table, moved) if per_atom else [(table, moved)]:
+                probe = replace(sc, **{name: getattr(sc, name) + delta for name in names})
+                moved = _distributions(model, component, probe)
+                if moved != dists:  # an unmoved component deviates by 0
+                    for before, after in zip(dists, moved):
                         for x, y in zip(before, after):
                             if not math.isfinite(y):  # max() would drop a NaN deviation
                                 raise DistributionError(f"response probability is invalid: {y!r}")
@@ -284,14 +281,13 @@ def check_factorizability(model: HVModel) -> FactorizabilityReport:
     return FactorizabilityReport(
         passed=deviation <= tol and normalization <= tol,
         max_deviation=deviation,
-        locality_deviation=deviation,
         normalization_error=normalization,
     )
 
 
 #: Each observable's side (0 for particle 1) and its slot in that side's
-#: sign pair.
-_SIDE_SLOTS = {"A1": (0, 0), "A2": (0, 1), "B1": (1, 0), "B2": (1, 1)}
+#: sign pair: ``OBSERVABLES`` alternates the sides, early time first.
+_SIDE_SLOTS = {obs: (i % 2, i // 2) for i, obs in enumerate(OBSERVABLES)}
 
 
 def hv_correlator(model: HVModel, pair: Sequence[str]) -> float:
@@ -391,15 +387,14 @@ def load_model(path: str | Path) -> HVModel:
         )
         ctx_doc = doc["context"]
         # The descriptor rejects names that are not its setting names.
-        context = ContextDescriptor(**{f: _checked(ctx_doc[f], list) for f in _CONTEXT_FIELDS})
+        context = ContextDescriptor(
+            **{f: sequence(ctx_doc[f], f"{f} context", ModelFormatError) for f in _CONTEXT_FIELDS}
+        )
         atoms = doc["atoms"]
-        # model_from_tables checks the ids, weights and entries.
-        tables = [[_checked(atom[side], list) for atom in atoms] for side in ("side1", "side2")]
+        # model_from_tables checks the ids, weights, tables and entries.
         return model_from_tables(
             scenario,
-            [atom["id"] for atom in atoms],
-            [atom["weight"] for atom in atoms],
-            *tables,
+            *([atom[key] for atom in atoms] for key in ("id", "weight", "side1", "side2")),
             context,
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
@@ -537,15 +532,10 @@ _SHARED_MARGINALS = {
 }
 
 
-def _shared_marginals(cells: Sequence[float]):
-    """Each observable, its copies, and its P(+1) in each copy, read from
-    ``cells`` only after the caller is done with the observables before it."""
-    for obs, copies in _SHARED_MARGINALS.items():
-        yield obs, copies, [cells[i] + cells[j] for (i, j), _ in copies]
-
-
-def _check_consistency(cells: Sequence[float]) -> None:
-    for obs, _, (m1, m2) in _shared_marginals(cells):
+def _check_consistency(targets: PairTargets) -> None:
+    for obs in OBSERVABLES:
+        m1, m2 = [getattr(targets, name).marginal(obs, 1)
+                  for name, pair in CROSS_PAIRS.items() if obs in pair]
         if abs(m1 - m2) > _CONSISTENCY_TOL:
             raise InconsistentTargetsError(
                 f"targets disagree on P({obs}=+1): {m1!r} vs {m2!r}"
@@ -559,8 +549,10 @@ def _average_shared_marginals(cells: np.ndarray) -> None:
     changed in place. Moving a marginal by d adds d/2 to the two cells
     where the observable is +1 and takes d/2 from the other two, which
     leaves the pair's correlator and its other marginal as they were.
+    Each observable's margins are read after the one before it has moved.
     """
-    for _, copies, margins in _shared_marginals(cells):
+    for copies in _SHARED_MARGINALS.values():
+        margins = [cells[i] + cells[j] for (i, j), _ in copies]
         mean = 0.5 * (margins[0] + margins[1])
         for (plus, minus), m in zip(copies, margins):
             cells[plus] += 0.5 * (mean - m)
@@ -579,8 +571,7 @@ def noncontextual_feasibility(targets: PairTargets) -> FeasibilityResult:
     quadruples (the mixture weights of the deterministic assignments).
     """
     tol = _FEASIBILITY_TOL
-    cells = [p for name in CROSS_PAIRS for p in getattr(targets, name).probs]
-    _check_consistency(cells)
+    _check_consistency(targets)
     variants = chsh_variant_values(targets.correlators())
     best_signs = max(variants, key=lambda signs: variants[signs])
     if variants[best_signs] > 2.0 + tol:
@@ -590,6 +581,7 @@ def noncontextual_feasibility(targets: PairTargets) -> FeasibilityResult:
             certificate=ChshCertificate(signs=best_signs, value=variants[best_signs]),
         )
 
+    cells = [p for name in CROSS_PAIRS for p in getattr(targets, name).probs]
     a, b = _FEASIBILITY_ROWS, np.array([*cells, 1.0])
     result = solve_equality_feasibility(a, b, tol=tol)
     if not result.feasible:

@@ -80,9 +80,10 @@ def solve_equality_feasibility(a: np.ndarray, b: np.ndarray, tol: float = 1e-9) 
         leaving = min(near, key=lambda r: basis[r])
         pivot = tableau[leaving, entering]
         tableau[leaving] /= pivot
-        for r in range(m):
-            if r != leaving and tableau[r, entering] != 0.0:
-                tableau[r] -= tableau[r, entering] * tableau[leaving]
+        # Rows with a zero factor are skipped, so no -0.0 entry turns to 0.0.
+        rows = np.flatnonzero(tableau[:, entering])
+        rows = rows[rows != leaving]
+        tableau[rows] -= np.outer(tableau[rows, entering], tableau[leaving])
         cost -= cost[entering] * tableau[leaving]
         basis[leaving] = entering
         iterations += 1

@@ -363,9 +363,7 @@ def marginal_pair(
     ``which`` names two distinct observables out of ``A1, B1, A2, B2``.
     Plain summation over the remaining two outcomes.
     """
-    if len(which) != 2:
-        raise UnknownPairError(f"expected two observable labels, got {which!r}")
-    first, second = which
+    first, second = sequence(which, "observable labels", UnknownPairError, 2)
     # PairDistribution rejects unknown and repeated labels; until then an
     # unknown label reads slot 0.
     i, j = _OBS_SLOT.get(first, 0), _OBS_SLOT.get(second, 0)

@@ -93,14 +93,16 @@ def uniforms(seed: int, start: int, count: int) -> np.ndarray:
 @dataclass(frozen=True)
 class OutcomeCounts:
     """Tally of sampled quadruples, in canonical QUADRUPLES order: 16
-    integers (``errors.integer``) from 0 to ``n`` that sum to ``n``."""
+    integers (``errors.integer``) from 0 to ``n`` that sum to ``n``. ``n``
+    is at most 2**64, the size of the counter domain and so the most draws
+    ``uniforms`` can index."""
 
     counts: tuple[int, ...]
     n: int
     seed: int
 
     def __post_init__(self) -> None:
-        n = integer(self.n, "n", DistributionError)
+        n = integer(self.n, "n", DistributionError, high=_U64_MAX + 1)
         integer(self.seed, "seed", DistributionError, high=_U64_MAX)
         counts = sequence(self.counts, "count list", DistributionError, 16)
         for c in counts:

@@ -37,7 +37,7 @@ GOLDEN = {
     ("seq", "chsh-max", "csv"): (0, "ee7a62b72195dfdac51f9122c891bd3e6db0ecc138fea0729376e020c104b18a"),
     ("seq", "chsh-max", "json"): (0, "6e4e86b5af0e2205e6a272e900e441c7672d54b08d696755fddd4cd16e8c0a7e"),
     ("seq", "hvm-check", "csv"): (0, "f2a869132fdeab20bb7eecbe96631e50964ebba808858811f9ca612b9a46e75c"),
-    ("seq", "hvm-check", "json"): (0, "a26e20f014f09a06ed873dd9d42441117d3ba7f076bc25b02629c800fc82eef3"),
+    ("seq", "hvm-check", "json"): (0, "e2d55081c728a0423d734beef4bf115bd8dcbfa9d0b4a26065944a3fcc00b1bb"),
     ("seq", "joint-feasibility", "csv"): (0, "9b7646c97f789bbe80419d26e029de5b41e910ab5305dc66d6fd1e9d8ce1fb66"),
     ("seq", "joint-feasibility", "json"): (0, "6ea0ac78b887e70a1cf7d89090f1614843c887dd95e6db09d071f7c926ead0bc"),
     ("seq-aligned", "exact", "csv"): (0, "998ec9aa06235034e0fc0d1ee16291a0c69f197169e9318cffa1f77f2b0c6b86"),
@@ -49,7 +49,7 @@ GOLDEN = {
     ("seq-aligned", "chsh-max", "csv"): (0, "ee7a62b72195dfdac51f9122c891bd3e6db0ecc138fea0729376e020c104b18a"),
     ("seq-aligned", "chsh-max", "json"): (0, "483590f74cf4e96c52573043f7baec30b3a9b1ef774b2f645cf7b25de531871d"),
     ("seq-aligned", "hvm-check", "csv"): (0, "23ac43b33bdc10a61f20f57cfa5f94f2fe74363443329da33986a95a67901cfc"),
-    ("seq-aligned", "hvm-check", "json"): (0, "a5d8ae3eaa967acd8a7bc0f0aa057a05510fa5b148d47376dcbdd094138e2aec"),
+    ("seq-aligned", "hvm-check", "json"): (0, "f7f9964f9c63bea5b064c80a1d72f28f2b9ad6e871f003cc36ee600c3f679a07"),
     ("seq-aligned", "joint-feasibility", "csv"): (0, "9b7646c97f789bbe80419d26e029de5b41e910ab5305dc66d6fd1e9d8ce1fb66"),
     ("seq-aligned", "joint-feasibility", "json"): (0, "0673fcbe0d2f507c28ad383675cf630b9cc557be2d8108a8c28143173e48540b"),
     ("eprb", "exact", "csv"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),

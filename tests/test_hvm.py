@@ -272,7 +272,6 @@ class TestCheckFactorizability:
         report = check_factorizability(model)
         assert report.passed
         assert report.max_deviation == 0.0
-        assert report.locality_deviation == 0.0
 
     @pytest.mark.parametrize(
         "side, opposite_angle",
@@ -298,8 +297,7 @@ class TestCheckFactorizability:
         )
         report = check_factorizability(model)
         assert not report.passed
-        assert report.locality_deviation > 1e-3
-        assert report.max_deviation == report.locality_deviation
+        assert report.max_deviation > 1e-3
 
     def test_weights_reading_unlisted_setting_fails(self):
         model = sign_model(
@@ -362,22 +360,16 @@ class TestCheckFactorizability:
             with pytest.raises(DistributionError, match=r"^response probability is invalid: 1e\+308$"):
                 check_factorizability(model)
 
-    def test_nan_at_a_probe_scenario_rejected(self):
+    @pytest.mark.parametrize("component", ["weights", "side1", "side2"])
+    def test_nan_at_a_probe_scenario_rejected(self, component):
         # Finite at the model's own scenario, NaN once b moves: max() would
         # drop the NaN deviation and report a pass.
         own = Scenario(0.0, 0.0, 0.0, 0.0)
-
-        def side1(i, sc):
-            return (1.0, 0.0, 0.0, 0.0) if sc.b == own.b else (math.nan,) * 4
-
-        model = HVModel(
-            scenario=own,
-            atom_ids=("l0",),
-            weights=lambda i, sc: 1.0,
-            side1=side1,
-            side2=lambda i, sc: (1.0, 0.0, 0.0, 0.0),
-            context=PLAIN_CONTEXT,
-        )
+        steady = {"weights": 1.0, "side1": (1.0, 0.0, 0.0, 0.0), "side2": (1.0, 0.0, 0.0, 0.0)}
+        nan = math.nan if component == "weights" else (math.nan,) * 4
+        parts = {name: (lambda i, sc, value=value: value) for name, value in steady.items()}
+        parts[component] = lambda i, sc: steady[component] if sc.b == own.b else nan
+        model = HVModel(scenario=own, atom_ids=("l0",), context=PLAIN_CONTEXT, **parts)
         with pytest.raises(DistributionError):
             check_factorizability(model)
 

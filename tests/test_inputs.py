@@ -25,13 +25,20 @@ from eprb_lab import (
     chsh_gradient,
     grand_joint_quantum,
     make_spin_state,
+    marginal_pair,
     maximize_chsh,
     scan_grid,
     transition_prob,
 )
 from eprb_lab.cli import parse_config
 from eprb_lab.errors import DistributionError, EprbLabError, InvalidScenarioError, quoted
-from eprb_lab.hvm import ContextDescriptor, build_contextual_model, hv_correlator, model_from_tables
+from eprb_lab.hvm import (
+    ContextDescriptor,
+    HVModel,
+    build_contextual_model,
+    hv_correlator,
+    model_from_tables,
+)
 from eprb_lab.sampler import OutcomeCounts, sample, sample_sharded, uniforms
 
 BAD_VALUES = {
@@ -102,6 +109,15 @@ BOUNDARIES = {
     },
     "model_from_tables-table": lambda v: one_atom(side1=(v,)),
     "hv_correlator-pair": lambda v: hv_correlator(build_contextual_model(Scenario(0, 0, 0, 0)), v),
+    "marginal_pair-which": lambda v: marginal_pair(D, v),
+    "HVModel-atom_ids": lambda v: HVModel(
+        scenario=ONE_ATOM["scenario"],
+        atom_ids=v,
+        weights=lambda i, sc: 1.0,
+        side1=lambda i, sc: (1.0, 0.0, 0.0, 0.0),
+        side2=lambda i, sc: (1.0, 0.0, 0.0, 0.0),
+        context=ONE_ATOM["context"],
+    ),
 }
 
 #: Valid values among the bad ones: a worker count and a config's sample

@@ -352,7 +352,7 @@ class TestMarginalPair:
     def test_label_validation(self):
         d = grand_joint_quantum(Scenario(0.1, 0.2, 0.3, 0.4))
         for which, message in (
-            (("A1",), "expected two observable labels, got ('A1',)"),
+            (("A1",), "observable labels must be a sequence of 2, got 1 items"),
             (("A1", "A1"), "pair labels must differ, got 'A1' twice"),
             (("A1", "X9"), "unknown observable label: 'X9'"),
             (("X9", "A1"), "unknown observable label: 'X9'"),

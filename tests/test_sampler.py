@@ -661,6 +661,11 @@ class TestOutcomeCounts:
         with pytest.raises(DistributionError):
             OutcomeCounts(counts=(-1, 1) + (0,) * 14, n=0, seed=0)
 
+    def test_n_past_the_counter_domain_rejected(self):
+        message = f"^n must be an integer from 0 to {2**64}, got {2**64 + 1}$"
+        with pytest.raises(DistributionError, match=message):
+            OutcomeCounts(counts=(2**64 + 1,) + (0,) * 15, n=2**64 + 1, seed=0)
+
 
 class TestEmpiricalCorrelators:
     def test_point_mass_pins_correlators(self):
@@ -674,6 +679,16 @@ class TestEmpiricalCorrelators:
         assert est.estimates.e_a_prime_b_prime == -1.0
         assert est.std_errors == (0.0, 0.0, 0.0, 0.0)
         assert est.n == 1000
+
+    def test_whole_counter_domain_in_one_cell(self):
+        # 2**64 draws, every one on (A1,B1,A2,B2) = (+1,+1,+1,-1): the
+        # largest tally a seed's counter can index still divides as floats.
+        index = QUADRUPLES.index((1, 1, 1, -1))
+        counts = tuple(2**64 if i == index else 0 for i in range(16))
+        est = empirical_correlators(OutcomeCounts(counts=counts, n=2**64, seed=0))
+        assert est.estimates.as_tuple() == (1.0, -1.0, 1.0, -1.0)
+        assert est.std_errors == (0.0, 0.0, 0.0, 0.0)
+        assert est.n == 2**64
 
     def test_hand_tallied_counts(self):
         # 1,3,3,1 draws on quadruples 0, 5, 10, 15 (n = 8). Each of those
