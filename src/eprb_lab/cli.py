@@ -33,7 +33,9 @@ a scan's S column is computed exactly in numpy where 1e-4 <= |S| < 10,
 and by ``%`` otherwise (``_number_lines``). JSON reports are strict
 JSON: they never contain NaN or infinities. Reports are ASCII bytes; CSV
 is rendered only when it is written, a line (for ``chsh-scan``, a slab) at
-a time, a large ``chsh-scan`` CSV by shards in children (``_scan_csv_lines``).
+a time, so a scan's render holds one slab whatever the grid's size
+(``_shard_lines``). A large ``chsh-scan`` CSV is rendered by shards in
+children, for wall time (``_scan_csv_lines``).
 
 Run as ``eprb-lab`` or as ``python -m eprb_lab.cli``.
 
@@ -380,28 +382,6 @@ def _number_lines(values: np.ndarray) -> np.ndarray:
     return lines
 
 
-def _distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The sorted distinct values and each value's int32 index among them.
-
-    The result equals ``np.unique(values, return_inverse=True)`` but peaks
-    near 2.1x ``values.nbytes`` instead of 5x: the sorted copy is dropped
-    once its first occurrences are marked, and the index is int32.
-    """
-    order = np.argsort(values)
-    ordered = values[order]
-    first = np.empty(len(values), dtype=bool)
-    first[:1] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
-    distinct = ordered[first]
-    del ordered
-    rank = np.cumsum(first, dtype=np.int32)
-    del first
-    rank -= 1
-    inverse = np.empty(len(values), dtype=np.int32)
-    inverse[order] = rank
-    return distinct, inverse
-
-
 #: Fewest cells worth a render shard in a child process: rendering them
 #: takes 0.03 s (EPRB) to 0.06 s (sequential), against about 2 ms to fork
 #: and reap a child and 16-19 ms to copy its 19 MB of lines to an output file.
@@ -412,24 +392,23 @@ def _shard_lines(report: ScanReport, axis_text: list[str], lo: int, hi: int) -> 
     """The CSV rows of slabs ``lo`` to ``hi - 1``, a slab of ASCII lines at a time.
 
     A slab is the cells that share one value of the first angle, in cell
-    order. The text of their other angles, the tail, is the same in every
+    order, and is the render's unit of work: only one slab's buffers live
+    at a time. The text of its other angles, the tail, is the same in every
     slab and is joined once; each axis value is formatted once, in
-    ``axis_text``. The shard's distinct S values (``_distinct``) are
-    formatted once each (``_number_lines``), and a slab's S column is
-    gathered from them by index. A line joins the strings of its cell; the
-    bytes equal those of the per-cell row ``_fmt(math.degrees(angle))``,
-    ..., ``_fmt(float(s))``.
+    ``axis_text``. A slab's distinct S values (``np.unique``) are formatted
+    once each (``_number_lines``), and its S column is gathered from them
+    by index. A line joins the strings of its cell; the bytes equal those
+    of the per-cell row ``_fmt(math.degrees(angle))``, ..., ``_fmt(float(s))``.
     """
     k = len(_SCAN_COLUMNS[report.mode])
     slab = len(axis_text) ** (k - 1)
-    distinct, inverse = _distinct(report.s_values[lo * slab : hi * slab])
-    s_text = _number_lines(distinct)
-    del distinct  # a generator's locals live until it is closed
     parts = [""] * (3 * slab)  # per line: head, tail, S
     parts[1::3] = [",".join(tail) + "," for tail in itertools.product(axis_text, repeat=k - 1)]
-    for i, head in enumerate(axis_text[lo:hi]):
-        parts[0::3] = [head + ","] * slab
-        parts[2::3] = s_text[inverse[i * slab : (i + 1) * slab]].tolist()
+    for i in range(lo, hi):
+        s_values = report.s_values[i * slab : (i + 1) * slab]
+        distinct, inverse = np.unique(s_values, return_inverse=True)
+        parts[0::3] = [axis_text[i] + ","] * slab
+        parts[2::3] = _number_lines(distinct)[inverse].tolist()
         yield "".join(parts).encode("ascii")
 
 

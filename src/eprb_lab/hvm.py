@@ -79,6 +79,7 @@ from .quantum import (
     correlator_pair,
     grand_joint_quantum,
     marginal_pair,
+    observable,
     probabilities,
 )
 
@@ -101,12 +102,14 @@ class ContextDescriptor:
 
     def __post_init__(self) -> None:
         for field in _CONTEXT_FIELDS:
-            names = tuple(getattr(self, field))
+            names = sequence(getattr(self, field), f"{field} context", InvalidScenarioError)
             object.__setattr__(self, field, names)
             for name in names:
-                if name not in _READABLE[field]:
+                if not (isinstance(name, str) and name in _READABLE[field]):
                     readable = ", ".join(_READABLE[field])
-                    raise InvalidScenarioError(f"{field} may list only {readable}, got {name!r}")
+                    raise InvalidScenarioError(
+                        f"{field} may list only {readable}, got {quoted(name)}"
+                    )
 
     def as_dict(self) -> dict[str, list[str]]:
         """The descriptor as the model file and the reports write it."""
@@ -297,7 +300,7 @@ def hv_correlator(model: HVModel, pair: Sequence[str]) -> float:
     ``pair`` must name one observable from each side, e.g. ("A1", "B2").
     """
     pair = sequence(pair, "pair", UnknownPairError, 2)
-    slots = dict(_SIDE_SLOTS.get(label, (None, None)) for label in pair)
+    slots = dict(_SIDE_SLOTS[observable(label)] for label in pair)
     if slots.keys() != {0, 1}:
         raise UnknownPairError(
             f"pair {pair!r} must combine one of A1/A2 with one of B1/B2; "
@@ -386,10 +389,8 @@ def load_model(path: str | Path) -> HVModel:
             **{name: sc_doc[name] for name in SETTINGS}, mode=Mode(sc_doc["mode"])
         )
         ctx_doc = doc["context"]
-        # The descriptor rejects names that are not its setting names.
-        context = ContextDescriptor(
-            **{f: sequence(ctx_doc[f], f"{f} context", ModelFormatError) for f in _CONTEXT_FIELDS}
-        )
+        # The descriptor rejects lists that are not sequences of its setting names.
+        context = ContextDescriptor(**{f: ctx_doc[f] for f in _CONTEXT_FIELDS})
         atoms = doc["atoms"]
         # model_from_tables checks the ids, weights, tables and entries.
         return model_from_tables(

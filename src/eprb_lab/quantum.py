@@ -59,6 +59,15 @@ OBSERVABLES: tuple[str, str, str, str] = ("A1", "B1", "A2", "B2")
 
 _OBS_SLOT: dict[str, int] = {name: i for i, name in enumerate(OBSERVABLES)}
 
+
+def observable(label: object) -> str:
+    """``label`` if it names one of ``OBSERVABLES``; otherwise raises
+    ``UnknownPairError``, also for a label that cannot be hashed."""
+    if isinstance(label, str) and label in _OBS_SLOT:
+        return label
+    raise UnknownPairError(f"unknown observable label: {quoted(label)}")
+
+
 #: The four analyzer settings in ``Scenario`` field order: particle 1's, then particle 2's.
 SETTINGS: tuple[str, str, str, str] = ("a", "a_prime", "b", "b_prime")
 
@@ -238,11 +247,11 @@ class GrandJointDistribution:
         object.__setattr__(self, "probs", probabilities(self.probs, "probability", 16))
 
     def prob(self, quadruple: Sequence[int]) -> float:
-        key = OutcomeQuadruple(*quadruple)
+        key = sequence(quadruple, "outcome quadruple", DistributionError, 4)
         try:
             return self.probs[_QUAD_INDEX[key]]
-        except KeyError:
-            raise DistributionError(f"not an outcome quadruple: {quadruple!r}") from None
+        except (KeyError, TypeError):  # TypeError: an entry that cannot be hashed
+            raise DistributionError(f"not an outcome quadruple: {quoted(quadruple)}") from None
 
     def items(self) -> Iterator[tuple[OutcomeQuadruple, float]]:
         return zip(QUADRUPLES, self.probs)
@@ -264,9 +273,8 @@ class PairDistribution:
     probs: tuple[float, float, float, float]
 
     def __post_init__(self) -> None:
-        for name in (self.first, self.second):
-            if name not in _OBS_SLOT:
-                raise UnknownPairError(f"unknown observable label: {quoted(name)}")
+        observable(self.first)
+        observable(self.second)
         if self.first == self.second:
             raise UnknownPairError(f"pair labels must differ, got {self.first!r} twice")
         object.__setattr__(self, "probs", probabilities(self.probs, "pair probability", 4))
@@ -363,10 +371,9 @@ def marginal_pair(
     ``which`` names two distinct observables out of ``A1, B1, A2, B2``.
     Plain summation over the remaining two outcomes.
     """
-    first, second = sequence(which, "observable labels", UnknownPairError, 2)
-    # PairDistribution rejects unknown and repeated labels; until then an
-    # unknown label reads slot 0.
-    i, j = _OBS_SLOT.get(first, 0), _OBS_SLOT.get(second, 0)
+    labels = sequence(which, "observable labels", UnknownPairError, 2)
+    first, second = map(observable, labels)  # PairDistribution rejects a repeated label
+    i, j = _OBS_SLOT[first], _OBS_SLOT[second]
     sums = [0.0, 0.0, 0.0, 0.0]
     for q, p in distribution.items():
         sums[PAIR_INDEX[(q[i], q[j])]] += p

@@ -31,7 +31,13 @@ from eprb_lab import (
     transition_prob,
 )
 from eprb_lab.cli import parse_config
-from eprb_lab.errors import DistributionError, EprbLabError, InvalidScenarioError, quoted
+from eprb_lab.errors import (
+    DistributionError,
+    EprbLabError,
+    InvalidScenarioError,
+    UnknownPairError,
+    quoted,
+)
 from eprb_lab.hvm import (
     ContextDescriptor,
     HVModel,
@@ -110,6 +116,9 @@ BOUNDARIES = {
     "model_from_tables-table": lambda v: one_atom(side1=(v,)),
     "hv_correlator-pair": lambda v: hv_correlator(build_contextual_model(Scenario(0, 0, 0, 0)), v),
     "marginal_pair-which": lambda v: marginal_pair(D, v),
+    "GrandJointDistribution-prob": D.prob,
+    "ContextDescriptor-weights": lambda v: ContextDescriptor(weights=v, side1=(), side2=()),
+    "ContextDescriptor-side1": lambda v: ContextDescriptor(weights=(), side1=v, side2=()),
     "HVModel-atom_ids": lambda v: HVModel(
         scenario=ONE_ATOM["scenario"],
         atom_ids=v,
@@ -156,6 +165,29 @@ def test_bad_value_is_a_package_error_of_one_short_line(boundary, value):
 def test_outcome_counts_truncate_nothing():
     with pytest.raises(DistributionError, match=r"^count must be an integer from 0 to 1, got 1\.9$"):
         OutcomeCounts(counts=(1.9,) + (0,) * 15, n=1, seed=0)
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: marginal_pair(D, (["A1"], "B1")), UnknownPairError, "['A1']"),
+        (lambda: PairDistribution(["A1"], "B1", (1.0, 0.0, 0.0, 0.0)), UnknownPairError, "['A1']"),
+        (lambda: PairDistribution("A1", ["B1"], (1.0, 0.0, 0.0, 0.0)), UnknownPairError, "['B1']"),
+        (
+            lambda: hv_correlator(build_contextual_model(Scenario(0, 0, 0, 0)), (["A1"], "B1")),
+            UnknownPairError,
+            "['A1']",
+        ),
+        (lambda: D.prob(([1], 1, 1, 1)), DistributionError, "([1], 1, 1, 1)"),
+        (lambda: D.prob((1, 1, 1)), DistributionError, "a sequence of 4, got 3 items"),
+    ],
+    ids=["marginal_pair", "pair-first", "pair-second", "hv_correlator", "quadruple", "triple"],
+)
+def test_unhashable_labels_and_short_quadruples_are_package_errors(build, error, message):
+    # A label or quadruple is looked up in a dict, which cannot hash a list.
+    with pytest.raises(error) as caught:
+        build()
+    assert str(caught.value).endswith(message)
 
 
 @pytest.mark.parametrize(
