@@ -77,7 +77,6 @@ from .sampler import (
     OutcomeCounts,
     empirical_correlators,
     sample,
-    sample_sharded,
     uniforms,
 )
 
@@ -135,6 +134,5 @@ __all__ = [
     "OutcomeCounts",
     "empirical_correlators",
     "sample",
-    "sample_sharded",
     "uniforms",
 ]

@@ -1,9 +1,12 @@
 """Contiguous shards of one job, run in forked children: the package's one
 fork path, shared by ``sampler.sample`` and the ``chsh-scan`` CSV render.
 
-``split`` is the whole protocol. Each child runs its shard's task against
-an anonymous memory file (``os.memfd_create``) and leaves through
-``os._exit``; no child outlives the generator.
+``split`` is the whole protocol. A caller gives one function that returns
+a shard's bytes, and ``split`` hands back bytes for every shard. Each child
+writes its shard's bytes to an anonymous memory file (``os.memfd_create``)
+and leaves through ``os._exit``; shard 0, and any shard whose fork or child
+fails, is done by the same function in this process. No child outlives the
+generator.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import signal
 import threading
 import warnings
 from pathlib import Path
-from typing import BinaryIO, Callable, Generator, Iterator
+from typing import Callable, Generator, Iterable, Iterator
 
 #: cgroup files that cap the process's CPU time as "quota period": v2, then v1.
 _QUOTA_FILES = (
@@ -26,9 +29,6 @@ _QUOTA_FILES = (
 
 #: Largest read of a child's output, so a caller never holds a whole shard.
 _CHUNK_BYTES = 1 << 20
-
-#: A shard's task: ``task(lo, hi, sink)`` does units lo..hi-1 into ``sink``.
-Task = Callable[[int, int, BinaryIO], object]
 
 
 def _quota_cpus() -> float:
@@ -56,7 +56,7 @@ def shard_count(units: int, min_units: int) -> int:
 
 
 class Child:
-    """One shard's task in a forked child, which writes to a memory file.
+    """One shard's work in a forked child, which writes to a memory file.
 
     ``pid`` is None once the child is reaped, or when it never started.
     """
@@ -65,9 +65,9 @@ class Child:
         self.pid: int | None = None
         self.fd = -1
 
-    def start(self, task: Task, lo: int, hi: int) -> None:
-        """Fork a child that runs ``task(lo, hi, sink)`` on the memory file;
-        a child that cannot be made is left unstarted, and joins as None."""
+    def start(self, work: Callable[[int, int], Iterable[bytes]], lo: int, hi: int) -> None:
+        """Fork a child that writes ``work(lo, hi)`` to the memory file; a
+        child that cannot be made is left unstarted, and joins as None."""
         try:
             self.fd = os.memfd_create("eprb-lab-shard", os.MFD_CLOEXEC)
             # numpy's import leaves an OpenBLAS thread running, and Python
@@ -87,7 +87,7 @@ class Child:
             status = 1
             try:
                 with open(self.fd, "wb", closefd=False) as sink:
-                    task(lo, hi, sink)
+                    sink.writelines(work(lo, hi))
                 status = 0
             finally:
                 # No stdio flush and no atexit: the parent owns both.
@@ -124,29 +124,30 @@ class Child:
 
 
 def split(
-    units: int, min_units: int, task: Task
-) -> Generator[tuple[int, int, Iterator[bytes] | None], None, None]:
+    units: int, min_units: int, work: Callable[[int, int], Iterable[bytes]]
+) -> Generator[tuple[int, int, Iterable[bytes]], None, None]:
     """Each contiguous shard of ``range(units)`` as ``(lo, hi, output)``,
-    in ascending order.
+    in ascending order, where ``output`` is the bytes ``work(lo, hi)``
+    returns for units lo..hi-1.
 
-    Every shard after the first runs ``task(lo, hi, sink)`` in a forked
-    child, and all children start before shard 0 is yielded. ``output``
-    reads a child's bytes, in chunks of at most ``_CHUNK_BYTES``, once it
-    has exited 0, until the next shard is asked for. It is None for shard
-    0 and for any shard whose fork or child failed: the caller does those
-    shards itself. Ending or closing the generator kills and reaps every
-    child; a caller holds it in ``contextlib.closing``, so that happens
-    however its loop ends.
+    Every shard after the first runs ``work`` in a forked child, and all
+    children start before shard 0 is yielded. A child that exited 0 gives
+    its bytes in chunks of at most ``_CHUNK_BYTES``, readable until the
+    next shard is asked for. Shard 0, and any shard whose fork or child
+    failed, gives ``work(lo, hi)`` called here. Ending or closing the
+    generator kills and reaps every child; a caller holds it in
+    ``contextlib.closing``, so that happens however its loop ends.
     """
     shards = shard_count(units, min_units)
     edges = [w * units // shards for w in range(shards + 1)]
     children = [Child() for _ in range(shards - 1)]
     try:
         for w, child in enumerate(children, 1):
-            child.start(task, edges[w], edges[w + 1])
-        yield edges[0], edges[1], None
+            child.start(work, edges[w], edges[w + 1])
+        yield edges[0], edges[1], work(edges[0], edges[1])
         for w, child in enumerate(children, 1):
-            yield edges[w], edges[w + 1], child.join()
+            lo, hi = edges[w], edges[w + 1]
+            yield lo, hi, child.join() or work(lo, hi)
             child.close()  # frees the shard's memory file
     finally:
         for child in children:

@@ -56,7 +56,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-from typing import Any, BinaryIO, Callable, Generator, Iterable, Iterator
+from typing import Any, Callable, Generator, Iterable, Iterator
 
 import numpy as np
 
@@ -423,14 +423,11 @@ def _scan_csv_lines(report: ScanReport) -> Generator[bytes, None, None]:
     columns = _SCAN_COLUMNS[report.mode]
     yield (",".join(columns) + ",s\n").encode("ascii")
     axis_text = [_fmt(math.degrees(v)) for v in report.axis]
-
-    def task(lo: int, hi: int, sink: BinaryIO) -> None:
-        sink.writelines(_shard_lines(report, axis_text, lo, hi))
-
+    work = functools.partial(_shard_lines, report, axis_text)
     min_slabs = math.ceil(_MIN_SHARD_CELLS / len(axis_text) ** (len(columns) - 1))
-    with contextlib.closing(split(len(axis_text), min_slabs, task)) as shards:
-        for lo, hi, output in shards:
-            yield from output or _shard_lines(report, axis_text, lo, hi)
+    with contextlib.closing(split(len(axis_text), min_slabs, work)) as shards:
+        for _, _, output in shards:
+            yield from output
 
 
 def _payload_chsh_scan(config: RunConfig) -> _Payload:

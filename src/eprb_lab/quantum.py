@@ -249,8 +249,10 @@ class GrandJointDistribution:
     def prob(self, quadruple: Sequence[int]) -> float:
         key = sequence(quadruple, "outcome quadruple", DistributionError, 4)
         try:
+            for sign in key:  # a bool or float would hash as the int it equals
+                integer(sign, "outcome sign", DistributionError, -1, 1)
             return self.probs[_QUAD_INDEX[key]]
-        except (KeyError, TypeError):  # TypeError: an entry that cannot be hashed
+        except (DistributionError, KeyError):
             raise DistributionError(f"not an outcome quadruple: {quoted(quadruple)}") from None
 
     def items(self) -> Iterator[tuple[OutcomeQuadruple, float]]:

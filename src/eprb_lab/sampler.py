@@ -10,9 +10,9 @@ finalizer (xor-shift 30, multiply 0xBF58476D1CE4E5B9, xor-shift 27,
 multiply 0x94D049BB133111EB, xor-shift 31, all modulo 2**64). The uniform
 double is ``(word >> 11) * 2**-53``, in [0, 1). Every quantity is a pure
 function of ``(seed, i)``, so the stream is identical on every platform
-and any contiguous split of the index range across workers reproduces
-the single-worker sequence exactly. Platform or library generators are
-deliberately not used anywhere in this module.
+and any contiguous split of the index range reproduces the unsplit
+sequence exactly. Platform or library generators are deliberately not
+used anywhere in this module.
 
 Outcomes invert the cumulative distribution over the 16 quadruples in
 canonical ``QUADRUPLES`` order: draw ``u`` lands in cell ``#{k: cdf[k] <= u}``.
@@ -27,7 +27,6 @@ from __future__ import annotations
 import contextlib
 import math
 from dataclasses import dataclass
-from typing import BinaryIO
 
 import numpy as np
 
@@ -156,40 +155,23 @@ def sample(distribution: GrandJointDistribution, n: int, seed: int) -> OutcomeCo
     """Draw ``n`` quadruples by inverse-CDF over the canonical ordering.
 
     The draw range is tallied in contiguous shards (``_shards.split``). A
-    child's output is its shard's 16 int64 counts; a shard that comes
-    without exactly those is tallied here. The counts equal
+    shard's bytes are its 16 int64 counts; a shard that comes without
+    exactly those is tallied here. The counts equal
     ``_tally(distribution, seed, 0, n)``.
     """
     _check_draws(n, seed)
 
-    def task(lo: int, hi: int, sink: BinaryIO) -> None:
-        sink.write(_tally(distribution, seed, lo, hi).tobytes())
+    def work(lo: int, hi: int) -> tuple[bytes]:
+        return (_tally(distribution, seed, lo, hi).tobytes(),)
 
     total = np.zeros(16, dtype=np.int64)
-    with contextlib.closing(split(n, _MIN_SHARD_DRAWS, task)) as shards:
+    with contextlib.closing(split(n, _MIN_SHARD_DRAWS, work)) as shards:
         for lo, hi, output in shards:
-            data = b"".join(output or ())
+            data = b"".join(output)
             if len(data) == _COUNTS_BYTES:
                 total += np.frombuffer(data, dtype=np.int64)
             else:
                 total += _tally(distribution, seed, lo, hi)
-    return OutcomeCounts(counts=total.tolist(), n=n, seed=seed)
-
-
-def sample_sharded(
-    distribution: GrandJointDistribution, n: int, seed: int, workers: int
-) -> OutcomeCounts:
-    """Split the draw-index range contiguously across ``workers``.
-
-    Shard ``w`` of ``k = min(workers, max(n, 1))`` handles indices
-    [w*n//k, (w+1)*n//k): more workers than draws would only add empty
-    shards. Since each index maps to its word independently of the split,
-    the combined tally equals ``sample(distribution, n, seed)`` for every
-    worker count.
-    """
-    _check_draws(n, seed)
-    k = min(integer(workers, "worker count", DistributionError, low=1), max(n, 1))
-    total = sum(_tally(distribution, seed, w * n // k, (w + 1) * n // k) for w in range(k))
     return OutcomeCounts(counts=total.tolist(), n=n, seed=seed)
 
 

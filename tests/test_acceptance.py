@@ -38,7 +38,7 @@ from eprb_lab.quantum import (
     marginal_pair,
     correlator_pair,
 )
-from eprb_lab.sampler import empirical_correlators, sample, sample_sharded
+from eprb_lab.sampler import _tally, empirical_correlators, sample
 
 TWO_PI = 2.0 * math.pi
 TSIRELSON = 2.0 * math.sqrt(2.0)
@@ -186,7 +186,8 @@ def test_criterion_7_sampler_fidelity():
 
     first = sample(d, n, 0)
     assert sample(d, n, 0) == first
-    assert sample_sharded(d, n, 0, workers=4) == first
+    parts = sum(_tally(d, 0, w * n // 4, (w + 1) * n // 4) for w in range(4))
+    assert tuple(int(c) for c in parts) == first.counts
 
 
 @criterion(8, "analytic gradients match central finite differences to 1e-6")

@@ -45,7 +45,7 @@ from eprb_lab.hvm import (
     hv_correlator,
     model_from_tables,
 )
-from eprb_lab.sampler import OutcomeCounts, sample, sample_sharded, uniforms
+from eprb_lab.sampler import OutcomeCounts, sample, uniforms
 
 BAD_VALUES = {
     "true": True,
@@ -89,7 +89,6 @@ BOUNDARIES = {
     "uniforms-count": lambda v: uniforms(0, 0, v),
     "sample-n": lambda v: sample(D, v, 0),
     "sample-seed": lambda v: sample(D, 0, v),
-    "sample_sharded-workers": lambda v: sample_sharded(D, 10, 0, v),
     "GrandJointDistribution-entry": lambda v: GrandJointDistribution((v,) + (0.0,) * 14 + (1.0,)),
     "PairDistribution-entry": lambda v: PairDistribution("A1", "B1", (0.5, v, 0.0, 0.5)),
     "CorrelatorSet-entry": lambda v: CorrelatorSet(0.0, 0.0, v, 0.0),
@@ -129,16 +128,12 @@ BOUNDARIES = {
     ),
 }
 
-#: Valid values among the bad ones: a worker count and a config's sample
-#: count have no upper bound. ``sample`` refuses counts past its draw
-#: budget (the ``sample-n`` rows), and more workers than draws only add
-#: empty shards (``test_huge_worker_count_tallies_at_most_one_shard_per_draw``
-#: in ``test_sampler.py``). ``maximize_chsh`` starts from zeros when its
-#: angles are None.
+#: Valid values among the bad ones: a config's sample count has no upper
+#: bound, and ``sample`` refuses counts past its draw budget (the
+#: ``sample-n`` rows). ``maximize_chsh`` starts from zeros when its angles
+#: are None.
 VALID = {
     ("maximize_chsh-angles", "none"),
-    ("sample_sharded-workers", "10^400"),
-    ("sample_sharded-workers", "10^5000"),
     ("parse_config-n", "10^400"),
     ("parse_config-n", "10^5000"),
 }
@@ -180,11 +175,17 @@ def test_outcome_counts_truncate_nothing():
         ),
         (lambda: D.prob(([1], 1, 1, 1)), DistributionError, "([1], 1, 1, 1)"),
         (lambda: D.prob((1, 1, 1)), DistributionError, "a sequence of 4, got 3 items"),
+        (lambda: D.prob((True, 1, 1, 1)), DistributionError, "(True, 1, 1, 1)"),
+        (lambda: D.prob((1.0, 1, 1, 1)), DistributionError, "(1.0, 1, 1, 1)"),
     ],
-    ids=["marginal_pair", "pair-first", "pair-second", "hv_correlator", "quadruple", "triple"],
+    ids=[
+        "marginal_pair", "pair-first", "pair-second", "hv_correlator", "quadruple", "triple",
+        "bool-sign", "float-sign",
+    ],
 )
 def test_unhashable_labels_and_short_quadruples_are_package_errors(build, error, message):
-    # A label or quadruple is looked up in a dict, which cannot hash a list.
+    # A label or quadruple is looked up in a dict, which cannot hash a list
+    # and would match a bool or float sign to the int it equals.
     with pytest.raises(error) as caught:
         build()
     assert str(caught.value).endswith(message)

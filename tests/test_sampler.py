@@ -38,7 +38,6 @@ from eprb_lab.sampler import (
     OutcomeCounts,
     empirical_correlators,
     sample,
-    sample_sharded,
     uniforms,
 )
 
@@ -346,49 +345,46 @@ class TestSample:
 
 
 class TestSampleSharded:
+    """Sharded sampling: any contiguous split of the draw range tallies as
+    the whole range does, and ``sample`` checks its arguments before any
+    draw."""
+
+    @staticmethod
+    def assert_parts_tally_as_one(n, parts):
+        d = grand_joint_quantum(Scenario(0.3, 1.7, 2.2, 5.1))
+        total = sum(_tally(d, 9, w * n // parts, (w + 1) * n // parts) for w in range(parts))
+        assert np.array_equal(total, _tally(d, 9, 0, n))
+
     @pytest.mark.parametrize("workers", [1, 2, 3, 7, 16])
     def test_matches_single_stream(self, workers):
-        d = grand_joint_quantum(Scenario(0.3, 1.7, 2.2, 5.1))
-        n = 100_003  # deliberately not divisible by most worker counts
-        assert sample_sharded(d, n, seed=9, workers=workers) == sample(d, n, seed=9)
+        self.assert_parts_tally_as_one(100_003, workers)  # not divisible by most part counts
 
     @pytest.mark.parametrize("workers", [1, 2, 3, 4])
     def test_shard_edges_inside_tally_blocks(self, workers):
-        d = grand_joint_quantum(Scenario(0.3, 1.7, 2.2, 5.1))
-        n = 3 * _TALLY_BLOCK + 5
-        assert sample_sharded(d, n, seed=9, workers=workers) == sample(d, n, seed=9)
+        self.assert_parts_tally_as_one(3 * _TALLY_BLOCK + 5, workers)
 
     @pytest.mark.parametrize("bad", [-1, True, 2.0, "3", None])
     def test_sample_count_checked_as_in_sample(self, bad):
         d = point_mass(0)
         message = f"sample count must be an integer from 0 to 1073741824, got {bad!r}"
-        entry_points = (
-            lambda: sample(d, bad, seed=0),
-            lambda: sample_sharded(d, bad, seed=0, workers=2),
-        )
-        for draw in entry_points:
-            with pytest.raises(DistributionError) as caught:
-                draw()
-            assert str(caught.value) == message
+        with pytest.raises(DistributionError) as caught:
+            sample(d, bad, seed=0)
+        assert str(caught.value) == message
 
     def test_draw_budget_refused_before_any_draw(self):
         d = point_mass(0)
         sampler._check_draws(_MAX_DRAWS, 0)
         for n in (_MAX_DRAWS + 1, 2**64, 10**4000):
-            for draw in (
-                lambda: sample(d, n, seed=0),
-                lambda: sample_sharded(d, n, seed=0, workers=2),
-            ):
-                tracemalloc.start()
-                try:
-                    with pytest.raises(DistributionError, match="^sample count must be an integer from 0 to 1073741824, got ") as caught:
-                        draw()
-                    peak = tracemalloc.get_traced_memory()[1]
-                finally:
-                    tracemalloc.stop()
-                # One block of draws alone would take 8 * 2**16 bytes.
-                assert peak < 64_000
-                assert len(str(caught.value)) < 200
+            tracemalloc.start()
+            try:
+                with pytest.raises(DistributionError, match="^sample count must be an integer from 0 to 1073741824, got ") as caught:
+                    sample(d, n, seed=0)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            # One block of draws alone would take 8 * 2**16 bytes.
+            assert peak < 64_000
+            assert len(str(caught.value)) < 200
 
     def test_count_past_the_int_text_limit_quoted_in_one_line(self):
         # 10**5000 has more digits than Python turns into text by default.
@@ -397,23 +393,6 @@ class TestSampleSharded:
         assert str(caught.value) == (
             "sample count must be an integer from 0 to 1073741824, got 1.00e+5000"
         )
-
-    def test_invalid_workers_rejected(self):
-        d = point_mass(0)
-        with pytest.raises(DistributionError):
-            sample_sharded(d, 10, seed=0, workers=0)
-        with pytest.raises(DistributionError):
-            sample_sharded(d, 10, seed=0, workers=-2)
-
-    def test_huge_worker_count_tallies_at_most_one_shard_per_draw(self, monkeypatch):
-        d = grand_joint_quantum(Scenario(0.3, 1.7, 2.2, 5.1))
-        for n in (0, 1, 10):
-            want = sample(d, n, 0)
-            shards = []
-            monkeypatch.setattr(sampler, "_tally", lambda *args: shards.append(args) or _tally(*args))
-            assert sample_sharded(d, n, 0, 10**5000) == want
-            assert len(shards) == max(n, 1)
-            monkeypatch.undo()
 
 
 @st.composite
@@ -461,7 +440,6 @@ class TestForkedShards:
             got = sample(d, n, seed)
         assert len(forks) == max(0, min(cpus, n // min_shard) - 1)
         assert got.counts == tuple(int(c) for c in _tally(d, seed, 0, n))
-        assert got == sample_sharded(d, n, seed, workers=3)
         assert open_fds() == fds
 
     @pytest.mark.parametrize("n, seed", [(0, -1), (0, "x"), (0, 2**64), (10**7, -1)])
@@ -469,10 +447,9 @@ class TestForkedShards:
         force_cpus(monkeypatch, 2)
         message = f"seed must be an integer from 0 to {MASK64}, got {seed!r}"
         with counted_forks(monkeypatch) as forks:
-            for draw in (lambda: sample(self.D, n, seed), lambda: sample_sharded(self.D, n, seed, 3)):
-                with pytest.raises(DistributionError) as caught:
-                    draw()
-                assert str(caught.value) == message
+            with pytest.raises(DistributionError) as caught:
+                sample(self.D, n, seed)
+            assert str(caught.value) == message
         assert forks == []
 
     def test_forks_at_most_one_child_per_other_cpu(self, monkeypatch):
