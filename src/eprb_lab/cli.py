@@ -35,7 +35,10 @@ JSON: they never contain NaN or infinities. Reports are ASCII bytes; CSV
 is rendered only when it is written, a line (for ``chsh-scan``, a slab) at
 a time, so a scan's render holds one slab whatever the grid's size
 (``_shard_lines``). A large ``chsh-scan`` CSV is rendered by shards in
-children, for wall time (``_scan_csv_lines``).
+children, for wall time (``_scan_csv_lines``). Each slab's S comes from the
+scan report (``ScanReport._slab``): a sequential slab is computed where it
+is rendered, from one n-by-n table, while the EPRB grid is held whole by
+the scan and read by the children through copy-on-write.
 
 Run as ``eprb-lab`` or as ``python -m eprb_lab.cli``.
 
@@ -383,8 +386,9 @@ def _number_lines(values: np.ndarray) -> np.ndarray:
 
 
 #: Fewest cells worth a render shard in a child process: rendering them
-#: takes 0.03 s (EPRB) to 0.06 s (sequential), against about 2 ms to fork
-#: and reap a child and 16-19 ms to copy its 19 MB of lines to an output file.
+#: takes 0.03 s (EPRB) to 0.04-0.05 s (sequential), against 3-4 ms to fork
+#: and reap a child and 4-7 ms to copy its 18.5 MB of lines from its memory
+#: file to an output file in the page cache (2 shared vCPUs).
 _MIN_SHARD_CELLS = 1 << 18
 
 
@@ -395,20 +399,20 @@ def _shard_lines(report: ScanReport, axis_text: list[str], lo: int, hi: int) -> 
     order, and is the render's unit of work: only one slab's buffers live
     at a time. The text of its other angles, the tail, is the same in every
     slab and is joined once; each axis value is formatted once, in
-    ``axis_text``. A slab's distinct S values (``np.unique``) are formatted
-    once each (``_number_lines``), and its S column is gathered from them
-    by index. A line joins the strings of its cell; the bytes equal those
-    of the per-cell row ``_fmt(math.degrees(angle))``, ..., ``_fmt(float(s))``.
+    ``axis_text``. The report gives a slab's S as values and an index
+    (``ScanReport._slab``); each value is formatted once
+    (``_number_lines``), and the S column is gathered from them by index.
+    A line joins the strings of its cell; the bytes equal those of the
+    per-cell row ``_fmt(math.degrees(angle))``, ..., ``_fmt(float(s))``.
     """
     k = len(_SCAN_COLUMNS[report.mode])
-    slab = len(axis_text) ** (k - 1)
-    parts = [""] * (3 * slab)  # per line: head, tail, S
+    cells = len(axis_text) ** (k - 1)
+    parts = [""] * (3 * cells)  # per line: head, tail, S
     parts[1::3] = [",".join(tail) + "," for tail in itertools.product(axis_text, repeat=k - 1)]
     for i in range(lo, hi):
-        s_values = report.s_values[i * slab : (i + 1) * slab]
-        distinct, inverse = np.unique(s_values, return_inverse=True)
-        parts[0::3] = [axis_text[i] + ","] * slab
-        parts[2::3] = _number_lines(distinct)[inverse].tolist()
+        values, index = report._slab(i)
+        parts[0::3] = [axis_text[i] + ","] * cells
+        parts[2::3] = _number_lines(values)[index].tolist()
         yield "".join(parts).encode("ascii")
 
 

@@ -13,8 +13,10 @@ the four absolute analyzer angles ``(a, a_prime, b, b_prime)``.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -101,13 +103,16 @@ def chsh_sequential_closed(theta_ab, theta_aa_prime, theta_bb_prime):
     ``-cos(t_ab) * (1 + cos(t_bb') + cos(t_aa')*cos(t_bb') - cos(t_aa'))``.
     Accepts scalars or broadcasting arrays; scalars in, float out.
     """
-    c_ab = np.cos(theta_ab)
-    c_aa = np.cos(theta_aa_prime)
-    c_bb = np.cos(theta_bb_prime)
-    s = -c_ab * (1.0 + c_bb + c_aa * c_bb - c_aa)
+    s = -np.cos(theta_ab) * _factor(np.cos(theta_aa_prime), np.cos(theta_bb_prime))
     if np.ndim(s) == 0:
         return float(s)
     return s
+
+
+def _factor(c_aa, c_bb):
+    """The sequential closed form's second factor, ``S = -c_ab * F``:
+    ``F = 1 + c_bb' + c_aa'*c_bb' - c_aa'``, in that order of operations."""
+    return 1.0 + c_bb + c_aa * c_bb - c_aa
 
 
 def _grad_sequential(x: np.ndarray) -> np.ndarray:
@@ -168,13 +173,22 @@ def chsh_gradient(mode: Mode, angles) -> np.ndarray:
     return _GRAD_FUNCS[mode](x)
 
 
+#: Slab i of a scan as ``(values, index)``: its S in cell order is
+#: ``values[index]``.
+_Slab = Callable[[int], tuple[np.ndarray, np.ndarray]]
+
+
 @dataclass(frozen=True)
 class ScanReport:
     """Exhaustive grid evaluation of S.
 
     The grid is ``axis`` (read-only) on each of the mode's angles; cells
-    are enumerated lexicographically, the last angle fastest, and
-    ``s_values`` holds S per cell in that order. ``argmax_angles`` is the
+    are enumerated lexicographically, the last angle fastest. A slab is
+    the cells that share one value of the first angle, and ``_slab(i)``
+    gives slab i's S as ``(values, index)``, S being ``values[index]`` in
+    cell order: the render formats each of ``values`` once. In sequential
+    mode no array of every cell's S is kept; the EPRB grid is held whole
+    (``scan_grid`` says why). ``argmax_angles`` is the
     lexicographically first cell whose |S| lies within 1e-9 of
     ``max_abs_s`` (float rounding can split cells that are equal in exact
     arithmetic).
@@ -183,13 +197,13 @@ class ScanReport:
     mode: Mode
     step: float
     axis: np.ndarray
-    s_values: np.ndarray
     max_abs_s: float
     argmax_angles: tuple[float, ...]
+    _slab: _Slab = field(repr=False, compare=False)
 
     @property
     def n_cells(self) -> int:
-        return self.s_values.shape[0]
+        return self.axis.shape[0] ** len(ANGLE_NAMES[self.mode])
 
 
 def _grid_axis(step: float, k: int) -> np.ndarray:
@@ -229,48 +243,88 @@ def _eprb_grid(axis: np.ndarray) -> np.ndarray:
     return s
 
 
+#: A mode's grid as ``scan_grid`` reads it: ``(ends, cells, slab)``. Row i
+#: of ``ends`` holds slab i's largest and smallest S, ``cells(i)`` is slab
+#: i's S in cell order, and ``slab`` is the report's accessor.
+_Grid = tuple[np.ndarray, Callable[[int], np.ndarray], _Slab]
+
+
+def _eprb_slabs(axis: np.ndarray) -> _Grid:
+    """The EPRB grid held whole (``_eprb_grid``), one slab a row; a slab's
+    values are its distinct S (``np.unique``)."""
+    rows = _eprb_grid(axis).reshape(axis.shape[0], -1)
+    return rows, rows.__getitem__, lambda i: np.unique(rows[i], return_inverse=True)
+
+
+def _sequential_slabs(axis: np.ndarray) -> _Grid:
+    """The sequential grid as ``-c_ab[i] * F``, ``F`` one (aa', bb') table.
+
+    Every slab multiplies the same ``F`` (``_factor``) by its own
+    ``m = -c_ab[i]``, as ``chsh_sequential_closed`` does, so no slab is
+    stored. Rounded multiplication is monotone, so the slab's extremes are
+    exactly ``fl(m * min F)`` and ``fl(m * max F)``, in the order of m's
+    sign. A slab's values are ``m * np.unique(F)``, the table's distinct
+    values found once, on first use.
+    """
+    c = np.cos(axis)
+    m = -c
+    f = _factor(c[:, None], c).reshape(-1)
+    ends = m[:, None] * np.array([f.min(), f.max()])
+    distinct = functools.cache(lambda: np.unique(f, return_inverse=True))
+
+    def slab(i: int) -> tuple[np.ndarray, np.ndarray]:
+        values, index = distinct()
+        return m[i] * values, index
+
+    return ends, lambda i: m[i] * f, slab
+
+
 def scan_grid(mode: Mode, step: float) -> ScanReport:
     """Evaluate S on the full angle grid of the given step (radians).
 
-    Each axis carries the multiples of ``step`` inside [0, 2*pi). S is
-    written into one array of a cell each, by broadcasting over one axis
-    per angle, so no array of angle tuples is built; the peak memory is
-    close to ``s_values`` itself. Its max |S| and argmax are reduced row
-    by row, one row per value of the first angle. In sequential mode the
-    classical bound is asserted on every cell; a violation raises
-    :class:`BoundViolationError` and signals a defect, not a property of
-    the input.
+    Each axis carries the multiples of ``step`` inside [0, 2*pi). Max |S|
+    is reduced from each slab's largest and smallest S, and the argmax is
+    sought only in the first slab that reaches it; no array of angle
+    tuples is built. The report's ``_slab`` gives each slab's S to the
+    render.
+
+    - Sequential mode evaluates the closed form as ``-c_ab * F``
+      (``_sequential_slabs``) and builds no array of every cell's S, so
+      its memory is a few n-by-n tables whatever the grid. Its slab
+      extremes are exact, so the classical bound is asserted on every
+      cell; a violation raises :class:`BoundViolationError` and signals a
+      defect, not a property of the input.
+    - EPRB mode writes S into one array of a cell each (``_eprb_grid``),
+      and its peak memory is close to that array. Computed a slab at a
+      time it ran faster, but the peak RSS of a process that then checks
+      the grid with full-size temporaries of its own rose by 11%. Both
+      effects came from glibc's dynamic mmap threshold: with the
+      threshold fixed, the rise and the speed-up were gone.
     """
     k = _n_angles(mode)
     axis = _grid_axis(step, k)
-    if mode is Mode.EPRB:
-        s_values = _eprb_grid(axis).reshape(-1)
-    else:
-        mesh = np.meshgrid(axis, axis, axis, indexing="ij", sparse=True)
-        s_values = chsh_sequential_closed(*mesh).reshape(-1)
-    n = axis.shape[0]
-    rows = s_values.reshape(n, -1)
-    hi, lo = rows.max(axis=1), rows.min(axis=1)
+    ends, cells, slab = (_eprb_slabs if mode is Mode.EPRB else _sequential_slabs)(axis)
+    hi, lo = ends.max(axis=1), ends.min(axis=1)
     max_abs = float(max(hi.max(), -lo.min()))
     if mode is Mode.SEQUENTIAL and max_abs > CLASSICAL_BOUND + BOUND_TOL:
         raise BoundViolationError(
             f"sequential closed form reached |S| = {max_abs!r}; this cannot "
             "happen in exact arithmetic and indicates a defect"
         )
-    # The first cell within 1e-9 of max |S| lies in the first row that has one.
+    # The first cell within 1e-9 of max |S| lies in the first slab that has one.
     near = max_abs - 1e-9
     r = int(np.argmax((hi >= near) | (lo <= -near)))
-    row = rows[r]
+    row = cells(r)
     argmax_idx = r * row.shape[0] + int(np.argmax((row >= near) | (row <= -near)))
     axis.setflags(write=False)
-    s_values.setflags(write=False)
+    n = axis.shape[0]
     return ScanReport(
         mode=mode,
         step=float(step),
         axis=axis,
-        s_values=s_values,
         max_abs_s=max_abs,
         argmax_angles=tuple(float(axis[i]) for i in np.unravel_index(argmax_idx, (n,) * k)),
+        _slab=slab,
     )
 
 

@@ -1,6 +1,6 @@
 """Shared test plumbing: the acceptance-criteria result banner, the angle
-rows of a scan, a guard against child processes left behind, and the
-means to force and count forked shards.
+rows and S values of a scan, a guard against child processes left behind,
+and the means to force and count forked shards.
 
 Acceptance tests register one verdict each via :func:`record_criterion`;
 the verdicts are printed as a summary section at the end of the pytest
@@ -24,6 +24,12 @@ def angle_rows(report) -> np.ndarray:
     """One row of angles per cell of a scan report, in its cell order."""
     mesh = np.meshgrid(*([report.axis] * len(report.argmax_angles)), indexing="ij")
     return np.stack([m.reshape(-1) for m in mesh], axis=-1)
+
+
+def scan_values(report) -> np.ndarray:
+    """Every cell's S of a scan report, in its cell order: its slabs joined."""
+    slabs = [report._slab(i) for i in range(len(report.axis))]
+    return np.concatenate([values[index] for values, index in slabs])
 
 
 def open_fds() -> int:

@@ -23,9 +23,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import eprb_lab
-from conftest import angle_rows, counted_forks, force_cpus, open_fds
-from eprb_lab import __version__, _shards, cli
+from conftest import angle_rows, counted_forks, force_cpus, open_fds, scan_values
+from eprb_lab import __version__, _shards, cli, inequality
 from eprb_lab.cli import (
+    EXIT_BOUND_VIOLATION,
     EXIT_INPUT,
     EXIT_OK,
     Report,
@@ -37,7 +38,7 @@ from eprb_lab.cli import (
     parse_config,
     run,
 )
-from eprb_lab.errors import ConfigError
+from eprb_lab.errors import BoundViolationError, ConfigError
 from eprb_lab.inequality import ScanReport, chsh_value, scan_grid
 from eprb_lab.quantum import (
     Mode,
@@ -200,8 +201,11 @@ def _report_of(mode: Mode, values: list[float]) -> ScanReport:
     while size**k < len(values):
         size += 1
     axis = np.arange(size) * (2.0 * math.pi / size)
-    s_values = np.resize(np.array(values, dtype=float), size**k)
-    return ScanReport(mode, 2.0 * math.pi / size, axis, s_values, 0.0, (0.0,) * k)
+    slabs = np.resize(np.array(values, dtype=float), size**k).reshape(size, -1)
+    return ScanReport(
+        mode, 2.0 * math.pi / size, axis, 0.0, (0.0,) * k,
+        lambda i: np.unique(slabs[i], return_inverse=True),
+    )
 
 
 def _number_lines_of(values) -> list[str]:
@@ -258,7 +262,7 @@ class TestNumberLines:
     def test_percent_formats_only_values_outside_fixed_notation(self, mode, step, monkeypatch):
         # Marking the % format shows which lines it wrote: only zeros,
         # values that %g writes with an exponent, |S| >= 10 and non-finite.
-        distinct = np.unique(scan_grid(mode, math.radians(step)).s_values)
+        distinct = np.unique(scan_values(scan_grid(mode, math.radians(step))))
         monkeypatch.setattr(cli, "_NUMBER", "%.17g~")
         marked = ["~" in line for line in cli._number_lines(distinct).tolist()]
         want = [
@@ -288,7 +292,7 @@ class TestScanCsvFormat:
         report = _report_of(mode, values)
         rows = [
             ",".join([*map(_fmt, map(math.degrees, angles)), _fmt(float(s))]) + "\n"
-            for angles, s in zip(angle_rows(report), report.s_values)
+            for angles, s in zip(angle_rows(report), scan_values(report))
         ]
         lines = b"".join(_scan_csv_lines(report)).decode("ascii").splitlines(keepends=True)
         assert lines[0] == ",".join(cli._SCAN_COLUMNS[mode]) + ",s\n"
@@ -336,14 +340,13 @@ class TestScanCsvFormat:
         ],
     )
     def test_renderer_peak_memory(self, mode, step, bound, monkeypatch):
-        # The bound is a multiple of the S array: the ceilings met by renders
-        # that deduplicated the whole grid's S at once (near 5.1x with
-        # np.unique's inverse, then near 2.1x, and 4.51x on the sequential
-        # grid's 360,205 distinct S strings). A slab at a time peaks near
-        # 0.39x (sequential) and 1.19x (EPRB). One shard, so the whole
-        # render runs in this process.
+        # The bound is a multiple of the 8 bytes of each cell's S: the
+        # ceilings met by renders that deduplicated the whole grid's S at
+        # once (near 5.1x with np.unique's inverse, then near 2.1x, and
+        # 4.51x on the sequential grid's 360,205 distinct S strings). One
+        # shard, so the whole render runs in this process.
         report = scan_grid(mode, math.radians(step))
-        assert _render_peak(report, monkeypatch, cpus=1) <= bound * report.s_values.nbytes
+        assert _render_peak(report, monkeypatch, cpus=1) <= bound * 8 * report.n_cells
 
     @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no CPU affinity")
     @pytest.mark.parametrize("cpus", [1, 2])
@@ -504,7 +507,7 @@ class TestRunChshScan:
         grid = scan_grid(Mode(mode), math.radians(step))
         rows = [
             ",".join([*map(_fmt, map(math.degrees, angles)), _fmt(float(s))])
-            for angles, s in zip(angle_rows(grid), grid.s_values)
+            for angles, s in zip(angle_rows(grid), scan_values(grid))
         ]
         assert text.splitlines()[1:] == rows
 
@@ -621,6 +624,22 @@ class TestMain:
         path = write_config(tmp_path)
         assert main(["chsh-scan", "--config", path, "--step", "0.5"]) == EXIT_INPUT
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_bound_violation_exits_three_and_writes_no_report(self, fmt, tmp_path, monkeypatch, capsys):
+        # A factor table scaled past the proof's range stands in for a
+        # defect in the sequential closed form: |S| reaches 3 on the grid.
+        factor = inequality._factor
+        monkeypatch.setattr(inequality, "_factor", lambda c_aa, c_bb: 1.5 * factor(c_aa, c_bb))
+        with pytest.raises(BoundViolationError, match="indicates a defect"):
+            scan_grid(Mode.SEQUENTIAL, math.radians(30.0))
+        path = write_config(tmp_path, step=30.0, format=fmt)
+        out = tmp_path / "report.txt"
+        assert main(["chsh-scan", "--config", path, "--out", str(out)]) == EXIT_BOUND_VIOLATION
+        err = capsys.readouterr().err
+        assert err.startswith("error: sequential closed form reached |S| = ")
+        assert err.count("\n") == 1
+        assert not out.exists()
 
     @pytest.mark.parametrize("step", ["1e-4", "1e-12", "1e-300", "1e-310"])
     def test_tiny_step_is_refused_before_any_axis(self, tmp_path, capsys, step):

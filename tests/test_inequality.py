@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import angle_rows
+from conftest import angle_rows, scan_values
 from eprb_lab.errors import CorrelatorRangeError, InvalidScenarioError, InvalidStepError
 from eprb_lab.inequality import (
     _GRAD_FUNCS,
@@ -169,6 +169,26 @@ class TestChshGradient:
             assert g[i] == pytest.approx(fd, abs=1e-6)
 
 
+def _assert_equals_the_open_mesh_oracle(report) -> None:
+    """The report against the optimiser's S broadcast over the sparse open
+    mesh, reduced over the full array with the tie-break on |S|: max |S|,
+    its argmax, and each slab's S compared as int64 bits."""
+    k = len(report.argmax_angles)
+    s_grid = _S_FUNCS[report.mode](*np.meshgrid(*([report.axis] * k), indexing="ij", sparse=True))
+    s_ref = s_grid.reshape(-1)
+    max_abs = float(max(s_ref.max(), -s_ref.min()))
+    near = max_abs - 1e-9
+    first = int(np.argmax((s_ref >= near) | (s_ref <= -near)))
+
+    assert report.max_abs_s == max_abs
+    assert report.argmax_angles == tuple(
+        float(report.axis[i]) for i in np.unravel_index(first, s_grid.shape)
+    )
+    for i, want in enumerate(s_grid.reshape(len(report.axis), -1)):
+        values, index = report._slab(i)
+        assert np.array_equal(values[index].view(np.int64), want.view(np.int64)), f"slab {i}"
+
+
 class TestScanGrid:
     def test_step_validation(self):
         for bad in (0.0, -1.0, TWO_PI + 0.1, math.nan, math.inf, "abc"):
@@ -201,7 +221,7 @@ class TestScanGrid:
         report = scan_grid(Mode.SEQUENTIAL, math.radians(10.0))
         assert report.n_cells == 36**3
         assert report.max_abs_s == pytest.approx(2.0, abs=BOUND_TOL)
-        assert float(np.max(np.abs(report.s_values))) == report.max_abs_s
+        assert float(np.max(np.abs(scan_values(report)))) == report.max_abs_s
 
     def test_sequential_argmax_lexicographic(self):
         # (0, 0, 0) evaluates to -2, already on the maximal tier, so the
@@ -220,14 +240,18 @@ class TestScanGrid:
         assert report.n_cells == 1
         assert report.argmax_angles == (0.0, 0.0, 0.0)
         assert report.max_abs_s == pytest.approx(2.0, abs=ANALYTIC_TOL)
-        assert report.s_values[0] == pytest.approx(-2.0, abs=ANALYTIC_TOL)
+        assert scan_values(report)[0] == pytest.approx(-2.0, abs=ANALYTIC_TOL)
 
     def test_arrays_read_only(self):
-        report = scan_grid(Mode.EPRB, math.radians(90.0))
-        with pytest.raises(ValueError):
-            report.s_values[0] = 99.0
-        with pytest.raises(ValueError):
-            report.axis[0] = 99.0
+        # The axis cannot be written, and a slab's values are the caller's
+        # own: writing them changes no later slab.
+        for mode in Mode:
+            report = scan_grid(mode, math.radians(90.0))
+            with pytest.raises(ValueError):
+                report.axis[0] = 99.0
+            before = scan_values(report)
+            report._slab(0)[0][:] = 99.0
+            assert np.array_equal(scan_values(report), before)
 
     @settings(max_examples=30, deadline=None)
     @given(mode=st.sampled_from(list(Mode)), step_deg=st.floats(min_value=20.0, max_value=360.0))
@@ -243,7 +267,7 @@ class TestScanGrid:
         s_ref = _S_FUNCS[mode](*rows.T)
         abs_s = np.abs(s_ref)
         first = int(np.flatnonzero(abs_s >= abs_s.max() - 1e-9)[0])
-        assert np.array_equal(report.s_values, s_ref)
+        assert np.array_equal(scan_values(report), s_ref)
         assert report.max_abs_s == abs_s.max()
         assert report.argmax_angles == tuple(rows[first])
 
@@ -254,19 +278,31 @@ class TestScanGrid:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # The N x 4 angle rows alone would take 4 times s_values.
-        assert peak < 3 * report.s_values.nbytes
+        # The N x 4 angle rows alone would take 4 times the S array.
+        assert peak < 3 * 8 * report.n_cells
 
-    @pytest.mark.parametrize("mode, step_deg", [(Mode.EPRB, 12.0), (Mode.SEQUENTIAL, 3.6)])
+    @pytest.mark.parametrize("mode, step_deg", [(Mode.EPRB, 12.0)])
     def test_peak_memory_near_its_s_values(self, mode, step_deg):
-        # One full-size array: no second one for S, no full-size masks.
+        # One full-size array of S: no second one, no full-size masks.
         tracemalloc.start()
         try:
             report = scan_grid(mode, math.radians(step_deg))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.2 * report.s_values.nbytes
+        assert peak < 1.2 * 8 * report.n_cells
+
+    @pytest.mark.parametrize("step_deg", [3.6, 2.25])
+    def test_sequential_peak_memory_does_not_grow_with_the_grid(self, step_deg):
+        # 1.0 and 4.1 million cells under one ceiling: the scan holds a few
+        # (aa', bb') tables of n * n values, not S for every cell.
+        tracemalloc.start()
+        try:
+            scan_grid(Mode.SEQUENTIAL, math.radians(step_deg))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     @pytest.mark.parametrize(
         "mode, step_deg",
@@ -277,26 +313,25 @@ class TestScanGrid:
         ],
     )
     def test_equals_the_open_mesh_oracle(self, mode, step_deg):
-        # Reference: the optimiser's S broadcast over the sparse open mesh,
-        # reduced over the full array with the tie-break on |S|. Steps of 7
-        # and 13 degrees do not divide the circle; 180 and 360 give n = 2, 1.
-        report = scan_grid(mode, math.radians(step_deg))
-        k = 3 if mode is Mode.SEQUENTIAL else 4
-        s_grid = _S_FUNCS[mode](*np.meshgrid(*([report.axis] * k), indexing="ij", sparse=True))
-        s_ref = s_grid.reshape(-1)
-        max_abs = float(max(s_ref.max(), -s_ref.min()))
-        near = max_abs - 1e-9
-        first = int(np.argmax((s_ref >= near) | (s_ref <= -near)))
+        # Steps of 7 and 13 degrees do not divide the circle; 180 and 360
+        # give n = 2, 1.
+        _assert_equals_the_open_mesh_oracle(scan_grid(mode, math.radians(step_deg)))
 
-        assert np.array_equal(report.s_values.view(np.int64), s_ref.view(np.int64))
-        assert report.max_abs_s == max_abs
-        assert report.argmax_angles == tuple(
-            float(report.axis[i]) for i in np.unravel_index(first, s_grid.shape)
-        )
+    @settings(max_examples=40, deadline=None)
+    @given(step_deg=st.floats(min_value=2.0, max_value=120.0))
+    @example(step_deg=2.0)
+    @example(step_deg=7.0)
+    @example(step_deg=179.0)  # n = 3
+    @example(step_deg=180.0)  # n = 2
+    @example(step_deg=360.0)  # n = 1
+    def test_sequential_reduction_equals_the_open_mesh_oracle(self, step_deg):
+        # The sequential scan reduces each slab from the extremes of its
+        # factor table and builds no grid; it must still agree bit for bit.
+        _assert_equals_the_open_mesh_oracle(scan_grid(Mode.SEQUENTIAL, math.radians(step_deg)))
 
     def test_enumeration_matches_closed_form(self):
         report = scan_grid(Mode.SEQUENTIAL, math.radians(120.0))
-        for row, s in zip(angle_rows(report), report.s_values):
+        for row, s in zip(angle_rows(report), scan_values(report)):
             assert s == chsh_sequential_closed(*row)
 
 
