@@ -32,10 +32,7 @@ from .quantum import (
     closed_form_correlators,
     correlator_pair,
     grand_joint_quantum,
-    make_singlet,
-    make_spin_state,
     marginal_pair,
-    transition_prob,
 )
 from .inequality import (
     BOUND_TOL,
@@ -95,10 +92,7 @@ __all__ = [
     "closed_form_correlators",
     "correlator_pair",
     "grand_joint_quantum",
-    "make_singlet",
-    "make_spin_state",
     "marginal_pair",
-    "transition_prob",
     "BOUND_TOL",
     "CHSH_BOUNDS",
     "CLASSICAL_BOUND",

@@ -385,7 +385,7 @@ def maximize_chsh(mode: Mode, init_angles=None) -> OptimumReport:
 
     x = np.array([canonical_angle(float(v)) for v in x])
     s = float(_S_FUNCS[mode](*x))
-    grad_norm = float(np.linalg.norm(_GRAD_FUNCS[mode](x)))
+    grad_norm = math.hypot(*_GRAD_FUNCS[mode](x))
     return OptimumReport(
         mode=mode,
         angles=tuple(float(v) for v in x),

@@ -8,10 +8,14 @@ as polar angles in radians. Outcomes are +1 or -1 (units of hbar/2),
 labelled ``(A1, B1, A2, B2)`` for (particle 1 early, particle 2 early,
 particle 1 late, particle 2 late).
 
+The statistics are real closed forms in the cosines of the analyzer
+differences: the singlet's early pair probability
+``(1 - A1*B1*cos(a - b)) / 4`` and each particle's transition probability
+``(1 + s1*s2*cos(m1 - m2)) / 2``. They are evaluated with ``math.cos`` and
+IEEE ``+ - * /`` only, so no value depends on the BLAS library.
+
 Conventions shared by the whole package:
 
-- One-qubit basis order is ``(|z+>, |z->)``; the two-qubit product basis
-  order is ``(++, +-, -+, --)``.
 - Outcome signs are the plain integers ``+1`` and ``-1``. Wherever
   outcomes index an array, ``+1`` comes first.
 - ``QUADRUPLES`` lists the 16 outcome quadruples ``(A1, B1, A2, B2)`` in
@@ -183,37 +187,6 @@ class Scenario:
         return self.b - self.b_prime
 
 
-def make_spin_state(angle: float, sign: int) -> np.ndarray:
-    """Eigenstate of the spin component along a coplanar direction.
-
-    Returns the two complex amplitudes in the ``(|z+>, |z->)`` basis:
-    ``(cos(angle/2), sin(angle/2))`` for outcome ``+1`` and
-    ``(-sin(angle/2), cos(angle/2))`` for outcome ``-1``.
-    """
-    _check_sign(sign)
-    half = 0.5 * real(angle, "angle", InvalidScenarioError)  # the half angle is not reduced
-    if sign == 1:
-        return np.array([math.cos(half), math.sin(half)], dtype=complex)
-    return np.array([-math.sin(half), math.cos(half)], dtype=complex)
-
-
-def make_singlet() -> np.ndarray:
-    """Normalized two-particle singlet in the ``(++, +-, -+, --)`` basis."""
-    inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    return np.array([0.0, inv_sqrt2, -inv_sqrt2, 0.0], dtype=complex)
-
-
-def transition_prob(m_from: float, s_from: int, m_to: float, s_to: int) -> float:
-    """Probability that a particle leaving analyzer ``m_from`` with outcome
-    ``s_from`` yields outcome ``s_to`` at analyzer ``m_to``.
-
-    Computed as the squared inner product of the two eigenstates; equal to
-    ``(1 + s_from*s_to*cos(m_from - m_to)) / 2``.
-    """
-    amp = np.vdot(make_spin_state(m_from, s_from), make_spin_state(m_to, s_to))
-    return float(abs(amp) ** 2)
-
-
 def probabilities(values: Sequence, what: str, length: int) -> tuple[float, ...]:
     """``values`` as floats if they form a distribution: a sequence of
     ``length`` entries (``errors.sequence``), each a number
@@ -325,44 +298,29 @@ class CorrelatorSet:
         return tuple(self.as_dict().values())
 
 
-def _analyzer_matrix(angle: float) -> np.ndarray:
-    """Columns are the +1 and -1 eigenstates of the analyzer at ``angle``."""
-    return np.column_stack([make_spin_state(angle, 1), make_spin_state(angle, -1)])
-
-
 def grand_joint_quantum(scenario: Scenario) -> GrandJointDistribution:
     """Joint distribution of ``(A1, B1, A2, B2)`` for a sequential run.
 
-    The probability of a quadruple is the squared projection of the
-    singlet onto the early product state, times the two single-particle
-    transition probabilities from the early to the late analyzers. All
-    three factors are evaluated as state-vector inner products.
+    The probability of a quadruple is the singlet's early pair probability
+    ``(1 - A1*B1*cos(theta_ab)) / 4`` times the two single-particle
+    transition probabilities from the early to the late analyzers,
+    ``(1 + A1*A2*cos(theta_aa')) / 2`` and ``(1 + B1*B2*cos(theta_bb')) / 2``.
+    The three real closed forms are multiplied left to right, in the order
+    that :func:`eprb_lab.hvm.induced_distribution` mixes the canonical
+    model, so the two agree bit for bit; no value goes through BLAS.
     """
     if scenario.mode is not Mode.SEQUENTIAL:
         raise InvalidScenarioError(
             "a joint distribution over all four outcomes exists only in "
             "sequential mode; EPRB-mode statistics come from closed_form_correlators"
         )
-    u_a = _analyzer_matrix(scenario.a)
-    u_b = _analyzer_matrix(scenario.b)
-    u_ap = _analyzer_matrix(scenario.a_prime)
-    u_bp = _analyzer_matrix(scenario.b_prime)
-
-    psi = make_singlet().reshape(2, 2)
-    # amp[A1, B1] = <u_a(A1) x u_b(B1) | singlet>
-    amp = u_a.conj().T @ psi @ u_b.conj()
-    p_early = np.abs(amp) ** 2
-    t_a = np.abs(u_a.conj().T @ u_ap) ** 2  # [A1, A2]
-    t_b = np.abs(u_b.conj().T @ u_bp) ** 2  # [B1, B2]
-
-    probs = (
-        p_early[:, :, None, None]
-        * t_a[:, None, :, None]
-        * t_b[None, :, None, :]
-    )
-    # Axis order (A1, B1, A2, B2) with +1 at index 0 makes the C-order
-    # flattening coincide with the canonical QUADRUPLES order.
-    return GrandJointDistribution(tuple(probs.reshape(16).tolist()))
+    c_ab = math.cos(scenario.theta_ab)
+    c_aa = math.cos(scenario.theta_aa_prime)
+    c_bb = math.cos(scenario.theta_bb_prime)
+    return GrandJointDistribution(tuple([
+        (1 - a1 * b1 * c_ab) / 4 * ((1 + a1 * a2 * c_aa) / 2) * ((1 + b1 * b2 * c_bb) / 2)
+        for a1, b1, a2, b2 in QUADRUPLES
+    ]))
 
 
 def marginal_pair(

@@ -539,7 +539,7 @@ class TestRunHvmCheck:
         assert report.payload["passed"] is True
         assert report.payload["factorizability"]["passed"] is True
         assert report.payload["factorizability"]["max_deviation"] == 0.0
-        assert report.payload["reconstruction_max_deviation"] <= 1e-12
+        assert report.payload["reconstruction_max_deviation"] == 0.0
         assert report.payload["context"]["weights"] == ["a", "b"]
 
     def test_csv_row(self, tmp_path):

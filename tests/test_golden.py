@@ -28,30 +28,30 @@ CONFIGS = {
 
 #: (config, subcommand, format) -> (exit code, SHA-256 of stdout).
 GOLDEN = {
-    ("seq", "exact", "csv"): (0, "51b83c123d5d3893abc09d9eb1a44903bf2f7862245479b069efc1c8672797f4"),
-    ("seq", "exact", "json"): (0, "435f3315c38e31fd94d81797e6c2368e7443544292a634c8c4b105a58d0888eb"),
+    ("seq", "exact", "csv"): (0, "f299e349ddc49cfe654a5ff776575a4eeebf1f30835e003903a11b7a3156dc63"),
+    ("seq", "exact", "json"): (0, "ceb35b1292b700fe40f01355d72321cb3163866ce35d00b6cf73083c796eaec9"),
     ("seq", "sample", "csv"): (0, "8a4728ffcededc8b218f6e536eac7cd423bb01cfcaf50cf02f12bfc325b2d0e0"),
     ("seq", "sample", "json"): (0, "101ec3861b16371bd6fedf0daafa83e1b2edeba455a4a567b4b3f087c84234b2"),
     ("seq", "chsh-scan", "csv"): (0, "0a9ecfb5438fd63241832a7a8588e08fa2d54e90e56d9d385952ea726494a80d"),
     ("seq", "chsh-scan", "json"): (0, "aaf46862fcbc99a7fc5d62fe352c214a34fc6bf66e51e1942206f8576e7c8a8a"),
     ("seq", "chsh-max", "csv"): (0, "ee7a62b72195dfdac51f9122c891bd3e6db0ecc138fea0729376e020c104b18a"),
     ("seq", "chsh-max", "json"): (0, "6e4e86b5af0e2205e6a272e900e441c7672d54b08d696755fddd4cd16e8c0a7e"),
-    ("seq", "hvm-check", "csv"): (0, "f2a869132fdeab20bb7eecbe96631e50964ebba808858811f9ca612b9a46e75c"),
-    ("seq", "hvm-check", "json"): (0, "e2d55081c728a0423d734beef4bf115bd8dcbfa9d0b4a26065944a3fcc00b1bb"),
+    ("seq", "hvm-check", "csv"): (0, "c953a16a5c5653cc94476279faef7e04358550a7f154824f9e7ce796d895501e"),
+    ("seq", "hvm-check", "json"): (0, "b9a120a7e1538f37d1d1cf3841757ef19709cb8c15981a22a96dc298b21da1f1"),
     ("seq", "joint-feasibility", "csv"): (0, "9b7646c97f789bbe80419d26e029de5b41e910ab5305dc66d6fd1e9d8ce1fb66"),
-    ("seq", "joint-feasibility", "json"): (0, "6ea0ac78b887e70a1cf7d89090f1614843c887dd95e6db09d071f7c926ead0bc"),
-    ("seq-aligned", "exact", "csv"): (0, "998ec9aa06235034e0fc0d1ee16291a0c69f197169e9318cffa1f77f2b0c6b86"),
-    ("seq-aligned", "exact", "json"): (0, "5de7c18a4ccbe7ca202cb41ca114c7e38143273cacde7be2f07fdd1da43f5462"),
+    ("seq", "joint-feasibility", "json"): (0, "8362906e745349d101ebfac66ea3bc1881943b86ebbac9d98a90959ba1cdd79e"),
+    ("seq-aligned", "exact", "csv"): (0, "6160bfd91de135554926351632c675f8ccb2a1a81269eecd3ebfcf0c70b26e84"),
+    ("seq-aligned", "exact", "json"): (0, "df15cbf568bda819a0745d2dc391106447631912abe7ecd81d2a3196e4a55114"),
     ("seq-aligned", "sample", "csv"): (0, "3b898879532ff6b1c8393b0f23f111ec372e12dd6d7b90745a81d7a9d8373d40"),
     ("seq-aligned", "sample", "json"): (0, "a6f59af5c6e065ccc5454dd8e6f280bbe123cb4d91e068b614fe5e70610e3186"),
     ("seq-aligned", "chsh-scan", "csv"): (0, "c42b6245dbd65ce598e6a889ecd8a5e92d5470bb3670e4b4902a3f44abeeec39"),
     ("seq-aligned", "chsh-scan", "json"): (0, "eac7cbf7b2327e6b828f1a272b65c1406718176a9d945c8de782fc7829320340"),
     ("seq-aligned", "chsh-max", "csv"): (0, "ee7a62b72195dfdac51f9122c891bd3e6db0ecc138fea0729376e020c104b18a"),
     ("seq-aligned", "chsh-max", "json"): (0, "483590f74cf4e96c52573043f7baec30b3a9b1ef774b2f645cf7b25de531871d"),
-    ("seq-aligned", "hvm-check", "csv"): (0, "23ac43b33bdc10a61f20f57cfa5f94f2fe74363443329da33986a95a67901cfc"),
-    ("seq-aligned", "hvm-check", "json"): (0, "f7f9964f9c63bea5b064c80a1d72f28f2b9ad6e871f003cc36ee600c3f679a07"),
+    ("seq-aligned", "hvm-check", "csv"): (0, "c953a16a5c5653cc94476279faef7e04358550a7f154824f9e7ce796d895501e"),
+    ("seq-aligned", "hvm-check", "json"): (0, "050ebaa8fce8985aa037364552fe117adcc8da36219be4798f14a9abe985d590"),
     ("seq-aligned", "joint-feasibility", "csv"): (0, "9b7646c97f789bbe80419d26e029de5b41e910ab5305dc66d6fd1e9d8ce1fb66"),
-    ("seq-aligned", "joint-feasibility", "json"): (0, "0673fcbe0d2f507c28ad383675cf630b9cc557be2d8108a8c28143173e48540b"),
+    ("seq-aligned", "joint-feasibility", "json"): (0, "07f5462be6da1be7d03b1334b1077b46983eb23ebf88893d93b748fc52887dcd"),
     ("eprb", "exact", "csv"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("eprb", "exact", "json"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("eprb", "sample", "csv"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),

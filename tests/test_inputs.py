@@ -1,5 +1,6 @@
 """One table of bad values fed to every public boundary that takes a
-number, an integer, a sequence or a distribution.
+number, an integer, a sequence or a distribution, and to the tests'
+state-vector oracle (``statevector``), which checks its inputs alike.
 
 Each case must raise an ``EprbLabError`` subclass whose message is one
 line under 200 characters and ends by naming the value. Nothing is
@@ -24,11 +25,9 @@ from eprb_lab import (
     canonical_angle,
     chsh_gradient,
     grand_joint_quantum,
-    make_spin_state,
     marginal_pair,
     maximize_chsh,
     scan_grid,
-    transition_prob,
 )
 from eprb_lab.cli import parse_config
 from eprb_lab.errors import (
@@ -46,6 +45,7 @@ from eprb_lab.hvm import (
     model_from_tables,
 )
 from eprb_lab.sampler import OutcomeCounts, sample, uniforms
+from statevector import make_spin_state, transition_prob
 
 BAD_VALUES = {
     "true": True,

@@ -32,31 +32,15 @@ from eprb_lab.quantum import (
     closed_form_correlators,
     correlator_pair,
     grand_joint_quantum,
-    make_singlet,
-    make_spin_state,
     marginal_pair,
-    transition_prob,
 )
+from statevector import kron_joint, make_singlet, make_spin_state, matrix_joint, transition_prob
 
 ANALYTIC_TOL = 1e-12
 
 angles = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
 signs = st.sampled_from(SIGNS)
 scenarios = st.builds(Scenario, a=angles, a_prime=angles, b=angles, b_prime=angles)
-
-
-def reference_joint(sc: Scenario) -> list[float]:
-    """Independent oracle: per-quadruple product of three squared overlaps,
-    built from kron states instead of the matrix sandwich."""
-    psi = make_singlet()
-    probs = []
-    for a1, b1, a2, b2 in QUADRUPLES:
-        early = np.kron(make_spin_state(sc.a, a1), make_spin_state(sc.b, b1))
-        p_early = abs(np.vdot(early, psi)) ** 2
-        t_a = transition_prob(sc.a, a1, sc.a_prime, a2)
-        t_b = transition_prob(sc.b, b1, sc.b_prime, b2)
-        probs.append(p_early * t_a * t_b)
-    return probs
 
 
 class TestCanonicalAngle:
@@ -297,8 +281,20 @@ class TestGrandJointQuantum:
     @settings(max_examples=50)
     def test_matches_reference_oracle(self, sc: Scenario):
         d = grand_joint_quantum(sc)
-        for p, q in zip(d.probs, reference_joint(sc)):
-            assert p == pytest.approx(q, abs=ANALYTIC_TOL)
+        for oracle in (kron_joint, matrix_joint):
+            assert d.probs == pytest.approx(oracle(sc), abs=ANALYTIC_TOL)
+
+    def test_matches_reference_oracle_on_a_15_degree_grid(self):
+        # Every combination of the three relative angles that enter.
+        grid = [k * math.pi / 12.0 for k in range(24)]
+        worst = 0.0
+        for theta_ab in grid:
+            for theta_aa_prime in grid:
+                for theta_bb_prime in grid:
+                    sc = Scenario(theta_ab, theta_ab - theta_aa_prime, 0.0, -theta_bb_prime)
+                    d = grand_joint_quantum(sc)
+                    worst = max(worst, *(abs(p - q) for p, q in zip(d.probs, matrix_joint(sc))))
+        assert worst <= ANALYTIC_TOL
 
     @given(scenarios)
     @settings(max_examples=50)
