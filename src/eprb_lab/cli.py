@@ -101,7 +101,8 @@ EXIT_BOUND_VIOLATION = 3
 
 @dataclass(frozen=True)
 class RunConfig:
-    """One run's settings; angles and step are degrees."""
+    """One run's settings; angles and step are degrees. Construction checks
+    each field in turn and raises ``ConfigError`` at the first that fails."""
 
     mode: Mode
     a: float
@@ -113,6 +114,30 @@ class RunConfig:
     seed: int = 0
     format: str = "csv"
     out: str | None = None
+
+    def __post_init__(self) -> None:
+        try:
+            mode = Mode(self.mode)
+        except ValueError:
+            raise ConfigError(
+                f"field 'mode' must be 'sequential' or 'eprb', got {self.mode!r}"
+            ) from None
+        step = real(self.step, "field 'step'", ConfigError)
+        if step <= 0.0 or step > 360.0:
+            raise ConfigError(f"field 'step' must be in (0, 360] degrees, got {step!r}")
+        if self.format not in ("csv", "json"):
+            raise ConfigError(f"field 'format' must be 'csv' or 'json', got {self.format!r}")
+        if self.out is not None and not isinstance(self.out, str):
+            raise ConfigError(f"field 'out' must be a string path or null, got {self.out!r}")
+        checked = {
+            "mode": mode,
+            "step": step,
+            **{key: real(getattr(self, key), f"field {key!r}", ConfigError) for key in SETTINGS},
+            "n": integer(self.n, "field 'n'", ConfigError),
+            "seed": integer(self.seed, "field 'seed'", ConfigError, high=2**64 - 1),
+        }
+        for key, value in checked.items():
+            object.__setattr__(self, key, value)
 
     def scenario(self) -> Scenario:
         angles = {name: math.radians(getattr(self, name)) for name in SETTINGS}
@@ -135,7 +160,7 @@ def parse_config(text: str, overrides: dict[str, Any] | None = None) -> RunConfi
     """Parse the JSON configuration document.
 
     ``overrides`` (the command-line flags that were given) replace their
-    keys in the document before any check.
+    keys in the document before any check; ``RunConfig`` checks each value.
     """
     try:
         doc = json.loads(text)
@@ -152,34 +177,7 @@ def parse_config(text: str, overrides: dict[str, Any] | None = None) -> RunConfi
         if key not in doc:
             raise ConfigError(f"missing configuration field: {key!r}")
 
-    mode_raw = doc["mode"]
-    try:
-        mode = Mode(mode_raw)
-    except ValueError:
-        raise ConfigError(
-            f"field 'mode' must be 'sequential' or 'eprb', got {mode_raw!r}"
-        ) from None
-
-    merged = {**_DEFAULTS, **doc}
-    step = real(merged["step"], "field 'step'", ConfigError)
-    if step <= 0.0 or step > 360.0:
-        raise ConfigError(f"field 'step' must be in (0, 360] degrees, got {step!r}")
-    fmt = merged["format"]
-    if fmt not in ("csv", "json"):
-        raise ConfigError(f"field 'format' must be 'csv' or 'json', got {fmt!r}")
-    out = merged["out"]
-    if out is not None and not isinstance(out, str):
-        raise ConfigError(f"field 'out' must be a string path or null, got {out!r}")
-
-    return RunConfig(
-        mode=mode,
-        **{key: real(doc[key], f"field {key!r}", ConfigError) for key in SETTINGS},
-        step=step,
-        n=integer(merged["n"], "field 'n'", ConfigError),
-        seed=integer(merged["seed"], "field 'seed'", ConfigError, high=2**64 - 1),
-        format=fmt,
-        out=out,
-    )
+    return RunConfig(**{**_DEFAULTS, **doc})
 
 
 @dataclass(frozen=True)
@@ -266,7 +264,8 @@ _SCAN_COLUMNS = {mode: tuple(f"{n}_deg" for n in names) for mode, names in ANGLE
 
 
 #: Values per chunk of ``_number_lines``; larger chunks raise the renderer's
-#: peak memory (``test_renderer_peak_memory``) more than they save time.
+#: peak memory (``test_render_peak_does_not_grow_with_the_grid``) more than
+#: they save time.
 _NUMBER_CHUNK = 1 << 13
 
 

@@ -20,7 +20,10 @@ pairwise distributions become targets for a single joint distribution
 over four outcomes. :func:`noncontextual_feasibility` decides whether
 such a joint exists by Fine's eight CHSH inequalities, certifies failure
 with the violated CHSH sign variant, and finds a witness by linear
-feasibility over the 16 deterministic assignments.
+feasibility over the 16 deterministic assignments. A 2x2 distribution of
+two +-1 outcomes is fixed by its two means and its correlator
+(``_pair_cells``); where the targets' own cells admit no witness, one
+retry rebuilds each pair from those, its shared means averaged.
 
 Model file schema (JSON, one object):
 
@@ -69,7 +72,6 @@ from .quantum import (
     QUADRUPLES,
     SETTINGS,
     SIGN_PAIRS,
-    SIGNS,
     CorrelatorSet,
     GrandJointDistribution,
     Mode,
@@ -432,16 +434,19 @@ class PairTargets:
         )
 
 
+def _pair_cells(x: float, y: float, e: float) -> tuple[float, ...]:
+    """The pair distribution whose two means are ``x`` and ``y`` and whose
+    correlator is ``e``: p(s, t) = (1 + s*x + t*y + s*t*e) / 4 over the
+    sign pairs in canonical order. Two +-1 outcomes have no other."""
+    return tuple((1.0 + s * x + t * y + s * t * e) / 4 for s, t in SIGN_PAIRS)
+
+
 def pair_targets_from_correlators(correlators: CorrelatorSet) -> PairTargets:
     """Targets with unbiased marginals: p(s1, s2) = (1 + s1*s2*e) / 4."""
-
-    def pd(name: str) -> PairDistribution:
-        e = getattr(correlators, f"e_{name}")
-        return PairDistribution(
-            *CROSS_PAIRS[name], tuple(0.25 * (1.0 + s1 * s2 * e) for s1, s2 in SIGN_PAIRS)
-        )
-
-    return PairTargets(**{name: pd(name) for name in CROSS_PAIRS})
+    return PairTargets(**{
+        name: PairDistribution(*pair, _pair_cells(0.0, 0.0, getattr(correlators, f"e_{name}")))
+        for name, pair in CROSS_PAIRS.items()
+    })
 
 
 def pair_targets_from_scenario(scenario: Scenario) -> PairTargets:
@@ -518,22 +523,11 @@ _FEASIBILITY_ROWS = np.array(
 )
 _FEASIBILITY_ROWS.setflags(write=False)
 
-#: Each observable's two copies among those target cells: per pair that
-#: holds it, the cells where it is +1, then those where it is -1.
-_SHARED_MARGINALS = {
-    obs: [
-        tuple(
-            [4 * k + c for c, cell in enumerate(SIGN_PAIRS) if cell[pair.index(obs)] == sign]
-            for sign in SIGNS
-        )
-        for k, pair in enumerate(CROSS_PAIRS.values())
-        if obs in pair
-    ]
-    for obs in OBSERVABLES
-}
 
-
-def _check_consistency(targets: PairTargets) -> None:
+def _means(targets: PairTargets) -> dict[str, float]:
+    """Each observable's mean over the two pairs that hold it; raises
+    :class:`InconsistentTargetsError` where their P(+1) differ by over 1e-9."""
+    means = {}
     for obs in OBSERVABLES:
         m1, m2 = [getattr(targets, name).marginal(obs, 1)
                   for name, pair in CROSS_PAIRS.items() if obs in pair]
@@ -541,23 +535,8 @@ def _check_consistency(targets: PairTargets) -> None:
             raise InconsistentTargetsError(
                 f"targets disagree on P({obs}=+1): {m1!r} vs {m2!r}"
             )
-
-
-def _average_shared_marginals(cells: np.ndarray) -> None:
-    """Set each observable's P(+1) in both its pairs to the mean of the two.
-
-    ``cells`` holds the target cells in ``_FEASIBILITY_ROWS`` order and is
-    changed in place. Moving a marginal by d adds d/2 to the two cells
-    where the observable is +1 and takes d/2 from the other two, which
-    leaves the pair's correlator and its other marginal as they were.
-    Each observable's margins are read after the one before it has moved.
-    """
-    for copies in _SHARED_MARGINALS.values():
-        margins = [cells[i] + cells[j] for (i, j), _ in copies]
-        mean = 0.5 * (margins[0] + margins[1])
-        for (plus, minus), m in zip(copies, margins):
-            cells[plus] += 0.5 * (mean - m)
-            cells[minus] -= 0.5 * (mean - m)
+        means[obs] = m1 + m2 - 1.0  # the mean of 2*m1 - 1 and 2*m2 - 1
+    return means
 
 
 def noncontextual_feasibility(targets: PairTargets) -> FeasibilityResult:
@@ -570,10 +549,13 @@ def noncontextual_feasibility(targets: PairTargets) -> FeasibilityResult:
     otherwise the largest variant is the certificate. A feasible verdict
     carries a witness from linear feasibility over the 16 outcome
     quadruples (the mixture weights of the deterministic assignments).
+    Where the targets' own cells admit none, one retry rebuilds each pair
+    from its averaged means and its correlator, all scaled by 1 - 5e-10.
     """
     tol = _FEASIBILITY_TOL
-    _check_consistency(targets)
-    variants = chsh_variant_values(targets.correlators())
+    means = _means(targets)
+    correlators = targets.correlators()
+    variants = chsh_variant_values(correlators)
     best_signs = max(variants, key=lambda signs: variants[signs])
     if variants[best_signs] > 2.0 + tol:
         return FeasibilityResult(
@@ -583,22 +565,20 @@ def noncontextual_feasibility(targets: PairTargets) -> FeasibilityResult:
         )
 
     cells = [p for name in CROSS_PAIRS for p in getattr(targets, name).probs]
-    a, b = _FEASIBILITY_ROWS, np.array([*cells, 1.0])
-    result = solve_equality_feasibility(a, b, tol=tol)
+    result = solve_equality_feasibility(_FEASIBILITY_ROWS, np.array([*cells, 1.0]), tol=tol)
     if not result.feasible:
-        # Within tol above a facet the phase-1 residual is about 2.5 times
-        # the CHSH excess, so it can exceed tol. Mixing in a fraction tol/2
-        # of the uniform pair distribution scales every variant by
-        # 1 - tol/2, to at most 2, and moves each target cell by at most
-        # 0.375 * tol.
-        b[:-1] += 0.5 * tol * (0.25 - b[:-1])
-        result = solve_equality_feasibility(a, b, tol=tol)
-    if not result.feasible:
-        # Shared marginals may still differ by up to _CONSISTENCY_TOL, more
-        # than the LP absorbs. Averaging them keeps every correlator, and so
-        # every CHSH variant, and moves each cell by at most half that.
-        _average_shared_marginals(b[:-1])
-        result = solve_equality_feasibility(a, b, tol=tol)
+        # Near a facet the phase-1 residual is about 2.5 times the CHSH
+        # excess, and shared marginals may differ by _CONSISTENCY_TOL: both
+        # can exceed tol. Rebuilt pairs share the averaged marginals, and
+        # k = 1 - tol/2 (a tol/2 mix toward uniform) scales every variant
+        # to at most (2 + tol) * k < 2, where Fine's theorem guarantees a
+        # joint. No cell moves by more than 0.875 * tol.
+        k = 1.0 - 0.5 * tol
+        cells = [
+            p for (first, second), e in zip(CROSS_PAIRS.values(), correlators.as_tuple())
+            for p in _pair_cells(k * means[first], k * means[second], k * e)
+        ]
+        result = solve_equality_feasibility(_FEASIBILITY_ROWS, np.array([*cells, 1.0]), tol=tol)
     if not result.feasible:
         raise RuntimeError(
             "no joint distribution although no CHSH variant exceeds 2; "

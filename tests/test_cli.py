@@ -330,24 +330,6 @@ class TestScanCsvFormat:
         collections.deque(_scan_csv_lines(scan_grid(mode, math.radians(step))), maxlen=0)
         assert counts == [cpus]
 
-    @pytest.mark.parametrize(
-        "mode, step, bound",
-        [
-            (Mode.SEQUENTIAL, 3.6, 6.5),
-            (Mode.EPRB, 12.0, 5.5),
-            (Mode.SEQUENTIAL, 3.6, 5.3),
-            (Mode.EPRB, 12.0, 2.5),
-        ],
-    )
-    def test_renderer_peak_memory(self, mode, step, bound, monkeypatch):
-        # The bound is a multiple of the 8 bytes of each cell's S: the
-        # ceilings met by renders that deduplicated the whole grid's S at
-        # once (near 5.1x with np.unique's inverse, then near 2.1x, and
-        # 4.51x on the sequential grid's 360,205 distinct S strings). One
-        # shard, so the whole render runs in this process.
-        report = scan_grid(mode, math.radians(step))
-        assert _render_peak(report, monkeypatch, cpus=1) <= bound * 8 * report.n_cells
-
     @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no CPU affinity")
     @pytest.mark.parametrize("cpus", [1, 2])
     @pytest.mark.parametrize(
@@ -791,6 +773,39 @@ class TestRunConfigEcho:
         doc = config.echo()
         assert doc["mode"] == "eprb"
         assert doc["n"] == 1_000_000
+
+
+class TestRunConfigRules:
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("mode", "bell"),
+            ("step", 0.0),
+            ("format", "xml"),
+            ("out", 5),
+            ("b", float("nan")),
+            ("n", -1),
+            ("seed", 2**64),
+        ],
+    )
+    def test_direct_construction_meets_the_config_rules(self, key, value):
+        # Without the check, format "xml" wrote CSV and out 5 wrote to
+        # file descriptor 5 and closed it.
+        with pytest.raises(ConfigError) as parsed:
+            parse_config(config_text(**{key: value}))
+        with pytest.raises(ConfigError) as built:
+            RunConfig(**{**BASE_CONFIG, key: value})
+        assert str(built.value) == str(parsed.value)
+
+    def test_first_broken_field_is_named(self):
+        with pytest.raises(ConfigError, match="'format'"):
+            RunConfig(Mode.EPRB, 0.0, 90.0, 135.0, 225.0, n=-1, format="xml", out=5)
+
+    def test_fields_are_stored_checked(self):
+        config = RunConfig("eprb", 0, 90, 135, 225, step=5)
+        assert config.mode is Mode.EPRB
+        assert [type(getattr(config, key)) for key in ("a", "b_prime", "step")] == [float] * 3
+        assert config == parse_config(config_text(**MAGIC_CONFIG, step=5))
 
 
 class TestOneConfigPath:

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 
+import numpy as np
 import pytest
 
 from conftest import counted_forks, force_cpus
@@ -67,14 +69,59 @@ GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("key", sorted(GOLDEN), ids=lambda k: "-".join(k))
-def test_golden_output(key, tmp_path, capsys):
+def _golden_run(key, tmp_path, capsys):
+    """The exit code and SHA-256 of stdout of one golden case."""
     name, subcommand, fmt = key
     path = tmp_path / "config.json"
     path.write_text(json.dumps(CONFIGS[name]))
     code = main([subcommand, "--config", str(path), "--format", fmt])
     out = capsys.readouterr().out
-    assert (code, hashlib.sha256(out.encode("utf-8")).hexdigest()) == GOLDEN[key]
+    return code, hashlib.sha256(out.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("key", sorted(GOLDEN), ids=lambda k: "-".join(k))
+def test_golden_output(key, tmp_path, capsys):
+    assert _golden_run(key, tmp_path, capsys) == GOLDEN[key]
+
+
+#: The golden rows whose bytes follow the last bit of ``cos``: every
+#: ``exact``, ``chsh-scan`` and ``chsh-max`` row of the two sequential
+#: configs, their ``hvm-check`` and ``joint-feasibility`` JSON, and the
+#: EPRB scan and maximum. The others stay: a sample's 5000 draws land on
+#: the same counts, the ``hvm-check`` CSV compares two tables built from
+#: the same cosines, and the ``joint-feasibility`` CSV holds a verdict or,
+#: for EPRB, a certificate summed from pair cells (1 + s*t*e)/4, whose
+#: rounding absorbs the moved bit.
+COS_LAST_BIT_ROWS = {
+    *(
+        (name, sub, fmt)
+        for name in ("seq", "seq-aligned")
+        for sub in ("exact", "chsh-scan", "chsh-max")
+        for fmt in ("csv", "json")
+    ),
+    *(
+        (name, sub, "json")
+        for name in ("seq", "seq-aligned")
+        for sub in ("hvm-check", "joint-feasibility")
+    ),
+    *(("eprb", sub, fmt) for sub in ("chsh-scan", "chsh-max") for fmt in ("csv", "json")),
+}
+
+
+def test_rows_that_follow_the_last_bit_of_cos(tmp_path, capsys, monkeypatch):
+    # Each cosine one ulp toward zero, as a libm that is not correctly
+    # rounded may give it; one ulp up would lift cos 0 = 1 past 1 and
+    # drive cells of the aligned config negative.
+    math_cos, np_cos = math.cos, np.cos
+    monkeypatch.setattr(math, "cos", lambda x: math.nextafter(math_cos(x), 0.0))
+    monkeypatch.setattr(np, "cos", lambda x: np.nextafter(np_cos(x), 0.0))
+    changed = set()
+    for key, (code, digest) in GOLDEN.items():
+        got = _golden_run(key, tmp_path, capsys)
+        assert got[0] == code, key
+        if got[1] != digest:
+            changed.add(key)
+    assert changed == COS_LAST_BIT_ROWS
 
 
 def test_every_case_is_pinned():

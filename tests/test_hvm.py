@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from eprb_lab import hvm
 from eprb_lab.errors import (
     DistributionError,
     InconsistentTargetsError,
@@ -38,6 +39,7 @@ from eprb_lab.hvm import (
     pair_targets_from_scenario,
     save_model,
 )
+from eprb_lab.linfeas import solve_equality_feasibility
 from eprb_lab.quantum import (
     CROSS_PAIRS,
     SIGN_PAIRS,
@@ -93,6 +95,12 @@ def _shifted_a1_marginal(correlators: CorrelatorSet, shift: float) -> PairTarget
     base = pair_targets_from_correlators(correlators)
     pp, pm, mp, mm = base.ab_prime.probs
     return replace(base, ab_prime=PairDistribution("A1", "B2", (pp + shift, pm, mp - shift, mm)))
+
+
+#: At a CHSH facet (largest variant 2 + 8e-10) with P(A1=+1) in ``ab_prime``
+#: moved by -9.9e-10: the witness needs both the mix toward uniform and
+#: the averaged marginals.
+BOTH_REPAIRS = _shifted_a1_marginal(CorrelatorSet(0.5, -0.5 + 1.18e-9, 0.5, 0.5), -9.9e-10)
 
 
 def plain_document() -> dict:
@@ -709,9 +717,10 @@ class TestNoncontextualFeasibility:
 
     @given(perturbed_feasible_targets())
     @settings(max_examples=200, deadline=None)
-    # Passes the consistency check, and the LP finds no witness even for
-    # the mixed targets: only averaging the shared marginals resolves it.
+    # Passes the consistency check, and the LP finds no witness for the
+    # targets' own cells: only averaging the shared marginals resolves it.
     @example(_shifted_a1_marginal(CorrelatorSet(0.2, -0.1, 0.4, 0.3), 8e-10))
+    @example(BOTH_REPAIRS)
     def test_perturbed_feasible_targets_never_raise_runtime_error(self, targets):
         try:
             result = noncontextual_feasibility(targets)
@@ -724,6 +733,24 @@ class TestNoncontextualFeasibility:
         for name, pair in CROSS_PAIRS.items():
             got = marginal_pair(result.joint, pair).probs
             assert got == pytest.approx(getattr(targets, name).probs, abs=2e-9)
+
+    @given(perturbed_feasible_targets())
+    @settings(max_examples=100, deadline=None)
+    @example(BOTH_REPAIRS)
+    def test_at_most_two_solves(self, targets):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return solve_equality_feasibility(*args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as mp:  # a fixture would span all examples
+            mp.setattr(hvm, "solve_equality_feasibility", counted)
+            try:
+                noncontextual_feasibility(targets)
+            except InconsistentTargetsError:
+                pass
+        assert len(calls) <= 2
 
     def test_sign_variants_structure(self):
         assert len(CHSH_SIGN_VARIANTS) == 8
