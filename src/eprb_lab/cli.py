@@ -36,9 +36,8 @@ is rendered only when it is written, a line (for ``chsh-scan``, a slab) at
 a time, so a scan's render holds one slab whatever the grid's size
 (``_shard_lines``). A large ``chsh-scan`` CSV is rendered by shards in
 children, for wall time (``_scan_csv_lines``). Each slab's S comes from the
-scan report (``ScanReport._slab``): a sequential slab is computed where it
-is rendered, from one n-by-n table, while the EPRB grid is held whole by
-the scan and read by the children through copy-on-write.
+scan report (``ScanReport._slab``) and is computed where it is rendered,
+from the scan's small cosine tables, in a child too.
 
 Run as ``eprb-lab`` or as ``python -m eprb_lab.cli``.
 

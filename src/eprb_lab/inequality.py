@@ -120,7 +120,7 @@ def _grad_sequential(x: np.ndarray) -> np.ndarray:
     c1, s1 = np.cos(x[1]), np.sin(x[1])
     c2, s2 = np.cos(x[2]), np.sin(x[2])
     g = np.empty_like(x)
-    g[0] = s0 * (1.0 + c2 + c1 * c2 - c1)
+    g[0] = s0 * _factor(c1, c2)
     g[1] = -c0 * s1 * (1.0 - c2)
     g[2] = c0 * s2 * (1.0 + c1)
     return g
@@ -186,12 +186,11 @@ class ScanReport:
     are enumerated lexicographically, the last angle fastest. A slab is
     the cells that share one value of the first angle, and ``_slab(i)``
     gives slab i's S as ``(values, index)``, S being ``values[index]`` in
-    cell order: the render formats each of ``values`` once. In sequential
-    mode no array of every cell's S is kept; the EPRB grid is held whole
-    (``scan_grid`` says why). ``argmax_angles`` is the
-    lexicographically first cell whose |S| lies within 1e-9 of
-    ``max_abs_s`` (float rounding can split cells that are equal in exact
-    arithmetic).
+    cell order: the render formats each of ``values`` once. No array of
+    every cell's S is kept: a slab is computed from small tables when it is
+    asked for. ``argmax_angles`` is the lexicographically first cell whose
+    |S| lies within 1e-9 of ``max_abs_s`` (float rounding can split cells
+    that are equal in exact arithmetic).
     """
 
     mode: Mode
@@ -225,24 +224,6 @@ def _grid_axis(step: float, k: int) -> np.ndarray:
     return step * np.arange(math.ceil(n))
 
 
-def _eprb_grid(axis: np.ndarray) -> np.ndarray:
-    """``_chsh_eprb`` on every cell of the grid of ``axis``, shape (n, n, n*n).
-
-    Each of the four terms is an entry of one table, ``cos(x - y)`` over
-    the axis. They are added in ``_chsh_eprb``'s order, so every cell is
-    bit-equal to it. The two terms in a' are laid out as (a', (b, b'))
-    tables, so the last two steps write one array in contiguous rows of
-    n*n cells.
-    """
-    n = axis.shape[0]
-    c = np.cos(axis[:, None] - axis)
-    w = (-c[:, :, None] - c[:, None, :]).reshape(n, 1, n * n)  # -cos(a-b) - cos(a-b')
-    s = np.empty((n, n, n * n))
-    np.subtract(w, np.tile(c, n), out=s)  # - cos(a'-b')
-    s += np.repeat(c, n, axis=1)  # + cos(a'-b)
-    return s
-
-
 #: A mode's grid as ``scan_grid`` reads it: ``(ends, cells, slab)``. Row i
 #: of ``ends`` holds slab i's largest and smallest S, ``cells(i)`` is slab
 #: i's S in cell order, and ``slab`` is the report's accessor.
@@ -250,10 +231,32 @@ _Grid = tuple[np.ndarray, Callable[[int], np.ndarray], _Slab]
 
 
 def _eprb_slabs(axis: np.ndarray) -> _Grid:
-    """The EPRB grid held whole (``_eprb_grid``), one slab a row; a slab's
-    values are its distinct S (``np.unique``)."""
-    rows = _eprb_grid(axis).reshape(axis.shape[0], -1)
-    return rows, rows.__getitem__, lambda i: np.unique(rows[i], return_inverse=True)
+    """The EPRB grid from tables of ``c = cos(x - y)`` over the axis.
+
+    ``cells`` adds the four terms, each an entry of ``c``, in
+    ``_chsh_eprb``'s order, so every cell is bit-equal to it. The terms in
+    a' are (a', (b, b')) tables of n^3 values, so a slab is one array
+    written in contiguous rows of n*n cells; its values are its distinct S
+    (``np.unique``). The extremes come from every slab written at once, the
+    scan's only n^4 array, dropped before this returns. Reduced a slab at a
+    time, the benchmark's ``scan-json`` peak RSS rose by 11%: a process
+    that has freed no mapped block that large lets glibc's dynamic mmap
+    threshold leave a report checker's later full-size temporaries on the heap.
+    """
+    n = axis.shape[0]
+    c = np.cos(axis[:, None] - axis)
+    w = (-c[:, :, None] - c[:, None, :]).reshape(n, 1, n * n)  # -cos(a-b) - cos(a-b')
+    tile, rep = np.tile(c, n), np.repeat(c, n, axis=1)
+
+    def cells(i) -> np.ndarray:  # slab i's S; every slab's for i = slice(None)
+        s = np.subtract(w[i], tile)  # - cos(a'-b')
+        s += rep  # + cos(a'-b)
+        return s.reshape(-1)
+
+    full = cells(slice(None)).reshape(n, -1)
+    ends = np.stack([full.max(axis=1), full.min(axis=1)], axis=1)
+    del full
+    return ends, cells, lambda i: np.unique(cells(i), return_inverse=True)
 
 
 def _sequential_slabs(axis: np.ndarray) -> _Grid:
@@ -294,12 +297,10 @@ def scan_grid(mode: Mode, step: float) -> ScanReport:
       extremes are exact, so the classical bound is asserted on every
       cell; a violation raises :class:`BoundViolationError` and signals a
       defect, not a property of the input.
-    - EPRB mode writes S into one array of a cell each (``_eprb_grid``),
-      and its peak memory is close to that array. Computed a slab at a
-      time it ran faster, but the peak RSS of a process that then checks
-      the grid with full-size temporaries of its own rose by 11%. Both
-      effects came from glibc's dynamic mmap threshold: with the
-      threshold fixed, the rise and the speed-up were gone.
+    - EPRB mode sums four entries of cosine tables (``_eprb_slabs``). Its
+      slab extremes come from one array of every cell's S, dropped before
+      the report is built, so its peak memory is close to that array
+      while the report holds tables of n^3 values.
     """
     k = _n_angles(mode)
     axis = _grid_axis(step, k)

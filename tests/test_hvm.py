@@ -752,6 +752,26 @@ class TestNoncontextualFeasibility:
                 pass
         assert len(calls) <= 2
 
+    def test_retry_moves_no_cell_by_more_than_seven_eighths_of_tol(self, monkeypatch):
+        # Means 0.999999, each P(+1) 0.99e-9 lower in the observable's second
+        # pair, correlators 1 - 2e-6: the targets' own cells admit no witness,
+        # and the retry's cells must keep the bound its comment states.
+        seen, pairs = set(), {}
+        for name, pair in CROSS_PAIRS.items():
+            means = [0.999999 - 2 * 0.99e-9 if obs in seen else 0.999999 for obs in pair]
+            seen.update(pair)
+            pairs[name] = PairDistribution(*pair, hvm._pair_cells(*means, 1.0 - 2e-6))
+        rhs = []
+
+        def spied(rows, b, **kwargs):
+            rhs.append(b)
+            return solve_equality_feasibility(rows, b, **kwargs)
+
+        monkeypatch.setattr(hvm, "solve_equality_feasibility", spied)
+        assert noncontextual_feasibility(PairTargets(**pairs)).verdict is Verdict.FEASIBLE
+        assert len(rhs) == 2
+        assert np.max(np.abs(rhs[1] - rhs[0])) <= 0.875 * hvm._FEASIBILITY_TOL
+
     def test_sign_variants_structure(self):
         assert len(CHSH_SIGN_VARIANTS) == 8
         for signs in CHSH_SIGN_VARIANTS:

@@ -292,6 +292,19 @@ class TestScanGrid:
             tracemalloc.stop()
         assert peak < 1.2 * 8 * report.n_cells
 
+    @pytest.mark.parametrize("step_deg", [12.0, 9.0])
+    def test_eprb_report_holds_no_array_of_every_cell(self, step_deg):
+        # Once the scan returns, what it still holds is its cosine tables of
+        # n^3 values; S for every cell would take 8 * n**4 bytes.
+        tracemalloc.start()
+        try:
+            report = scan_grid(Mode.EPRB, math.radians(step_deg))
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        n = len(report.axis)
+        assert held <= 4 * 8 * n**3
+
     @pytest.mark.parametrize("step_deg", [3.6, 2.25])
     def test_sequential_peak_memory_does_not_grow_with_the_grid(self, step_deg):
         # 1.0 and 4.1 million cells under one ceiling: the scan holds a few
@@ -328,6 +341,18 @@ class TestScanGrid:
         # The sequential scan reduces each slab from the extremes of its
         # factor table and builds no grid; it must still agree bit for bit.
         _assert_equals_the_open_mesh_oracle(scan_grid(Mode.SEQUENTIAL, math.radians(step_deg)))
+
+    @settings(max_examples=40, deadline=None)
+    @given(step_deg=st.floats(min_value=10.0, max_value=120.0))
+    @example(step_deg=7.0)
+    @example(step_deg=13.0)
+    @example(step_deg=179.0)  # n = 3
+    @example(step_deg=180.0)  # n = 2
+    @example(step_deg=360.0)  # n = 1
+    def test_eprb_slabs_equal_the_open_mesh_oracle(self, step_deg):
+        # The EPRB scan computes each slab from its cosine tables and reduces
+        # the extremes from an array it drops; it must agree bit for bit.
+        _assert_equals_the_open_mesh_oracle(scan_grid(Mode.EPRB, math.radians(step_deg)))
 
     def test_enumeration_matches_closed_form(self):
         report = scan_grid(Mode.SEQUENTIAL, math.radians(120.0))
