@@ -15,15 +15,18 @@ Subcommands
 - ``joint-feasibility``: decide whether one joint distribution matches
   the scenario's four pairwise distributions.
 
-Configuration is a JSON object file (``--config``); scalar fields can be
-overridden by flags. Keys: ``mode`` ("sequential" or "eprb") and the four
-analyzer angles ``a``, ``a_prime``, ``b``, ``b_prime`` in degrees are
-required; ``step`` (grid step in degrees, default 10), ``n`` (sample
-count, default 1000000), ``seed`` (default 0), ``format`` ("csv" or
-"json", default "csv"), and ``out`` (output path, default stdout) are
-optional. Unknown keys are rejected. The flags that were given replace
-their keys in the document before it is checked, so a flag meets the same
-rules and messages as the config key it overrides.
+Configuration is a JSON object file (``--config``). Keys: ``mode``
+("sequential" or "eprb") and the four analyzer angles ``a``, ``a_prime``,
+``b``, ``b_prime`` in degrees are required; ``step`` (grid step in
+degrees, default 10), ``n`` (sample count, default 1000000), ``seed``
+(default 0), ``format`` ("csv" or "json", default "csv"), and ``out``
+(output path, default stdout) are optional. Unknown keys are rejected.
+Each optional field of ``RunConfig`` is also a flag of its name, with its
+help text from the field. A numeric field's flag is read as the int its
+text spells, else the float, else the text; ``--format`` and ``--out``
+stay text. The flags that were given replace their keys in the document
+before it is checked, so ``RunConfig`` alone checks them, and a flag
+meets the same rules and messages as the config key it overrides.
 
 Angles are degrees at this boundary and radians everywhere inside the
 library. Reports contain no timestamps or machine identifiers: a given
@@ -108,11 +111,13 @@ class RunConfig:
     a_prime: float
     b: float
     b_prime: float
-    step: float = 10.0
-    n: int = 1_000_000
-    seed: int = 0
-    format: str = "csv"
-    out: str | None = None
+    step: float = dataclasses.field(default=10.0, metadata={"help": "grid step in degrees"})
+    n: int = dataclasses.field(default=1_000_000, metadata={"help": "sample count"})
+    seed: int = dataclasses.field(default=0, metadata={"help": "sampling seed"})
+    format: str = dataclasses.field(default="csv", metadata={"help": "csv or json"})
+    out: str | None = dataclasses.field(
+        default=None, metadata={"help": "output path (default: stdout)"}
+    )
 
     def __post_init__(self) -> None:
         try:
@@ -566,9 +571,22 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
 
 
+def _scalar(text: str) -> int | float | str:
+    """A flag's value: the int its text spells, else the float, else the text."""
+    for number in (int, float):
+        try:
+            return number(text)
+        except ValueError:
+            pass
+    return text
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    """The parser, built on first use; parsing leaves no state in it."""
+    """The parser, built on first use; parsing leaves no state in it.
+
+    Each optional ``RunConfig`` field gives every subcommand a flag of its
+    name; ``RunConfig`` alone checks the value."""
     parser = _Parser(
         prog="eprb-lab",
         description="Exact statistics, CHSH scans, and hidden-variable "
@@ -579,11 +597,12 @@ def _build_parser() -> argparse.ArgumentParser:
     for name in SUBCOMMANDS:
         sub = subparsers.add_parser(name, help=f"run the {name} computation")
         sub.add_argument("--config", required=True, help="path to the JSON configuration")
-        sub.add_argument("--out", help="output path (default: stdout)")
-        sub.add_argument("--format", choices=("csv", "json"), help="output format")
-        sub.add_argument("--seed", type=int, help="override the sampling seed")
-        sub.add_argument("--step", type=float, help="override the grid step (degrees)")
-        sub.add_argument("--n", type=int, help="override the sample count")
+        for f in _FIELDS:
+            if f.default is not dataclasses.MISSING:
+                number = isinstance(f.default, (int, float))
+                sub.add_argument(
+                    f"--{f.name}", type=_scalar if number else str, help=f.metadata["help"]
+                )
     return parser
 
 
@@ -593,7 +612,7 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
             text = handle.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read configuration {args.config!r}: {exc}") from exc
-    # Every optional config key has a flag of the same name.
+    # Every optional config key has a flag of the same name (_build_parser).
     overrides = {key: getattr(args, key) for key in _DEFAULTS if getattr(args, key) is not None}
     return parse_config(text, overrides)
 

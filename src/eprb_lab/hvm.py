@@ -85,6 +85,14 @@ from .quantum import (
     probabilities,
 )
 
+__all__ = [
+    "ChshCertificate", "ContextDescriptor", "FactorizabilityReport", "FeasibilityResult",
+    "HVModel", "PairTargets", "Verdict", "build_contextual_model", "check_factorizability",
+    "chsh_variant_values", "hv_correlator", "induced_distribution", "load_model",
+    "model_from_tables", "noncontextual_feasibility", "pair_targets_from_correlators",
+    "pair_targets_from_scenario", "save_model",
+]
+
 #: Each model component and the settings it may list: a side only its own.
 _READABLE = {"weights": SETTINGS, "side1": SETTINGS[:2], "side2": SETTINGS[2:]}
 _CONTEXT_FIELDS = tuple(_READABLE)

@@ -31,6 +31,12 @@ from .errors import (
 )
 from .quantum import SETTINGS, TWO_PI, CorrelatorSet, Mode, canonical_angle
 
+__all__ = [
+    "BOUND_TOL", "CHSH_BOUNDS", "CLASSICAL_BOUND", "ChshReport", "OptimumReport", "ScanReport",
+    "chsh_gradient", "chsh_report", "chsh_sequential_closed", "chsh_value", "maximize_chsh",
+    "scan_grid",
+]
+
 #: Largest |S| any joint distribution over the four outcomes allows.
 CLASSICAL_BOUND = 2.0
 

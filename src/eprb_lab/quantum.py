@@ -50,6 +50,12 @@ from .errors import (
     sequence,
 )
 
+__all__ = [
+    "QUADRUPLES", "SIGN_PAIRS", "SIGNS", "CorrelatorSet", "GrandJointDistribution", "Mode",
+    "OutcomeQuadruple", "PairDistribution", "Scenario", "canonical_angle",
+    "closed_form_correlators", "correlator_pair", "grand_joint_quantum", "marginal_pair",
+]
+
 TWO_PI = 2.0 * math.pi
 
 SIGNS: tuple[int, int] = (1, -1)

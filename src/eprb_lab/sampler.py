@@ -34,6 +34,11 @@ from ._shards import split
 from .errors import DistributionError, EmptySampleError, integer, quoted, sequence
 from .quantum import PAIR_SLOTS, QUADRUPLES, CorrelatorSet, GrandJointDistribution
 
+__all__ = [
+    "COUNTS_CSV_HEADER", "EstimatedCorrelators", "OutcomeCounts", "empirical_correlators",
+    "sample", "uniforms",
+]
+
 GOLDEN = 0x9E3779B97F4A7C15
 _MIX_1 = 0xBF58476D1CE4E5B9
 _MIX_2 = 0x94D049BB133111EB

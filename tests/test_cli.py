@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import collections
 import contextlib
+import dataclasses
 import errno
 import io
 import json
 import math
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -751,8 +753,9 @@ class TestParserReuse:
              "--format", "json"]
         )
         assert json.loads(overridden)["config"]["seed"] == 9
+        assert '"step": 45.0,' in overridden  # the flag's int, echoed as the field's float
         for argv, code in [
-            (["sample", "--config", path, "--n", "many"], EXIT_INPUT),
+            (["sample", "--config", path, "--n"], EXIT_INPUT),
             (["--version"], EXIT_OK),
             (["frobnicate", "--config", path], EXIT_INPUT),
         ]:
@@ -818,6 +821,11 @@ class TestOneConfigPath:
             ("--seed", "-3", "seed", -3),
             ("--seed", str(2**64), "seed", 2**64),
             ("--n", "-1", "n", -1),
+            ("--format", "yaml", "format", "yaml"),
+            ("--seed", "1.5", "seed", 1.5),
+            ("--n", "1e3", "n", 1000.0),
+            ("--n", "many", "n", "many"),
+            ("--step", "x", "step", "x"),
         ],
     )
     def test_flag_errors_match_config_errors(
@@ -831,6 +839,29 @@ class TestOneConfigPath:
         assert code == EXIT_INPUT
         assert captured.out == ""
         assert captured.err == f"error: {excinfo.value}\n"
+
+    @pytest.mark.parametrize("subcommand", SUBCOMMANDS)
+    def test_help_names_one_flag_per_optional_field(self, capsys, monkeypatch, subcommand):
+        monkeypatch.setenv("COLUMNS", "100")  # each flag's help on its own line
+        with pytest.raises(SystemExit) as excinfo:
+            main([subcommand, "--help"])
+        assert excinfo.value.code == EXIT_OK
+        text = capsys.readouterr().out
+        # Each optional field's flag and the meaning its help text keeps.
+        meaning = {
+            "step": "grid step in degrees",
+            "n": "sample count",
+            "seed": "sampling seed",
+            "format": "csv or json",
+            "out": "output path",
+        }
+        fields = dataclasses.fields(RunConfig)
+        assert [f.name for f in fields if f.default is not dataclasses.MISSING] == list(meaning)
+        flags = ["--help", "--config", *(f"--{name}" for name in meaning)]
+        assert sorted(set(re.findall(r"--[a-z_]+", text))) == sorted(flags)
+        for name, words in meaning.items():
+            (line,) = [s for s in text.splitlines() if s.strip().startswith(f"--{name} ")]
+            assert words in line
 
     def test_flag_replaces_an_invalid_config_value(self, tmp_path, capsys):
         path = write_config(tmp_path, step=0.0)
@@ -859,7 +890,7 @@ class TestOneConfigPath:
     def test_parser_errors_are_one_line(self, tmp_path, capsys):
         path = write_config(tmp_path)
         with pytest.raises(SystemExit) as excinfo:
-            main(["sample", "--config", path, "--n", "many"])
+            main(["sample", "--config", path, "--n"])
         assert excinfo.value.code == EXIT_INPUT
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "--n" in err
