@@ -69,7 +69,6 @@ from . import __version__
 from ._shards import split
 from .errors import BoundViolationError, ConfigError, EprbLabError, integer, real
 from .hvm import (
-    Verdict,
     build_contextual_model,
     check_factorizability,
     induced_distribution,
@@ -194,13 +193,8 @@ class Report:
     payload: dict[str, Any]
 
     def to_json(self) -> str:
-        doc = {
-            "version": self.version,
-            "subcommand": self.subcommand,
-            "config": self.config,
-            "payload": self.payload,
-        }
-        return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+        # The fields in order; not dataclasses.asdict, which deep-copies the payload.
+        return json.dumps(vars(self), indent=2, allow_nan=False) + "\n"
 
 
 #: The one number format of CSV cells: 17 significant digits round-trip a float.
@@ -234,15 +228,11 @@ def _payload_exact(config: RunConfig) -> _Payload:
     pairs = {
         ",".join(pair): marginal_pair(distribution, pair) for pair in CROSS_PAIRS.values()
     }
-    correlators = closed_form_correlators(scenario)
-    report = chsh_report(correlators)
     payload = {
         "distribution": [{**q._asdict(), "probability": p} for q, p in distribution.items()],
         "pair_marginals": {k: list(v.probs) for k, v in pairs.items()},
         "pair_correlators": {k: correlator_pair(v) for k, v in pairs.items()},
-        "correlators": correlators.as_dict(),
-        "s_value": report.s_value,
-        "bound_satisfied": report.bound_satisfied,
+        **dataclasses.asdict(chsh_report(closed_form_correlators(scenario))),
     }
     rows = (map(_cell, (*q, p)) for q, p in distribution.items())
     return payload, _csv_lines(",".join((*OutcomeQuadruple._fields, "probability")), rows)
@@ -455,19 +445,11 @@ def _payload_chsh_max(config: RunConfig) -> _Payload:
     init = [getattr(scenario, name) for name in ANGLE_NAMES[config.mode]]
     report = maximize_chsh(config.mode, init_angles=init)
     angles_deg = [math.degrees(v) for v in report.angles]
-    payload = {
-        "mode": config.mode.value,
-        "optimal_angles_deg": angles_deg,
-        "s_value": report.s_value,
-        "abs_s": report.abs_s,
-        "iterations": report.iterations,
-        "grad_norm": report.grad_norm,
-        "converged": report.converged,
-    }
-    tail = ("s_value", "abs_s", "iterations", "grad_norm", "converged")
+    # The report's fields after its mode and angles end both the payload and the row.
+    tail = {f.name: getattr(report, f.name) for f in dataclasses.fields(report)[2:]}
+    payload = {"mode": config.mode.value, "optimal_angles_deg": angles_deg, **tail}
     header = ",".join((*_SCAN_COLUMNS[config.mode], *tail))
-    row = (*angles_deg, *(payload[key] for key in tail))
-    return payload, _csv_lines(header, [map(_cell, row)])
+    return payload, _csv_lines(header, [map(_cell, (*angles_deg, *tail.values()))])
 
 
 def _payload_hvm_check(config: RunConfig) -> _Payload:
@@ -476,9 +458,7 @@ def _payload_hvm_check(config: RunConfig) -> _Payload:
     fact = check_factorizability(model)
     exact = grand_joint_quantum(scenario)
     induced = induced_distribution(model)
-    reconstruction_dev = max(
-        abs(p - q) for p, q in zip(induced.probs, exact.probs)
-    )
+    reconstruction_dev = max(abs(p - q) for p, q in zip(induced.probs, exact.probs))
     passed = fact.passed and reconstruction_dev <= 1e-12
     payload = {
         "atom_ids": list(model.atom_ids),
@@ -488,35 +468,33 @@ def _payload_hvm_check(config: RunConfig) -> _Payload:
         "reconstruction_max_deviation": reconstruction_dev,
         "passed": passed,
     }
-    header = (
-        "passed,factorizability_passed,factorizability_max_deviation,"
-        "reconstruction_max_deviation"
-    )
-    row = (passed, fact.passed, fact.max_deviation, reconstruction_dev)
-    return payload, _csv_lines(header, [map(_cell, row)])
+    columns = {
+        "passed": passed,
+        "factorizability_passed": fact.passed,
+        "factorizability_max_deviation": fact.max_deviation,
+        "reconstruction_max_deviation": reconstruction_dev,
+    }
+    return payload, _csv_lines(",".join(columns), [map(_cell, columns.values())])
 
 
 def _payload_joint_feasibility(config: RunConfig) -> _Payload:
     scenario = config.scenario()
     targets = pair_targets_from_scenario(scenario)
     result = noncontextual_feasibility(targets)
-    payload: dict[str, Any] = {
+    joint, cert = result.joint, result.certificate
+    payload = {
         "verdict": result.verdict.value,
         "target_correlators": targets.correlators().as_dict(),
+        "witness": None if joint is None else list(joint.probs),
+        "certificate": None if cert is None else {"signs": list(cert.signs), "value": cert.value},
     }
-    if result.verdict is Verdict.FEASIBLE:
-        payload["witness"] = list(result.joint.probs)
-        payload["certificate"] = None
-        row = (result.verdict.value, "", "", "", "", "")
-    else:
-        payload["witness"] = None
-        payload["certificate"] = {
-            "signs": list(result.certificate.signs),
-            "value": result.certificate.value,
-        }
-        row = (result.verdict.value, *result.certificate.signs, result.certificate.value)
-    header = ",".join(("verdict", *(f"sign_{pair}" for pair in CROSS_PAIRS), "certificate_value"))
-    return payload, _csv_lines(header, [map(_cell, row)])
+    signs, value = (("",) * len(CROSS_PAIRS), "") if cert is None else (cert.signs, cert.value)
+    columns = {
+        "verdict": result.verdict.value,
+        **{f"sign_{pair}": sign for pair, sign in zip(CROSS_PAIRS, signs)},
+        "certificate_value": value,
+    }
+    return payload, _csv_lines(",".join(columns), [map(_cell, columns.values())])
 
 
 _PAYLOAD_BUILDERS: dict[str, Callable[[RunConfig], _Payload]] = {
@@ -572,12 +550,17 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _scalar(text: str) -> int | float | str:
-    """A flag's value: the int its text spells, else the float, else the text."""
+    """A flag's value: the int its text spells, else the float, else the text.
+    ``decimal`` reads an int of more than 4,300 digits, which ``int`` refuses."""
     for number in (int, float):
         try:
-            return number(text)
+            value = number(text)
         except ValueError:
-            pass
+            continue
+        if abs(value) == math.inf and text.strip().lstrip("+-").replace("_", "").isdigit():
+            import decimal  # here, so that only such a flag pays for its import
+            return int(decimal.Decimal(text))
+        return value
     return text
 
 
@@ -623,12 +606,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = _load_config(args)
         run(args.subcommand, config)
-    except BoundViolationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BOUND_VIOLATION
     except EprbLabError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        return EXIT_BOUND_VIOLATION if isinstance(exc, BoundViolationError) else EXIT_INPUT
     except Exception as exc:  # internal failure: anything unforeseen
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

@@ -559,6 +559,48 @@ class TestRunJointFeasibility:
         assert row == "feasible,,,,,"
 
 
+#: One config per report shape: each subcommand, both modes where it takes
+#: both, a sample with and without draws, and both feasibility verdicts.
+ROUND_TRIP_CASES = [
+    ("exact", {}),
+    ("sample", {"n": 0}),
+    ("sample", {"n": 1000, "seed": 7}),
+    ("chsh-scan", {"step": 60.0}),
+    ("chsh-scan", {"step": 60.0, **MAGIC_CONFIG}),
+    ("chsh-max", {}),
+    ("chsh-max", MAGIC_CONFIG),
+    ("hvm-check", {}),
+    ("joint-feasibility", {}),
+    ("joint-feasibility", {"mode": "eprb", "a": 0.0, "a_prime": 90.0, "b": 45.0, "b_prime": 315.0}),
+]
+
+
+class TestJsonRoundTrip:
+    def test_cases_cover_every_subcommand(self):
+        assert {subcommand for subcommand, _ in ROUND_TRIP_CASES} == set(SUBCOMMANDS)
+
+    @pytest.mark.parametrize("subcommand, overrides", ROUND_TRIP_CASES)
+    def test_json_report_equals_the_returned_report(self, tmp_path, subcommand, overrides):
+        # Compared by ==, a tuple where JSON has a list, or a dataclass object
+        # where it has an object, fails.
+        report, text = run_to_file(tmp_path, subcommand, **overrides)
+        assert text == report.to_json()
+        doc = json.loads(text)
+        assert list(doc) == ["version", "subcommand", "config", "payload"]
+        assert doc["version"] == report.version
+        assert doc["subcommand"] == report.subcommand
+        assert doc["config"] == report.config
+        assert doc["payload"] == report.payload
+
+    def test_both_verdicts_are_covered(self, tmp_path):
+        verdicts = {
+            run_to_file(tmp_path, subcommand, **overrides)[0].payload["verdict"]
+            for subcommand, overrides in ROUND_TRIP_CASES
+            if subcommand == "joint-feasibility"
+        }
+        assert verdicts == {"feasible", "infeasible"}
+
+
 class TestRunValidation:
     def test_unknown_subcommand_rejected(self):
         config = parse_config(config_text())
@@ -862,6 +904,18 @@ class TestOneConfigPath:
         for name, words in meaning.items():
             (line,) = [s for s in text.splitlines() if s.strip().startswith(f"--{name} ")]
             assert words in line
+
+    def test_int_flag_past_the_digit_limit_is_named_as_given(self, tmp_path, capsys):
+        # int() refuses text of more than 4,300 digits and float() reads it as inf.
+        path = write_config(tmp_path)
+        code = main(["exact", "--config", path, "--seed", "1" * 5000])
+        captured = capsys.readouterr()
+        assert code == EXIT_INPUT
+        assert captured.out == ""
+        assert captured.err == (
+            "error: field 'seed' must be an integer from 0 to 18446744073709551615, "
+            "got 1.11e+4999\n"
+        )
 
     def test_flag_replaces_an_invalid_config_value(self, tmp_path, capsys):
         path = write_config(tmp_path, step=0.0)
