@@ -69,6 +69,7 @@ from . import __version__
 from ._shards import split
 from .errors import BoundViolationError, ConfigError, EprbLabError, integer, real
 from .hvm import (
+    CONTEXT,
     build_contextual_model,
     check_factorizability,
     induced_distribution,
@@ -463,7 +464,7 @@ def _payload_hvm_check(config: RunConfig) -> _Payload:
     payload = {
         "atom_ids": list(model.atom_ids),
         "weights": list(model.table("weights")),
-        "context": model.context.as_dict(),
+        "context": {component: list(reads) for component, reads in CONTEXT.items()},
         "factorizability": dataclasses.asdict(fact),
         "reconstruction_max_deviation": reconstruction_dev,
         "passed": passed,

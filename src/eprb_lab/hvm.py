@@ -12,8 +12,8 @@ that product structure is what "factorizable" means here.
 A model's three components, the weights and the two sides' response
 tables, are functions ``(atom index, Scenario) -> value``, so that
 :func:`check_factorizability` can probe whether one moves with a setting
-that its :class:`ContextDescriptor` entry does not list. Models loaded
-from disk wrap constants and pass the probe trivially.
+that :data:`CONTEXT` does not let it read. Models loaded from disk wrap
+constants and pass the probe trivially.
 
 Dropping the second time step yields the EPRB limit, where the four
 pairwise distributions become targets for a single joint distribution
@@ -31,9 +31,8 @@ Model file schema (JSON, one object):
 - ``"scenario"``: object with ``"mode"`` (``"sequential"`` or ``"eprb"``)
   and the four analyzer angles ``"a"``, ``"a_prime"``, ``"b"``,
   ``"b_prime"`` in radians.
-- ``"context"``: object with keys ``"weights"``, ``"side1"``, ``"side2"``,
-  each listing the setting names that component depends on; a side may
-  list only its own two analyzers.
+- ``"context"``: exactly :data:`CONTEXT` with its tuples as lists, the
+  setting names that each component may read.
 - ``"atoms"``: list of objects with ``"id"`` (string), ``"weight"``
   (number), ``"side1"`` and ``"side2"`` (four numbers each, over the sign
   pairs in canonical order). Numbers are finite and not booleans.
@@ -86,44 +85,22 @@ from .quantum import (
 )
 
 __all__ = [
-    "ChshCertificate", "ContextDescriptor", "FactorizabilityReport", "FeasibilityResult",
+    "CONTEXT", "ChshCertificate", "FactorizabilityReport", "FeasibilityResult",
     "HVModel", "PairTargets", "Verdict", "build_contextual_model", "check_factorizability",
     "chsh_variant_values", "hv_correlator", "induced_distribution", "load_model",
     "model_from_tables", "noncontextual_feasibility", "pair_targets_from_correlators",
     "pair_targets_from_scenario", "save_model",
 ]
 
-#: Each model component and the settings it may list: a side only its own.
-_READABLE = {"weights": SETTINGS, "side1": SETTINGS[:2], "side2": SETTINGS[2:]}
-_CONTEXT_FIELDS = tuple(_READABLE)
+#: The settings each model component may read. The weights read the
+#: context, the first-round analyzer pair, which is what makes the model
+#: contextual; each side reads only its own two analyzers, which is
+#: parameter independence, one half of factorizability (J. Jarrett,
+#: Nous 18, 569, 1984).
+CONTEXT = {"weights": ("a", "b"), "side1": SETTINGS[:2], "side2": SETTINGS[2:]}
 
 ResponseTable = tuple[float, float, float, float]
 Component = Callable[[int, Scenario], Any]  # a weight or a ResponseTable
-
-
-@dataclass(frozen=True)
-class ContextDescriptor:
-    """Which analyzer settings each model component may depend on; a side
-    may list only its own analyzers."""
-
-    weights: tuple[str, ...]
-    side1: tuple[str, ...]
-    side2: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        for field in _CONTEXT_FIELDS:
-            names = sequence(getattr(self, field), f"{field} context", InvalidScenarioError)
-            object.__setattr__(self, field, names)
-            for name in names:
-                if not (isinstance(name, str) and name in _READABLE[field]):
-                    readable = ", ".join(_READABLE[field])
-                    raise InvalidScenarioError(
-                        f"{field} may list only {readable}, got {quoted(name)}"
-                    )
-
-    def as_dict(self) -> dict[str, list[str]]:
-        """The descriptor as the model file and the reports write it."""
-        return {field: list(getattr(self, field)) for field in _CONTEXT_FIELDS}
 
 
 @dataclass(frozen=True)
@@ -134,8 +111,9 @@ class HVModel:
     is the conditional distribution of ``(A1, A2)`` given atom ``i``, over
     the sign pairs in canonical order; ``side2`` does the same for
     ``(B1, B2)``. Every component receives the full scenario, so that
-    reading only the settings that ``context`` lists is a checkable
-    property rather than an assumption.
+    reading only the settings that :data:`CONTEXT` allows is a checkable
+    property rather than an assumption. Each side table at the model's
+    scenario must hold 4 entries.
     """
 
     scenario: Scenario
@@ -143,7 +121,6 @@ class HVModel:
     weights: Component
     side1: Component
     side2: Component
-    context: ContextDescriptor
 
     def __post_init__(self) -> None:
         ids = sequence(self.atom_ids, "atom ids", DistributionError)
@@ -154,6 +131,9 @@ class HVModel:
         if len(set(self.atom_ids)) != len(self.atom_ids):
             raise DistributionError("atom ids must be unique")
         probabilities(self.table("weights"), "atom weight", self.n_atoms)
+        for side in ("side1", "side2"):
+            for t in self.table(side):
+                sequence(t, "response table", DistributionError, 4)
 
     @property
     def n_atoms(self) -> int:
@@ -211,14 +191,13 @@ def build_contextual_model(scenario: Scenario) -> HVModel:
         weights=_sequential_weight,
         side1=_sequential_side1,
         side2=_sequential_side2,
-        context=ContextDescriptor(weights=("a", "b"), side1=SETTINGS[:2], side2=SETTINGS[2:]),
     )
 
 
 def induced_distribution(model: HVModel) -> GrandJointDistribution:
     """Mix the per-atom product responses into a joint over quadruples."""
     probs = [0.0] * 16
-    for w, t1, t2 in zip(*map(model.table, _CONTEXT_FIELDS)):
+    for w, t1, t2 in zip(*map(model.table, CONTEXT)):
         for idx, q in enumerate(QUADRUPLES):
             probs[idx] += w * t1[PAIR_INDEX[(q.a1, q.a2)]] * t2[PAIR_INDEX[(q.b1, q.b2)]]
     return GrandJointDistribution(tuple(probs))
@@ -229,10 +208,10 @@ class FactorizabilityReport:
     """Outcome of the factorizability and locality checks.
 
     ``max_deviation`` is the worst violation of setting independence: how
-    far a component moves with a setting that its descriptor does not
-    list, such as the other side's analyzers, which is also the locality
-    check. A model stores one response table per side, so its per-atom
-    joint is their product by construction and needs no check.
+    far a component moves with a setting that :data:`CONTEXT` does not
+    let it read, such as the other side's analyzers, which is also the
+    locality check. A model stores one response table per side, so its
+    per-atom joint is their product by construction and needs no check.
     ``normalization_error`` tracks how far weights and response tables
     stray from exact normalization; it gates ``passed`` but is reported
     separately because it measures validity, not factorizability.
@@ -245,6 +224,9 @@ class FactorizabilityReport:
 
 #: Fixed offsets (radians) used to probe setting independence.
 _PROBE_OFFSETS = (0.9, 2.1, 3.3)
+
+#: The two settings each component may not read, which the probe moves.
+_UNREAD = {c: tuple(s for s in SETTINGS if s not in reads) for c, reads in CONTEXT.items()}
 
 #: Slack on negative response probabilities, normalization and locality.
 _FACTORIZABILITY_TOL = 1e-12
@@ -260,32 +242,34 @@ def _distributions(model: HVModel, component: str, scenario: Scenario | None = N
 def check_factorizability(model: HVModel) -> FactorizabilityReport:
     """Verify setting independence and normalization of a model.
 
-    Each component must not move when the settings that its descriptor
-    does not list move by fixed probe offsets, each alone and then all
-    together. Models built by :func:`build_contextual_model` pass with
-    deviation exactly zero; the check guards hand-built or file-loaded
-    models. Every check allows 1e-12. An entry at the model's scenario
-    outside [-1e-12, 1 + 1e-12], or a non-finite entry at a probe, raises
-    :class:`DistributionError`.
+    Each component must not move when the two settings that
+    :data:`CONTEXT` does not let it read move by fixed probe offsets, each
+    alone and then both together. Models built by
+    :func:`build_contextual_model` pass with deviation exactly zero; the
+    check guards hand-built or file-loaded models. Every check allows
+    1e-12. An entry at the model's scenario outside [-1e-12, 1 + 1e-12], or
+    a non-finite entry or a side table of other than 4 entries at a probe,
+    raises :class:`DistributionError`.
     """
     tol = _FACTORIZABILITY_TOL
     sc = model.scenario
     normalization = deviation = 0.0
-    for component in _CONTEXT_FIELDS:
+    for component in CONTEXT:
         dists = _distributions(model, component)
         for dist in dists:
             for p in dist:
                 if not -tol <= p <= 1.0 + tol:  # also NaN; so no fsum overflows
                     raise DistributionError(f"response probability is invalid: {p!r}")
             normalization = max(normalization, abs(math.fsum(dist) - 1.0))
-        unread = [name for name in SETTINGS if name not in getattr(model.context, component)]
-        moves = [[name] for name in unread] + ([unread] if len(unread) > 1 else [])
+        one, other = _UNREAD[component]
         for delta in _PROBE_OFFSETS:
-            for names in moves:
+            for names in ((one,), (other,), (one, other)):
                 probe = replace(sc, **{name: getattr(sc, name) + delta for name in names})
                 moved = _distributions(model, component, probe)
                 if moved != dists:  # an unmoved component deviates by 0
                     for before, after in zip(dists, moved):
+                        # A side's table keeps its 4 entries; the weights' length cannot change.
+                        after = sequence(after, "response table", DistributionError, len(before))
                         for x, y in zip(before, after):
                             if not math.isfinite(y):  # max() would drop a NaN deviation
                                 raise DistributionError(f"response probability is invalid: {y!r}")
@@ -318,7 +302,7 @@ def hv_correlator(model: HVModel, pair: Sequence[str]) -> float:
         )
     slot1, slot2 = slots[0], slots[1]
     total = 0.0
-    for w, t1, t2 in zip(*map(model.table, _CONTEXT_FIELDS)):
+    for w, t1, t2 in zip(*map(model.table, CONTEXT)):
         e1 = math.fsum((s1, s2)[slot1] * p for (s1, s2), p in zip(SIGN_PAIRS, t1))
         e2 = math.fsum((s1, s2)[slot2] * p for (s1, s2), p in zip(SIGN_PAIRS, t2))
         total += w * e1 * e2
@@ -336,7 +320,6 @@ def model_from_tables(
     weights: Sequence[float],
     side1: Sequence[Sequence[float]],
     side2: Sequence[Sequence[float]],
-    context: ContextDescriptor,
 ) -> HVModel:
     """Wrap static weights and response tables (e.g. loaded from disk) as a
     model. Each argument is a sequence with one item per atom id
@@ -356,7 +339,6 @@ def model_from_tables(
         weights=_static(probabilities(weights, "atom weight", len(ids))),
         side1=_static(s1),
         side2=_static(s2),
-        context=context,
     )
 
 
@@ -369,10 +351,10 @@ def save_model(model: HVModel, path: str | Path) -> None:
     doc = {
         "format": _MODEL_FORMAT,
         "scenario": {"mode": sc.mode.value, **{name: getattr(sc, name) for name in SETTINGS}},
-        "context": model.context.as_dict(),
+        "context": CONTEXT,
         "atoms": [
             {"id": atom_id, "weight": w, "side1": list(t1), "side2": list(t2)}
-            for atom_id, w, t1, t2 in zip(model.atom_ids, *map(model.table, _CONTEXT_FIELDS))
+            for atom_id, w, t1, t2 in zip(model.atom_ids, *map(model.table, CONTEXT))
         ],
     }
     Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
@@ -382,7 +364,7 @@ def load_model(path: str | Path) -> HVModel:
     """Read a model written by :func:`save_model`.
 
     Raises :class:`ModelFormatError` unless the document has the schema's
-    keys and JSON types, a context that :class:`ContextDescriptor` accepts,
+    keys and JSON types, exactly the ``context`` block of :data:`CONTEXT`,
     weights that form a distribution and tables of four entries. Whether
     the tables are distributions is left to :func:`check_factorizability`,
     whose probe the loaded constants pass by construction.
@@ -393,20 +375,18 @@ def load_model(path: str | Path) -> HVModel:
         raise ModelFormatError(f"not valid UTF-8 JSON: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("format") != _MODEL_FORMAT:
         raise ModelFormatError(f"expected format {_MODEL_FORMAT!r}")
+    if doc.get("context") != {c: list(reads) for c, reads in CONTEXT.items()}:
+        raise ModelFormatError(f"context must be {json.dumps(CONTEXT)}")
     try:
         sc_doc = doc["scenario"]
         scenario = Scenario(
             **{name: sc_doc[name] for name in SETTINGS}, mode=Mode(sc_doc["mode"])
         )
-        ctx_doc = doc["context"]
-        # The descriptor rejects lists that are not sequences of its setting names.
-        context = ContextDescriptor(**{f: ctx_doc[f] for f in _CONTEXT_FIELDS})
         atoms = doc["atoms"]
         # model_from_tables checks the ids, weights, tables and entries.
         return model_from_tables(
             scenario,
             *([atom[key] for atom in atoms] for key in ("id", "weight", "side1", "side2")),
-            context,
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ModelFormatError(f"malformed model document: {exc}") from exc

@@ -200,7 +200,6 @@ class ScanReport:
     """
 
     mode: Mode
-    step: float
     axis: np.ndarray
     max_abs_s: float
     argmax_angles: tuple[float, ...]
@@ -327,7 +326,6 @@ def scan_grid(mode: Mode, step: float) -> ScanReport:
     n = axis.shape[0]
     return ScanReport(
         mode=mode,
-        step=float(step),
         axis=axis,
         max_abs_s=max_abs,
         argmax_angles=tuple(float(axis[i]) for i in np.unravel_index(argmax_idx, (n,) * k)),

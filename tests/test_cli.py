@@ -205,7 +205,7 @@ def _report_of(mode: Mode, values: list[float]) -> ScanReport:
     axis = np.arange(size) * (2.0 * math.pi / size)
     slabs = np.resize(np.array(values, dtype=float), size**k).reshape(size, -1)
     return ScanReport(
-        mode, 2.0 * math.pi / size, axis, 0.0, (0.0,) * k,
+        mode, axis, 0.0, (0.0,) * k,
         lambda i: np.unique(slabs[i], return_inverse=True),
     )
 

@@ -23,7 +23,6 @@ from eprb_lab.errors import (
 from eprb_lab.hvm import (
     CHSH_SIGN_VARIANTS,
     ChshCertificate,
-    ContextDescriptor,
     HVModel,
     PairTargets,
     Verdict,
@@ -63,8 +62,6 @@ scenarios = st.builds(Scenario, a=angles, a_prime=angles, b=angles, b_prime=angl
 eprb_scenarios = st.builds(
     Scenario, a=angles, a_prime=angles, b=angles, b_prime=angles, mode=st.just(Mode.EPRB)
 )
-
-PLAIN_CONTEXT = ContextDescriptor(weights=(), side1=(), side2=())
 
 
 @st.composite
@@ -108,7 +105,7 @@ def plain_document() -> dict:
     return {
         "format": "hvmodel-v1",
         "scenario": {"mode": "sequential", "a": 0.0, "a_prime": 0.5, "b": 1.0, "b_prime": 1.5},
-        "context": {"weights": [], "side1": [], "side2": []},
+        "context": {"weights": ["a", "b"], "side1": ["a", "a_prime"], "side2": ["b", "b_prime"]},
         "atoms": [
             {"id": "l0", "weight": 1.0, "side1": [1.0, 0.0, 0.0, 0.0],
              "side2": [0.0, 1.0, 0.0, 0.0]}
@@ -116,7 +113,7 @@ def plain_document() -> dict:
     }
 
 
-def sign_model(weight, context: ContextDescriptor) -> HVModel:
+def sign_model(weight) -> HVModel:
     """Atoms (alpha, beta) with A1 = A2 = alpha and B1 = B2 = beta.
 
     The responses read no setting; ``weight(alpha, beta, scenario)`` gives
@@ -131,7 +128,6 @@ def sign_model(weight, context: ContextDescriptor) -> HVModel:
         weights=lambda i, sc: weight(*SIGN_PAIRS[i], sc),
         side1=lambda i, sc: point_mass[SIGN_PAIRS[i][0]],
         side2=lambda i, sc: point_mass[SIGN_PAIRS[i][1]],
-        context=context,
     )
 
 
@@ -139,9 +135,7 @@ def deterministic_model(side1_pair: int, side2_pair: int) -> HVModel:
     """Single-atom model with point-mass responses at the given pair slots."""
     t1 = tuple(1.0 if i == side1_pair else 0.0 for i in range(4))
     t2 = tuple(1.0 if i == side2_pair else 0.0 for i in range(4))
-    return model_from_tables(
-        Scenario(0.0, 0.0, 0.0, 0.0), ("l0",), (1.0,), (t1,), (t2,), PLAIN_CONTEXT
-    )
+    return model_from_tables(Scenario(0.0, 0.0, 0.0, 0.0), ("l0",), (1.0,), (t1,), (t2,))
 
 
 class TestBuildContextualModel:
@@ -161,10 +155,10 @@ class TestBuildContextualModel:
             build_contextual_model(Scenario(0.0, 1.0, 2.0, 3.0, mode=Mode.EPRB))
 
     def test_context_descriptor(self):
-        model = build_contextual_model(Scenario(0.1, 0.2, 0.3, 0.4))
-        assert model.context.weights == ("a", "b")
-        assert model.context.side1 == ("a", "a_prime")
-        assert model.context.side2 == ("b", "b_prime")
+        # The model's weights read the first-round pair, each side its own pair.
+        assert hvm.CONTEXT == {
+            "weights": ("a", "b"), "side1": ("a", "a_prime"), "side2": ("b", "b_prime")
+        }
 
     @given(scenarios)
     @settings(max_examples=100)
@@ -203,7 +197,6 @@ class TestInducedDistribution:
             (0.5, 0.5),
             ((1.0, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0, 1.0)),
             ((0.0, 1.0, 0.0, 0.0), (0.0, 0.0, 0.0, 1.0)),
-            PLAIN_CONTEXT,
         )
         d = induced_distribution(model)
         assert d.prob((1, 1, 1, -1)) == 0.5
@@ -224,7 +217,6 @@ class TestHVModelValidation:
                 (0.5,),
                 ((1.0, 0.0, 0.0, 0.0),),
                 ((1.0, 0.0, 0.0, 0.0),),
-                PLAIN_CONTEXT,
             )
 
     def test_negative_weight_rejected(self):
@@ -235,7 +227,6 @@ class TestHVModelValidation:
                 (1.5, -0.5),
                 ((1.0, 0.0, 0.0, 0.0),) * 2,
                 ((1.0, 0.0, 0.0, 0.0),) * 2,
-                PLAIN_CONTEXT,
             )
 
     def test_duplicate_atom_ids_rejected(self):
@@ -246,7 +237,6 @@ class TestHVModelValidation:
                 (0.5, 0.5),
                 ((1.0, 0.0, 0.0, 0.0),) * 2,
                 ((1.0, 0.0, 0.0, 0.0),) * 2,
-                PLAIN_CONTEXT,
             )
 
     def test_table_length_enforced(self):
@@ -257,21 +247,18 @@ class TestHVModelValidation:
                 (1.0,),
                 ((1.0, 0.0, 0.0),),
                 ((1.0, 0.0, 0.0, 0.0),),
-                PLAIN_CONTEXT,
             )
 
-    def test_context_descriptor_validates_names(self):
-        with pytest.raises(InvalidScenarioError):
-            ContextDescriptor(weights=("a", "q"), side1=(), side2=())
-
-    @pytest.mark.parametrize(
-        "side1, side2",
-        [(("b",), ()), (("a", "b_prime"), ()), ((), ("a_prime",))],
-        ids=["side1-b", "side1-b_prime", "side2-a_prime"],
-    )
-    def test_side_may_not_list_other_sides_analyzers(self, side1, side2):
-        with pytest.raises(InvalidScenarioError):
-            ContextDescriptor(weights=(), side1=side1, side2=side2)
+    @pytest.mark.parametrize("side", ["side1", "side2"])
+    @pytest.mark.parametrize("length", [3, 5])
+    def test_side_table_length_enforced(self, side, length):
+        # zip would cut a long table short in hv_correlator; a short one
+        # raised IndexError in induced_distribution.
+        parts = {name: lambda i, sc: (1.0, 0.0, 0.0, 0.0) for name in ("side1", "side2")}
+        parts[side] = lambda i, sc: (1.0,) + (0.0,) * (length - 1)
+        message = f"^response table must be a sequence of 4, got {length} items$"
+        with pytest.raises(DistributionError, match=message):
+            HVModel(ONE_ATOM["scenario"], ("l0",), lambda i, sc: 1.0, **parts)
 
 
 class TestCheckFactorizability:
@@ -282,62 +269,52 @@ class TestCheckFactorizability:
         assert report.max_deviation == 0.0
 
     @pytest.mark.parametrize(
-        "side, opposite_angle",
-        [("side1", "b"), ("side1", "b_prime"), ("side2", "a"), ("side2", "a_prime")],
+        "component, setting",
+        [
+            ("weights", "a_prime"), ("weights", "b_prime"), ("side1", "b"),
+            ("side1", "b_prime"), ("side2", "a"), ("side2", "a_prime"),
+        ],
     )
-    def test_signaling_model_fails(self, side, opposite_angle):
-        # One side's response reads one of the opposite side's analyzer angles.
-        def cheating(i, sc):
-            q = 0.25 * (1.0 + math.cos(getattr(sc, opposite_angle)))
-            return (q, 0.5 - q, 0.25, 0.25)
+    def test_signaling_model_fails(self, component, setting):
+        # One component reads a setting it may not: the weights a second-round
+        # analyzer, or a side one of the opposite side's analyzers.
+        def q(sc):
+            return 0.25 * (1.0 + math.cos(getattr(sc, setting)))
 
-        def honest(i, sc):
-            return (0.25, 0.25, 0.25, 0.25)
-
-        responses = {"side1": honest, "side2": honest}
-        responses[side] = cheating
-        model = HVModel(
-            scenario=Scenario(0.3, 1.7, 2.2, 5.1),
-            atom_ids=("l0",),
-            weights=lambda i, sc: 1.0,
-            context=PLAIN_CONTEXT,
-            **responses,
-        )
+        parts = {
+            "weights": lambda i, sc: 0.5,
+            "side1": lambda i, sc: (0.25, 0.25, 0.25, 0.25),
+            "side2": lambda i, sc: (0.25, 0.25, 0.25, 0.25),
+        }
+        parts[component] = {
+            "weights": lambda i, sc: (q(sc), 1.0 - q(sc))[i],
+            "side1": lambda i, sc: (q(sc), 0.5 - q(sc), 0.25, 0.25),
+            "side2": lambda i, sc: (q(sc), 0.5 - q(sc), 0.25, 0.25),
+        }[component]
+        model = HVModel(Scenario(0.3, 1.7, 2.2, 5.1), ("l0", "l1"), **parts)
         report = check_factorizability(model)
         assert not report.passed
         assert report.max_deviation > 1e-3
 
     def test_weights_reading_unlisted_setting_fails(self):
         model = sign_model(
-            lambda alpha, beta, sc: 0.25 * (1.0 - alpha * beta * math.cos(sc.a_prime - sc.b)),
-            ContextDescriptor(weights=("a", "b"), side1=(), side2=()),
+            lambda alpha, beta, sc: 0.25 * (1.0 - alpha * beta * math.cos(sc.a_prime - sc.b))
         )
         report = check_factorizability(model)
         assert not report.passed
         assert report.max_deviation > 1e-3
 
-    def test_side_reading_own_unlisted_analyzer_fails(self):
-        # The side reads a_prime, its own analyzer, which its entry omits.
-        model = build_contextual_model(Scenario(0.3, 1.7, 2.2, 5.1))
-        model = replace(model, context=replace(model.context, side1=("a",)))
-        report = check_factorizability(model)
-        assert not report.passed
-        assert report.max_deviation > 1e-3
-
     def test_setting_dependent_weights_pass_exactly(self):
-        # Weights read every setting, as listed; the responses read none.
-        def weight(alpha, beta, sc):
-            c = math.cos(sc.a - sc.b) * math.cos(sc.a_prime - sc.b_prime)
-            return 0.25 * (1.0 - alpha * beta * c)
-
-        every_setting = ("a", "a_prime", "b", "b_prime")
-        model = sign_model(weight, ContextDescriptor(weights=every_setting, side1=(), side2=()))
+        # Weights read a and b, as CONTEXT allows; the responses read none.
+        model = sign_model(
+            lambda alpha, beta, sc: 0.25 * (1.0 - alpha * beta * math.cos(sc.a - sc.b))
+        )
         report = check_factorizability(model)
         assert report.passed
         assert report.max_deviation == 0.0
         assert report.normalization_error <= 1e-15
         assert hv_correlator(model, ("A1", "B1")) == pytest.approx(
-            -math.cos(0.3 - 2.2) * math.cos(1.7 - 5.1), abs=ANALYTIC_TOL
+            -math.cos(0.3 - 2.2), abs=ANALYTIC_TOL
         )
 
     def test_loaded_model_passes(self, tmp_path):
@@ -354,7 +331,6 @@ class TestCheckFactorizability:
             (1.0,),
             ((1.5, -0.5, 0.0, 0.0),),
             ((1.0, 0.0, 0.0, 0.0),),
-            PLAIN_CONTEXT,
         )
         with pytest.raises(DistributionError):
             check_factorizability(model)
@@ -370,15 +346,29 @@ class TestCheckFactorizability:
 
     @pytest.mark.parametrize("component", ["weights", "side1", "side2"])
     def test_nan_at_a_probe_scenario_rejected(self, component):
-        # Finite at the model's own scenario, NaN once b moves: max() would
-        # drop the NaN deviation and report a pass.
+        # Finite at the model's own scenario, NaN once a setting that the
+        # component may not read moves: max() would drop the NaN deviation
+        # and report a pass.
+        setting = {"weights": "a_prime", "side1": "b", "side2": "a"}[component]
         own = Scenario(0.0, 0.0, 0.0, 0.0)
         steady = {"weights": 1.0, "side1": (1.0, 0.0, 0.0, 0.0), "side2": (1.0, 0.0, 0.0, 0.0)}
         nan = math.nan if component == "weights" else (math.nan,) * 4
         parts = {name: (lambda i, sc, value=value: value) for name, value in steady.items()}
-        parts[component] = lambda i, sc: steady[component] if sc.b == own.b else nan
-        model = HVModel(scenario=own, atom_ids=("l0",), context=PLAIN_CONTEXT, **parts)
+        parts[component] = lambda i, sc: steady[component] if getattr(sc, setting) == 0.0 else nan
+        model = HVModel(scenario=own, atom_ids=("l0",), **parts)
         with pytest.raises(DistributionError):
+            check_factorizability(model)
+
+    @pytest.mark.parametrize("side", ["side1", "side2"])
+    def test_short_table_at_a_probe_scenario_rejected(self, side):
+        # Four entries at the model's own scenario, three once the opposite
+        # side's analyzer moves: zip would compare the first three only.
+        opposite = {"side1": "b", "side2": "a"}[side]
+        full = (1.0, 0.0, 0.0, 0.0)
+        parts = {name: lambda i, sc: full for name in ("side1", "side2")}
+        parts[side] = lambda i, sc: full if getattr(sc, opposite) == 0.0 else full[:3]
+        model = HVModel(ONE_ATOM["scenario"], ("l0",), lambda i, sc: 1.0, **parts)
+        with pytest.raises(DistributionError, match="^response table must be a sequence of 4"):
             check_factorizability(model)
 
 
@@ -389,7 +379,6 @@ ONE_ATOM = {
     "weights": (1.0,),
     "side1": ((1.0, 0.0, 0.0, 0.0),),
     "side2": ((1.0, 0.0, 0.0, 0.0),),
-    "context": PLAIN_CONTEXT,
 }
 
 
@@ -439,7 +428,6 @@ class TestNoCoercion:
                 weights=lambda i, sc: weight,
                 side1=lambda i, sc: (1.0, 0.0, 0.0, 0.0),
                 side2=lambda i, sc: (1.0, 0.0, 0.0, 0.0),
-                context=PLAIN_CONTEXT,
             )
 
 
@@ -456,7 +444,6 @@ class TestHvCorrelator:
             (1.0,),
             ((0.25, 0.25, 0.25, 0.25),),
             ((0.25, 0.25, 0.25, 0.25),),
-            PLAIN_CONTEXT,
         )
         assert hv_correlator(model, ("A1", "B2")) == 0.0
 
@@ -503,7 +490,6 @@ class TestModelFile:
         assert loaded.atom_ids == model.atom_ids
         for component in ("weights", "side1", "side2"):
             assert loaded.table(component) == model.table(component)
-        assert loaded.context == model.context
 
     #: Analyzer angles (degrees) of the ``seq`` and ``seq-aligned`` golden
     #: configs -> SHA-256 of the model file that ``save_model`` writes there.

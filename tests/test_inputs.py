@@ -34,15 +34,18 @@ from eprb_lab.errors import (
     DistributionError,
     EprbLabError,
     InvalidScenarioError,
+    ModelFormatError,
     UnknownPairError,
     quoted,
 )
 from eprb_lab.hvm import (
-    ContextDescriptor,
+    CONTEXT,
     HVModel,
     build_contextual_model,
     hv_correlator,
+    load_model,
     model_from_tables,
+    save_model,
 )
 from eprb_lab.sampler import OutcomeCounts, sample, uniforms
 from statevector import make_spin_state, transition_prob
@@ -65,7 +68,6 @@ ONE_ATOM = dict(
     weights=(1.0,),
     side1=((1.0, 0.0, 0.0, 0.0),),
     side2=((1.0, 0.0, 0.0, 0.0),),
-    context=ContextDescriptor(weights=(), side1=(), side2=()),
 )
 
 
@@ -116,15 +118,12 @@ BOUNDARIES = {
     "hv_correlator-pair": lambda v: hv_correlator(build_contextual_model(Scenario(0, 0, 0, 0)), v),
     "marginal_pair-which": lambda v: marginal_pair(D, v),
     "GrandJointDistribution-prob": D.prob,
-    "ContextDescriptor-weights": lambda v: ContextDescriptor(weights=v, side1=(), side2=()),
-    "ContextDescriptor-side1": lambda v: ContextDescriptor(weights=(), side1=v, side2=()),
     "HVModel-atom_ids": lambda v: HVModel(
         scenario=ONE_ATOM["scenario"],
         atom_ids=v,
         weights=lambda i, sc: 1.0,
         side1=lambda i, sc: (1.0, 0.0, 0.0, 0.0),
         side2=lambda i, sc: (1.0, 0.0, 0.0, 0.0),
-        context=ONE_ATOM["context"],
     ),
 }
 
@@ -189,6 +188,33 @@ def test_unhashable_labels_and_short_quadruples_are_package_errors(build, error,
     with pytest.raises(error) as caught:
         build()
     assert str(caught.value).endswith(message)
+
+
+CONTEXT_DOC = {"weights": ["a", "b"], "side1": ["a", "a_prime"], "side2": ["b", "b_prime"]}
+
+
+@pytest.mark.parametrize(
+    "context",
+    [
+        {"weights": ["a", "b"], "side1": ["a", "a_prime"]},
+        "ab",
+        {**CONTEXT_DOC, "side1": ["b"]},
+        {**CONTEXT_DOC, "weights": ["a", "a_prime", "b"]},
+        {"weights": [], "side1": [], "side2": []},
+    ],
+    ids=["missing-key", "string", "side1-lists-b", "weights-list-a_prime", "empty-lists"],
+)
+def test_model_file_context_is_the_fixed_block(tmp_path, context):
+    # The model's components read what CONTEXT says, so a file may say nothing else.
+    path = tmp_path / "model.json"
+    save_model(build_contextual_model(Scenario(0.0, 0.0, 0.0, 0.0)), path)
+    doc = json.loads(path.read_text())
+    assert doc["context"] == CONTEXT_DOC
+    doc["context"] = context
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ModelFormatError) as caught:
+        load_model(path)
+    assert str(caught.value) == f"context must be {json.dumps(CONTEXT)}"
 
 
 @pytest.mark.parametrize(
