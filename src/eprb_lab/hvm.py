@@ -10,10 +10,13 @@ Given the hidden variable, the two sides are independent by construction;
 that product structure is what "factorizable" means here.
 
 A model's three components, the weights and the two sides' response
-tables, are functions ``(atom index, Scenario) -> value``, so that
-:func:`check_factorizability` can probe whether one moves with a setting
-that :data:`CONTEXT` does not let it read. Models loaded from disk wrap
-constants and pass the probe trivially.
+tables, are functions of the scenario that return their whole table, one
+entry per atom, so that :func:`check_factorizability` can probe whether
+one moves with a setting that :data:`CONTEXT` does not let it read.
+Models loaded from disk wrap constants and pass the probe trivially.
+One rule (``_floats``) checks every table: ``n_atoms`` entries, each a
+number for the weights and a sequence of 4 numbers for a side, kept as
+floats and coerced from nothing else.
 
 Dropping the second time step yields the EPRB limit, where the four
 pairwise distributions become targets for a single joint distribution
@@ -48,7 +51,7 @@ import json
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Any, Callable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -62,6 +65,7 @@ from .errors import (
     real,
     sequence,
 )
+from .inequality import CLASSICAL_BOUND
 from .linfeas import solve_equality_feasibility
 from .quantum import (
     CROSS_PAIRS,
@@ -100,20 +104,23 @@ __all__ = [
 CONTEXT = {"weights": ("a", "b"), "side1": SETTINGS[:2], "side2": SETTINGS[2:]}
 
 ResponseTable = tuple[float, float, float, float]
-Component = Callable[[int, Scenario], Any]  # a weight or a ResponseTable
+Component = Callable[[Scenario], Sequence]  # one weight or ResponseTable per atom
 
 
 @dataclass(frozen=True)
 class HVModel:
     """A factorizable hidden-variable model over a finite atom space.
 
-    ``weights(i, scenario)`` is atom ``i``'s weight. ``side1(i, scenario)``
-    is the conditional distribution of ``(A1, A2)`` given atom ``i``, over
-    the sign pairs in canonical order; ``side2`` does the same for
-    ``(B1, B2)``. Every component receives the full scenario, so that
-    reading only the settings that :data:`CONTEXT` allows is a checkable
-    property rather than an assumption. Each side table at the model's
-    scenario must hold 4 entries.
+    Each component maps a scenario to its whole table, one entry per
+    atom: ``weights(scenario)[i]`` is atom ``i``'s weight, and
+    ``side1(scenario)[i]`` is the conditional distribution of ``(A1, A2)``
+    given atom ``i``, over the sign pairs in canonical order; ``side2``
+    does the same for ``(B1, B2)``. Every component receives the full
+    scenario, so that reading only the settings that :data:`CONTEXT`
+    allows is a checkable property rather than an assumption. At the
+    model's scenario the weights must form a distribution and every table
+    must meet the table rule (``_floats``), or :class:`DistributionError`
+    is raised.
     """
 
     scenario: Scenario
@@ -132,44 +139,53 @@ class HVModel:
             raise DistributionError("atom ids must be unique")
         probabilities(self.table("weights"), "atom weight", self.n_atoms)
         for side in ("side1", "side2"):
-            for t in self.table(side):
-                sequence(t, "response table", DistributionError, 4)
+            _floats(side, self.table(side), self.n_atoms)
 
     @property
     def n_atoms(self) -> int:
         return len(self.atom_ids)
 
     def table(self, component: str, scenario: Scenario | None = None) -> tuple:
-        """Each atom's ``component`` at ``scenario``, by default the model's own."""
-        sc = self.scenario if scenario is None else scenario
-        read = getattr(self, component)
-        return tuple([read(i, sc) for i in range(self.n_atoms)])
+        """``component``'s table at ``scenario``, by default the model's own:
+        a tuple of one entry per atom."""
+        table = getattr(self, component)(self.scenario if scenario is None else scenario)
+        return sequence(table, f"{component} table", DistributionError, self.n_atoms)
+
+
+def _floats(component: str, table: Sequence, n_atoms: int) -> tuple:
+    """The table rule: ``component``'s table as floats if it holds
+    ``n_atoms`` entries (``errors.sequence``), each a number
+    (``errors.real``) for the weights and a sequence of 4 numbers for a
+    side. Otherwise raises :class:`DistributionError`. Whether the entries
+    form distributions is left to the caller."""
+    table = sequence(table, f"{component} table", DistributionError, n_atoms)
+    if component == "weights":
+        return tuple([real(w, "atom weight", DistributionError) for w in table])
+    return tuple(
+        tuple([real(p, "response entry", DistributionError)
+               for p in sequence(t, "response table", DistributionError, 4)])
+        for t in table
+    )
 
 
 _ATOM_SIGNS: tuple[tuple[int, int], ...] = SIGN_PAIRS  # (alpha, beta) per atom
 _ATOM_IDS = ("++", "+-", "-+", "--")
 
 
-def _transition_table(sign: int, c: float) -> ResponseTable:
-    """Early outcome ``sign``; the late one follows the transition rule for
-    an analyzer pair at cosine ``c``."""
+def _sequential_weights(sc: Scenario) -> tuple[float, ...]:
+    c = math.cos(sc.theta_ab)
+    return tuple([0.25 * (1.0 - alpha * beta * c) for alpha, beta in _ATOM_SIGNS])
+
+
+def _transition_tables(slot: int, c: float) -> tuple[ResponseTable, ...]:
+    """Each atom's table for the side whose sign is ``slot`` of the atom's
+    signs: the early outcome is that sign, and the late one follows the
+    transition rule for an analyzer pair at cosine ``c``."""
     return tuple(
-        (1.0 if s1 == sign else 0.0) * 0.5 * (1.0 + s1 * s2 * c)
-        for s1, s2 in SIGN_PAIRS
+        tuple([(1.0 if s1 == signs[slot] else 0.0) * 0.5 * (1.0 + s1 * s2 * c)
+               for s1, s2 in SIGN_PAIRS])
+        for signs in _ATOM_SIGNS
     )
-
-
-def _sequential_weight(i: int, sc: Scenario) -> float:
-    alpha, beta = _ATOM_SIGNS[i]
-    return 0.25 * (1.0 - alpha * beta * math.cos(sc.theta_ab))
-
-
-def _sequential_side1(i: int, sc: Scenario) -> ResponseTable:
-    return _transition_table(_ATOM_SIGNS[i][0], math.cos(sc.theta_aa_prime))
-
-
-def _sequential_side2(i: int, sc: Scenario) -> ResponseTable:
-    return _transition_table(_ATOM_SIGNS[i][1], math.cos(sc.theta_bb_prime))
 
 
 def build_contextual_model(scenario: Scenario) -> HVModel:
@@ -188,9 +204,9 @@ def build_contextual_model(scenario: Scenario) -> HVModel:
     return HVModel(
         scenario=scenario,
         atom_ids=_ATOM_IDS,
-        weights=_sequential_weight,
-        side1=_sequential_side1,
-        side2=_sequential_side2,
+        weights=_sequential_weights,
+        side1=lambda sc: _transition_tables(0, math.cos(sc.theta_aa_prime)),
+        side2=lambda sc: _transition_tables(1, math.cos(sc.theta_bb_prime)),
     )
 
 
@@ -232,13 +248,6 @@ _UNREAD = {c: tuple(s for s in SETTINGS if s not in reads) for c, reads in CONTE
 _FACTORIZABILITY_TOL = 1e-12
 
 
-def _distributions(model: HVModel, component: str, scenario: Scenario | None = None) -> tuple:
-    """The distributions ``component`` holds at ``scenario``: the weights
-    are one, and a side holds one per atom."""
-    table = model.table(component, scenario)
-    return (table,) if component == "weights" else table
-
-
 def check_factorizability(model: HVModel) -> FactorizabilityReport:
     """Verify setting independence and normalization of a model.
 
@@ -248,15 +257,16 @@ def check_factorizability(model: HVModel) -> FactorizabilityReport:
     :func:`build_contextual_model` pass with deviation exactly zero; the
     check guards hand-built or file-loaded models. Every check allows
     1e-12. An entry at the model's scenario outside [-1e-12, 1 + 1e-12], or
-    a non-finite entry or a side table of other than 4 entries at a probe,
-    raises :class:`DistributionError`.
+    a table at a probe that breaks the table rule (``_floats``), raises
+    :class:`DistributionError`; a moved table need not be a distribution,
+    as it counts as deviation.
     """
     tol = _FACTORIZABILITY_TOL
     sc = model.scenario
     normalization = deviation = 0.0
     for component in CONTEXT:
-        dists = _distributions(model, component)
-        for dist in dists:
+        table = model.table(component)
+        for dist in (table,) if component == "weights" else table:  # a side holds one per atom
             for p in dist:
                 if not -tol <= p <= 1.0 + tol:  # also NaN; so no fsum overflows
                     raise DistributionError(f"response probability is invalid: {p!r}")
@@ -265,15 +275,10 @@ def check_factorizability(model: HVModel) -> FactorizabilityReport:
         for delta in _PROBE_OFFSETS:
             for names in ((one,), (other,), (one, other)):
                 probe = replace(sc, **{name: getattr(sc, name) + delta for name in names})
-                moved = _distributions(model, component, probe)
-                if moved != dists:  # an unmoved component deviates by 0
-                    for before, after in zip(dists, moved):
-                        # A side's table keeps its 4 entries; the weights' length cannot change.
-                        after = sequence(after, "response table", DistributionError, len(before))
-                        for x, y in zip(before, after):
-                            if not math.isfinite(y):  # max() would drop a NaN deviation
-                                raise DistributionError(f"response probability is invalid: {y!r}")
-                            deviation = max(deviation, abs(x - y))
+                moved = model.table(component, probe)
+                if moved != table:  # an unmoved component deviates by 0
+                    moved = _floats(component, moved, model.n_atoms)  # so no NaN deviation
+                    deviation = max(deviation, float(np.max(np.abs(np.subtract(table, moved)))))
 
     return FactorizabilityReport(
         passed=deviation <= tol and normalization <= tol,
@@ -309,11 +314,6 @@ def hv_correlator(model: HVModel, pair: Sequence[str]) -> float:
     return total
 
 
-def _static(values: tuple) -> Component:
-    """A component that reads no setting: ``values[i]`` at every scenario."""
-    return lambda i, _scenario: values[i]
-
-
 def model_from_tables(
     scenario: Scenario,
     atom_ids: Sequence[str],
@@ -322,23 +322,18 @@ def model_from_tables(
     side2: Sequence[Sequence[float]],
 ) -> HVModel:
     """Wrap static weights and response tables (e.g. loaded from disk) as a
-    model. Each argument is a sequence with one item per atom id
-    (``errors.sequence``), and each table a sequence of 4 numbers."""
+    model whose components return them whole at every scenario. The
+    weights must form a distribution over the atom ids, and each side's
+    tables meet the table rule (``_floats``); all are kept as floats."""
     ids = sequence(atom_ids, "atom ids", DistributionError)
-    s1, s2 = (
-        tuple(
-            tuple([real(p, "response entry", DistributionError)
-                   for p in sequence(t, "response table", DistributionError, 4)])
-            for t in sequence(side, "response table list", DistributionError, len(ids))
-        )
-        for side in (side1, side2)
-    )
+    w = probabilities(weights, "atom weight", len(ids))
+    s1, s2 = _floats("side1", side1, len(ids)), _floats("side2", side2, len(ids))
     return HVModel(
         scenario=scenario,
         atom_ids=ids,
-        weights=_static(probabilities(weights, "atom weight", len(ids))),
-        side1=_static(s1),
-        side2=_static(s2),
+        weights=lambda _scenario: w,  # each component reads no setting
+        side1=lambda _scenario: s1,
+        side2=lambda _scenario: s2,
     )
 
 
@@ -493,9 +488,7 @@ def chsh_variant_values(correlators: CorrelatorSet) -> dict[tuple[int, int, int,
     }
 
 
-_CONSISTENCY_TOL = 1e-9
-
-#: Slack on the CHSH variants and on the LP's residual.
+#: Slack on the shared marginals, the CHSH variants and the LP's residual.
 _FEASIBILITY_TOL = 1e-9
 
 #: Linear system over the 16 quadruples' weights: a row per target cell,
@@ -519,7 +512,7 @@ def _means(targets: PairTargets) -> dict[str, float]:
     for obs in OBSERVABLES:
         m1, m2 = [getattr(targets, name).marginal(obs, 1)
                   for name, pair in CROSS_PAIRS.items() if obs in pair]
-        if abs(m1 - m2) > _CONSISTENCY_TOL:
+        if abs(m1 - m2) > _FEASIBILITY_TOL:
             raise InconsistentTargetsError(
                 f"targets disagree on P({obs}=+1): {m1!r} vs {m2!r}"
             )
@@ -545,36 +538,36 @@ def noncontextual_feasibility(targets: PairTargets) -> FeasibilityResult:
     correlators = targets.correlators()
     variants = chsh_variant_values(correlators)
     best_signs = max(variants, key=lambda signs: variants[signs])
-    if variants[best_signs] > 2.0 + tol:
+    if variants[best_signs] > CLASSICAL_BOUND + tol:
         return FeasibilityResult(
             verdict=Verdict.INFEASIBLE,
             joint=None,
             certificate=ChshCertificate(signs=best_signs, value=variants[best_signs]),
         )
 
-    cells = [p for name in CROSS_PAIRS for p in getattr(targets, name).probs]
-    result = solve_equality_feasibility(_FEASIBILITY_ROWS, np.array([*cells, 1.0]), tol=tol)
-    if not result.feasible:
-        # Near a facet the phase-1 residual is about 2.5 times the CHSH
-        # excess, and shared marginals may differ by _CONSISTENCY_TOL: both
-        # can exceed tol. Rebuilt pairs share the averaged marginals, and
-        # k = 1 - tol/2 (a tol/2 mix toward uniform) scales every variant
-        # to at most (2 + tol) * k < 2, where Fine's theorem guarantees a
-        # joint. No cell moves by more than 0.875 * tol.
-        k = 1.0 - 0.5 * tol
-        cells = [
-            p for (first, second), e in zip(CROSS_PAIRS.values(), correlators.as_tuple())
-            for p in _pair_cells(k * means[first], k * means[second], k * e)
-        ]
+    own = [p for name in CROSS_PAIRS for p in getattr(targets, name).probs]
+    # Near a facet the phase-1 residual is about 2.5 times the CHSH excess,
+    # and shared marginals may differ by tol: both can exceed tol. Rebuilt
+    # pairs share the averaged marginals, and k = 1 - tol/2 (a tol/2 mix
+    # toward uniform) scales every variant to at most
+    # (CLASSICAL_BOUND + tol) * k < CLASSICAL_BOUND, where Fine's theorem
+    # guarantees a joint. No cell moves by more than 0.875 * tol. A
+    # generator: built only if the targets' own cells admit no witness.
+    k = 1.0 - 0.5 * tol
+    rebuilt = (
+        p for (first, second), e in zip(CROSS_PAIRS.values(), correlators.as_tuple())
+        for p in _pair_cells(k * means[first], k * means[second], k * e)
+    )
+    for cells in (own, rebuilt):
         result = solve_equality_feasibility(_FEASIBILITY_ROWS, np.array([*cells, 1.0]), tol=tol)
-    if not result.feasible:
-        raise RuntimeError(
-            "no joint distribution although no CHSH variant exceeds 2; "
-            "this contradicts Fine's theorem"
-        )
-    probs = result.x / result.x.sum()
-    return FeasibilityResult(
-        verdict=Verdict.FEASIBLE,
-        joint=GrandJointDistribution(tuple(probs.tolist())),
-        certificate=None,
+        if result.feasible:
+            probs = result.x / result.x.sum()
+            return FeasibilityResult(
+                verdict=Verdict.FEASIBLE,
+                joint=GrandJointDistribution(tuple(probs.tolist())),
+                certificate=None,
+            )
+    raise RuntimeError(
+        "no joint distribution although no CHSH variant exceeds 2; "
+        "this contradicts Fine's theorem"
     )

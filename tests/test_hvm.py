@@ -5,7 +5,9 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -125,9 +127,9 @@ def sign_model(weight) -> HVModel:
     return HVModel(
         scenario=Scenario(0.3, 1.7, 2.2, 5.1),
         atom_ids=("++", "+-", "-+", "--"),
-        weights=lambda i, sc: weight(*SIGN_PAIRS[i], sc),
-        side1=lambda i, sc: point_mass[SIGN_PAIRS[i][0]],
-        side2=lambda i, sc: point_mass[SIGN_PAIRS[i][1]],
+        weights=lambda sc: [weight(alpha, beta, sc) for alpha, beta in SIGN_PAIRS],
+        side1=lambda sc: [point_mass[alpha] for alpha, _ in SIGN_PAIRS],
+        side2=lambda sc: [point_mass[beta] for _, beta in SIGN_PAIRS],
     )
 
 
@@ -254,11 +256,11 @@ class TestHVModelValidation:
     def test_side_table_length_enforced(self, side, length):
         # zip would cut a long table short in hv_correlator; a short one
         # raised IndexError in induced_distribution.
-        parts = {name: lambda i, sc: (1.0, 0.0, 0.0, 0.0) for name in ("side1", "side2")}
-        parts[side] = lambda i, sc: (1.0,) + (0.0,) * (length - 1)
+        parts = {name: lambda sc: [(1.0, 0.0, 0.0, 0.0)] for name in ("side1", "side2")}
+        parts[side] = lambda sc: [(1.0,) + (0.0,) * (length - 1)]
         message = f"^response table must be a sequence of 4, got {length} items$"
         with pytest.raises(DistributionError, match=message):
-            HVModel(ONE_ATOM["scenario"], ("l0",), lambda i, sc: 1.0, **parts)
+            HVModel(ONE_ATOM["scenario"], ("l0",), lambda sc: [1.0], **parts)
 
 
 class TestCheckFactorizability:
@@ -282,14 +284,14 @@ class TestCheckFactorizability:
             return 0.25 * (1.0 + math.cos(getattr(sc, setting)))
 
         parts = {
-            "weights": lambda i, sc: 0.5,
-            "side1": lambda i, sc: (0.25, 0.25, 0.25, 0.25),
-            "side2": lambda i, sc: (0.25, 0.25, 0.25, 0.25),
+            "weights": lambda sc: [0.5, 0.5],
+            "side1": lambda sc: [(0.25, 0.25, 0.25, 0.25)] * 2,
+            "side2": lambda sc: [(0.25, 0.25, 0.25, 0.25)] * 2,
         }
         parts[component] = {
-            "weights": lambda i, sc: (q(sc), 1.0 - q(sc))[i],
-            "side1": lambda i, sc: (q(sc), 0.5 - q(sc), 0.25, 0.25),
-            "side2": lambda i, sc: (q(sc), 0.5 - q(sc), 0.25, 0.25),
+            "weights": lambda sc: [q(sc), 1.0 - q(sc)],
+            "side1": lambda sc: [(q(sc), 0.5 - q(sc), 0.25, 0.25)] * 2,
+            "side2": lambda sc: [(q(sc), 0.5 - q(sc), 0.25, 0.25)] * 2,
         }[component]
         model = HVModel(Scenario(0.3, 1.7, 2.2, 5.1), ("l0", "l1"), **parts)
         report = check_factorizability(model)
@@ -353,8 +355,8 @@ class TestCheckFactorizability:
         own = Scenario(0.0, 0.0, 0.0, 0.0)
         steady = {"weights": 1.0, "side1": (1.0, 0.0, 0.0, 0.0), "side2": (1.0, 0.0, 0.0, 0.0)}
         nan = math.nan if component == "weights" else (math.nan,) * 4
-        parts = {name: (lambda i, sc, value=value: value) for name, value in steady.items()}
-        parts[component] = lambda i, sc: steady[component] if getattr(sc, setting) == 0.0 else nan
+        parts = {name: (lambda sc, value=value: [value]) for name, value in steady.items()}
+        parts[component] = lambda sc: [steady[component] if getattr(sc, setting) == 0.0 else nan]
         model = HVModel(scenario=own, atom_ids=("l0",), **parts)
         with pytest.raises(DistributionError):
             check_factorizability(model)
@@ -365,9 +367,9 @@ class TestCheckFactorizability:
         # side's analyzer moves: zip would compare the first three only.
         opposite = {"side1": "b", "side2": "a"}[side]
         full = (1.0, 0.0, 0.0, 0.0)
-        parts = {name: lambda i, sc: full for name in ("side1", "side2")}
-        parts[side] = lambda i, sc: full if getattr(sc, opposite) == 0.0 else full[:3]
-        model = HVModel(ONE_ATOM["scenario"], ("l0",), lambda i, sc: 1.0, **parts)
+        parts = {name: lambda sc: [full] for name in ("side1", "side2")}
+        parts[side] = lambda sc: [full if getattr(sc, opposite) == 0.0 else full[:3]]
+        model = HVModel(ONE_ATOM["scenario"], ("l0",), lambda sc: [1.0], **parts)
         with pytest.raises(DistributionError, match="^response table must be a sequence of 4"):
             check_factorizability(model)
 
@@ -425,10 +427,27 @@ class TestNoCoercion:
             HVModel(
                 scenario=ONE_ATOM["scenario"],
                 atom_ids=atom_ids,
-                weights=lambda i, sc: weight,
-                side1=lambda i, sc: (1.0, 0.0, 0.0, 0.0),
-                side2=lambda i, sc: (1.0, 0.0, 0.0, 0.0),
+                weights=lambda sc: [weight],
+                side1=lambda sc: [(1.0, 0.0, 0.0, 0.0)],
+                side2=lambda sc: [(1.0, 0.0, 0.0, 0.0)],
             )
+
+    @pytest.mark.parametrize(
+        "entry", [True, None, "1", 1 + 0j], ids=["bool", "none", "string", "complex"]
+    )
+    def test_hv_model_refuses_response_entries_that_need_coercing(self, entry):
+        # Without the table rule at construction, a bool entry passed
+        # check_factorizability and the others raised a bare TypeError there.
+        message = f"^response entry must be a finite number, got {re.escape(repr(entry))}$"
+        with pytest.raises(DistributionError, match=message):
+            model = HVModel(
+                scenario=ONE_ATOM["scenario"],
+                atom_ids=("l0",),
+                weights=lambda sc: [1.0],
+                side1=lambda sc: [(entry, False, False, False)],
+                side2=lambda sc: [(1.0, 0.0, 0.0, 0.0)],
+            )
+            check_factorizability(model)
 
 
 class TestHvCorrelator:
@@ -525,6 +544,17 @@ class TestModelFile:
         save_model(model, path)
         loaded = load_model(path)
         assert induced_distribution(loaded).probs == induced_distribution(model).probs
+
+    def test_readme_example_loads(self, tmp_path):
+        # The JSON block of README's "Model files" section is a whole model.
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("\n## Model files\n", 1)[1]
+        path = tmp_path / "model.json"
+        path.write_text(section.split("```json\n", 1)[1].split("```", 1)[0], encoding="utf-8")
+        model = load_model(path)
+        assert model.atom_ids == ("++", "+-", "-+", "--")
+        report = check_factorizability(model)
+        assert report.passed and report.max_deviation == 0.0
 
     def test_rejects_wrong_format_string(self, tmp_path):
         path = tmp_path / "bad.json"
