@@ -10,13 +10,13 @@ Given the hidden variable, the two sides are independent by construction;
 that product structure is what "factorizable" means here.
 
 A model's three components, the weights and the two sides' response
-tables, are functions of the scenario that return their whole table, one
-entry per atom, so that :func:`check_factorizability` can probe whether
-one moves with a setting that :data:`CONTEXT` does not let it read.
-Models loaded from disk wrap constants and pass the probe trivially.
-One rule (``_floats``) checks every table: ``n_atoms`` entries, each a
-number for the weights and a sequence of 4 numbers for a side, kept as
-floats and coerced from nothing else.
+tables, each return their whole table, one entry per atom, and each is
+called with only the angles that :data:`CONTEXT` lets it read. A
+component therefore cannot depend on another setting: the model is
+factorizable by its form, as in the paper, not by a test. Models loaded
+from disk wrap constants. One rule (``_floats``) checks every table:
+``n_atoms`` entries, each a number for the weights and a sequence of 4
+numbers for a side, kept as floats and coerced from nothing else.
 
 Dropping the second time step yields the EPRB limit, where the four
 pairwise distributions become targets for a single joint distribution
@@ -49,7 +49,7 @@ import enum
 import itertools
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -104,23 +104,27 @@ __all__ = [
 CONTEXT = {"weights": ("a", "b"), "side1": SETTINGS[:2], "side2": SETTINGS[2:]}
 
 ResponseTable = tuple[float, float, float, float]
-Component = Callable[[Scenario], Sequence]  # one weight or ResponseTable per atom
+#: A component: its two CONTEXT angles -> one weight or ResponseTable per atom.
+Component = Callable[[float, float], Sequence]
 
 
 @dataclass(frozen=True)
 class HVModel:
     """A factorizable hidden-variable model over a finite atom space.
 
-    Each component maps a scenario to its whole table, one entry per
-    atom: ``weights(scenario)[i]`` is atom ``i``'s weight, and
-    ``side1(scenario)[i]`` is the conditional distribution of ``(A1, A2)``
-    given atom ``i``, over the sign pairs in canonical order; ``side2``
-    does the same for ``(B1, B2)``. Every component receives the full
-    scenario, so that reading only the settings that :data:`CONTEXT`
-    allows is a checkable property rather than an assumption. At the
-    model's scenario the weights must form a distribution and every table
-    must meet the table rule (``_floats``), or :class:`DistributionError`
-    is raised.
+    Each component maps the angles that :data:`CONTEXT` lets it read, in
+    that order, to its whole table, one entry per atom: ``weights(a, b)[i]``
+    is atom ``i``'s weight, and ``side1(a, a_prime)[i]`` is the conditional
+    distribution of ``(A1, A2)`` given atom ``i``, over the sign pairs in
+    canonical order; ``side2(b, b_prime)`` does the same for ``(B1, B2)``.
+    No component is handed a setting it may not read, so the model is
+    factorizable by its form. At the model's scenario the weights must
+    form a distribution and every table must meet the table rule
+    (``_floats``), or :class:`DistributionError` is raised.
+
+    Each table is checked only at the model's scenario. Nothing checks
+    that a component is a function of its inputs: one with state or
+    randomness can return another table on its next call.
     """
 
     scenario: Scenario
@@ -139,17 +143,18 @@ class HVModel:
             raise DistributionError("atom ids must be unique")
         probabilities(self.table("weights"), "atom weight", self.n_atoms)
         for side in ("side1", "side2"):
-            _floats(side, self.table(side), self.n_atoms)
+            self.table(side)  # raises unless the table meets the table rule
 
     @property
     def n_atoms(self) -> int:
         return len(self.atom_ids)
 
-    def table(self, component: str, scenario: Scenario | None = None) -> tuple:
-        """``component``'s table at ``scenario``, by default the model's own:
-        a tuple of one entry per atom."""
-        table = getattr(self, component)(self.scenario if scenario is None else scenario)
-        return sequence(table, f"{component} table", DistributionError, self.n_atoms)
+    def table(self, component: str) -> tuple:
+        """``component``'s table at the model's scenario, as the table rule's
+        floats (``_floats``): the component is called with the angles that
+        :data:`CONTEXT` lets it read, in that order."""
+        angles = [getattr(self.scenario, name) for name in CONTEXT[component]]
+        return _floats(component, getattr(self, component)(*angles), self.n_atoms)
 
 
 def _floats(component: str, table: Sequence, n_atoms: int) -> tuple:
@@ -172,8 +177,8 @@ _ATOM_SIGNS: tuple[tuple[int, int], ...] = SIGN_PAIRS  # (alpha, beta) per atom
 _ATOM_IDS = ("++", "+-", "-+", "--")
 
 
-def _sequential_weights(sc: Scenario) -> tuple[float, ...]:
-    c = math.cos(sc.theta_ab)
+def _sequential_weights(a: float, b: float) -> tuple[float, ...]:
+    c = math.cos(a - b)
     return tuple([0.25 * (1.0 - alpha * beta * c) for alpha, beta in _ATOM_SIGNS])
 
 
@@ -205,8 +210,8 @@ def build_contextual_model(scenario: Scenario) -> HVModel:
         scenario=scenario,
         atom_ids=_ATOM_IDS,
         weights=_sequential_weights,
-        side1=lambda sc: _transition_tables(0, math.cos(sc.theta_aa_prime)),
-        side2=lambda sc: _transition_tables(1, math.cos(sc.theta_bb_prime)),
+        side1=lambda a, a_prime: _transition_tables(0, math.cos(a - a_prime)),
+        side2=lambda b, b_prime: _transition_tables(1, math.cos(b - b_prime)),
     )
 
 
@@ -221,16 +226,15 @@ def induced_distribution(model: HVModel) -> GrandJointDistribution:
 
 @dataclass(frozen=True)
 class FactorizabilityReport:
-    """Outcome of the factorizability and locality checks.
+    """Outcome of the factorizability check.
 
-    ``max_deviation`` is the worst violation of setting independence: how
-    far a component moves with a setting that :data:`CONTEXT` does not
-    let it read, such as the other side's analyzers, which is also the
-    locality check. A model stores one response table per side, so its
-    per-atom joint is their product by construction and needs no check.
-    ``normalization_error`` tracks how far weights and response tables
-    stray from exact normalization; it gates ``passed`` but is reported
-    separately because it measures validity, not factorizability.
+    A model is factorizable by its form: each component receives only the
+    settings that :data:`CONTEXT` lets it read, and a model stores one
+    response table per side, so its per-atom joint is their product.
+    ``max_deviation``, how far a component moves with a setting it may
+    not read, is therefore always 0.0; it stays so that reports keep their
+    fields. ``normalization_error`` tracks how far weights and response
+    tables stray from exact normalization, and gates ``passed``.
     """
 
     passed: bool
@@ -238,32 +242,21 @@ class FactorizabilityReport:
     normalization_error: float
 
 
-#: Fixed offsets (radians) used to probe setting independence.
-_PROBE_OFFSETS = (0.9, 2.1, 3.3)
-
-#: The two settings each component may not read, which the probe moves.
-_UNREAD = {c: tuple(s for s in SETTINGS if s not in reads) for c, reads in CONTEXT.items()}
-
-#: Slack on negative response probabilities, normalization and locality.
+#: Slack on negative response probabilities, normalization and, in the
+#: ``hvm-check`` report, reconstruction of the grand joint.
 _FACTORIZABILITY_TOL = 1e-12
 
 
 def check_factorizability(model: HVModel) -> FactorizabilityReport:
-    """Verify setting independence and normalization of a model.
+    """Verify the normalization of a model's tables at its scenario.
 
-    Each component must not move when the two settings that
-    :data:`CONTEXT` does not let it read move by fixed probe offsets, each
-    alone and then both together. Models built by
-    :func:`build_contextual_model` pass with deviation exactly zero; the
-    check guards hand-built or file-loaded models. Every check allows
-    1e-12. An entry at the model's scenario outside [-1e-12, 1 + 1e-12], or
-    a table at a probe that breaks the table rule (``_floats``), raises
-    :class:`DistributionError`; a moved table need not be a distribution,
-    as it counts as deviation.
+    Setting independence holds by the model's form (:class:`HVModel`), so
+    ``max_deviation`` is 0.0. The weights and each response table must sum
+    to 1 within 1e-12 for the report to pass; an entry outside
+    [-1e-12, 1 + 1e-12] raises :class:`DistributionError`.
     """
     tol = _FACTORIZABILITY_TOL
-    sc = model.scenario
-    normalization = deviation = 0.0
+    normalization = 0.0
     for component in CONTEXT:
         table = model.table(component)
         for dist in (table,) if component == "weights" else table:  # a side holds one per atom
@@ -271,19 +264,8 @@ def check_factorizability(model: HVModel) -> FactorizabilityReport:
                 if not -tol <= p <= 1.0 + tol:  # also NaN; so no fsum overflows
                     raise DistributionError(f"response probability is invalid: {p!r}")
             normalization = max(normalization, abs(math.fsum(dist) - 1.0))
-        one, other = _UNREAD[component]
-        for delta in _PROBE_OFFSETS:
-            for names in ((one,), (other,), (one, other)):
-                probe = replace(sc, **{name: getattr(sc, name) + delta for name in names})
-                moved = model.table(component, probe)
-                if moved != table:  # an unmoved component deviates by 0
-                    moved = _floats(component, moved, model.n_atoms)  # so no NaN deviation
-                    deviation = max(deviation, float(np.max(np.abs(np.subtract(table, moved)))))
-
     return FactorizabilityReport(
-        passed=deviation <= tol and normalization <= tol,
-        max_deviation=deviation,
-        normalization_error=normalization,
+        passed=normalization <= tol, max_deviation=0.0, normalization_error=normalization
     )
 
 
@@ -322,7 +304,7 @@ def model_from_tables(
     side2: Sequence[Sequence[float]],
 ) -> HVModel:
     """Wrap static weights and response tables (e.g. loaded from disk) as a
-    model whose components return them whole at every scenario. The
+    model whose components return them whole at any angles. The
     weights must form a distribution over the atom ids, and each side's
     tables meet the table rule (``_floats``); all are kept as floats."""
     ids = sequence(atom_ids, "atom ids", DistributionError)
@@ -331,9 +313,9 @@ def model_from_tables(
     return HVModel(
         scenario=scenario,
         atom_ids=ids,
-        weights=lambda _scenario: w,  # each component reads no setting
-        side1=lambda _scenario: s1,
-        side2=lambda _scenario: s2,
+        weights=lambda *_: w,  # each component reads no setting
+        side1=lambda *_: s1,
+        side2=lambda *_: s2,
     )
 
 
@@ -361,8 +343,7 @@ def load_model(path: str | Path) -> HVModel:
     Raises :class:`ModelFormatError` unless the document has the schema's
     keys and JSON types, exactly the ``context`` block of :data:`CONTEXT`,
     weights that form a distribution and tables of four entries. Whether
-    the tables are distributions is left to :func:`check_factorizability`,
-    whose probe the loaded constants pass by construction.
+    the tables are distributions is left to :func:`check_factorizability`.
     """
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -425,10 +406,12 @@ def _pair_cells(x: float, y: float, e: float) -> tuple[float, ...]:
 
 
 def pair_targets_from_correlators(correlators: CorrelatorSet) -> PairTargets:
-    """Targets with unbiased marginals: p(s1, s2) = (1 + s1*s2*e) / 4."""
+    """Targets with unbiased marginals: p(s1, s2) = (1 + s1*s2*e) / 4, each
+    ``e`` clamped to [-1, 1], past which :class:`CorrelatorSet` admits 1e-12
+    so that no cell is negative."""
     return PairTargets(**{
-        name: PairDistribution(*pair, _pair_cells(0.0, 0.0, getattr(correlators, f"e_{name}")))
-        for name, pair in CROSS_PAIRS.items()
+        name: PairDistribution(*pair, _pair_cells(0.0, 0.0, min(1.0, max(-1.0, e))))
+        for (name, pair), e in zip(CROSS_PAIRS.items(), correlators.as_tuple())
     })
 
 

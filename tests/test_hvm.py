@@ -118,7 +118,7 @@ def plain_document() -> dict:
 def sign_model(weight) -> HVModel:
     """Atoms (alpha, beta) with A1 = A2 = alpha and B1 = B2 = beta.
 
-    The responses read no setting; ``weight(alpha, beta, scenario)`` gives
+    The responses read no setting; ``weight(alpha, beta, a, b)`` gives
     each atom's weight.
     """
     point_mass = {
@@ -127,9 +127,9 @@ def sign_model(weight) -> HVModel:
     return HVModel(
         scenario=Scenario(0.3, 1.7, 2.2, 5.1),
         atom_ids=("++", "+-", "-+", "--"),
-        weights=lambda sc: [weight(alpha, beta, sc) for alpha, beta in SIGN_PAIRS],
-        side1=lambda sc: [point_mass[alpha] for alpha, _ in SIGN_PAIRS],
-        side2=lambda sc: [point_mass[beta] for _, beta in SIGN_PAIRS],
+        weights=lambda a, b: [weight(alpha, beta, a, b) for alpha, beta in SIGN_PAIRS],
+        side1=lambda a, a_prime: [point_mass[alpha] for alpha, _ in SIGN_PAIRS],
+        side2=lambda b, b_prime: [point_mass[beta] for _, beta in SIGN_PAIRS],
     )
 
 
@@ -256,11 +256,11 @@ class TestHVModelValidation:
     def test_side_table_length_enforced(self, side, length):
         # zip would cut a long table short in hv_correlator; a short one
         # raised IndexError in induced_distribution.
-        parts = {name: lambda sc: [(1.0, 0.0, 0.0, 0.0)] for name in ("side1", "side2")}
-        parts[side] = lambda sc: [(1.0,) + (0.0,) * (length - 1)]
+        parts = {name: lambda x, y: [(1.0, 0.0, 0.0, 0.0)] for name in ("side1", "side2")}
+        parts[side] = lambda x, y: [(1.0,) + (0.0,) * (length - 1)]
         message = f"^response table must be a sequence of 4, got {length} items$"
         with pytest.raises(DistributionError, match=message):
-            HVModel(ONE_ATOM["scenario"], ("l0",), lambda sc: [1.0], **parts)
+            HVModel(ONE_ATOM["scenario"], ("l0",), lambda a, b: [1.0], **parts)
 
 
 class TestCheckFactorizability:
@@ -270,46 +270,52 @@ class TestCheckFactorizability:
         assert report.passed
         assert report.max_deviation == 0.0
 
-    @pytest.mark.parametrize(
-        "component, setting",
-        [
-            ("weights", "a_prime"), ("weights", "b_prime"), ("side1", "b"),
-            ("side1", "b_prime"), ("side2", "a"), ("side2", "a_prime"),
-        ],
-    )
-    def test_signaling_model_fails(self, component, setting):
-        # One component reads a setting it may not: the weights a second-round
-        # analyzer, or a side one of the opposite side's analyzers.
-        def q(sc):
-            return 0.25 * (1.0 + math.cos(getattr(sc, setting)))
+    def test_components_receive_only_their_context_angles(self):
+        # A component is handed exactly the angles that CONTEXT lets it
+        # read, in that order, so it cannot depend on any other setting.
+        sc = Scenario(0.3, 1.7, 2.2, 5.1)
+        calls = []
 
-        parts = {
-            "weights": lambda sc: [0.5, 0.5],
-            "side1": lambda sc: [(0.25, 0.25, 0.25, 0.25)] * 2,
-            "side2": lambda sc: [(0.25, 0.25, 0.25, 0.25)] * 2,
-        }
-        parts[component] = {
-            "weights": lambda sc: [q(sc), 1.0 - q(sc)],
-            "side1": lambda sc: [(q(sc), 0.5 - q(sc), 0.25, 0.25)] * 2,
-            "side2": lambda sc: [(q(sc), 0.5 - q(sc), 0.25, 0.25)] * 2,
-        }[component]
-        model = HVModel(Scenario(0.3, 1.7, 2.2, 5.1), ("l0", "l1"), **parts)
-        report = check_factorizability(model)
-        assert not report.passed
-        assert report.max_deviation > 1e-3
+        def recorded(component, table):
+            def call(*angles):
+                calls.append((component, angles))
+                return table
+            return call
 
-    def test_weights_reading_unlisted_setting_fails(self):
-        model = sign_model(
-            lambda alpha, beta, sc: 0.25 * (1.0 - alpha * beta * math.cos(sc.a_prime - sc.b))
+        model = HVModel(
+            sc, ("l0",), recorded("weights", [1.0]),
+            recorded("side1", [(1.0, 0.0, 0.0, 0.0)]), recorded("side2", [(0.0, 1.0, 0.0, 0.0)]),
+        )
+        check_factorizability(model)
+        induced_distribution(model)
+        hv_correlator(model, ("A2", "B2"))
+        expected = {"weights": (0.3, 2.2), "side1": (0.3, 1.7), "side2": (2.2, 5.1)}
+        assert {component for component, _ in calls} == set(expected)
+        for component, angles in calls:
+            assert angles == expected[component]
+
+    def test_numpy_array_tables(self):
+        # Arrays are sequences to the table rule, and every reader gets floats.
+        model = HVModel(
+            Scenario(0.3, 1.7, 2.2, 5.1),
+            ("l0", "l1"),
+            weights=lambda a, b: np.array([0.5, 0.5]),
+            side1=lambda a, a_prime: np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0]]),
+            side2=lambda b, b_prime: [(0.25, 0.25, 0.25, 0.25)] * 2,
         )
         report = check_factorizability(model)
-        assert not report.passed
-        assert report.max_deviation > 1e-3
+        assert report.passed
+        assert report.max_deviation == 0.0
+        weights, side1 = model.table("weights"), model.table("side1")
+        assert weights == (0.5, 0.5)
+        assert side1 == ((1.0, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0, 1.0))
+        assert all(type(w) is float for w in weights)
+        assert all(type(t) is tuple and all(type(p) is float for p in t) for t in side1)
 
     def test_setting_dependent_weights_pass_exactly(self):
         # Weights read a and b, as CONTEXT allows; the responses read none.
         model = sign_model(
-            lambda alpha, beta, sc: 0.25 * (1.0 - alpha * beta * math.cos(sc.a - sc.b))
+            lambda alpha, beta, a, b: 0.25 * (1.0 - alpha * beta * math.cos(a - b))
         )
         report = check_factorizability(model)
         assert report.passed
@@ -345,33 +351,6 @@ class TestCheckFactorizability:
         for model in (built, load_model(path)):
             with pytest.raises(DistributionError, match=r"^response probability is invalid: 1e\+308$"):
                 check_factorizability(model)
-
-    @pytest.mark.parametrize("component", ["weights", "side1", "side2"])
-    def test_nan_at_a_probe_scenario_rejected(self, component):
-        # Finite at the model's own scenario, NaN once a setting that the
-        # component may not read moves: max() would drop the NaN deviation
-        # and report a pass.
-        setting = {"weights": "a_prime", "side1": "b", "side2": "a"}[component]
-        own = Scenario(0.0, 0.0, 0.0, 0.0)
-        steady = {"weights": 1.0, "side1": (1.0, 0.0, 0.0, 0.0), "side2": (1.0, 0.0, 0.0, 0.0)}
-        nan = math.nan if component == "weights" else (math.nan,) * 4
-        parts = {name: (lambda sc, value=value: [value]) for name, value in steady.items()}
-        parts[component] = lambda sc: [steady[component] if getattr(sc, setting) == 0.0 else nan]
-        model = HVModel(scenario=own, atom_ids=("l0",), **parts)
-        with pytest.raises(DistributionError):
-            check_factorizability(model)
-
-    @pytest.mark.parametrize("side", ["side1", "side2"])
-    def test_short_table_at_a_probe_scenario_rejected(self, side):
-        # Four entries at the model's own scenario, three once the opposite
-        # side's analyzer moves: zip would compare the first three only.
-        opposite = {"side1": "b", "side2": "a"}[side]
-        full = (1.0, 0.0, 0.0, 0.0)
-        parts = {name: lambda sc: [full] for name in ("side1", "side2")}
-        parts[side] = lambda sc: [full if getattr(sc, opposite) == 0.0 else full[:3]]
-        model = HVModel(ONE_ATOM["scenario"], ("l0",), lambda sc: [1.0], **parts)
-        with pytest.raises(DistributionError, match="^response table must be a sequence of 4"):
-            check_factorizability(model)
 
 
 #: Arguments of a valid one-atom model_from_tables call.
@@ -427,9 +406,9 @@ class TestNoCoercion:
             HVModel(
                 scenario=ONE_ATOM["scenario"],
                 atom_ids=atom_ids,
-                weights=lambda sc: [weight],
-                side1=lambda sc: [(1.0, 0.0, 0.0, 0.0)],
-                side2=lambda sc: [(1.0, 0.0, 0.0, 0.0)],
+                weights=lambda a, b: [weight],
+                side1=lambda a, a_prime: [(1.0, 0.0, 0.0, 0.0)],
+                side2=lambda b, b_prime: [(1.0, 0.0, 0.0, 0.0)],
             )
 
     @pytest.mark.parametrize(
@@ -443,9 +422,9 @@ class TestNoCoercion:
             model = HVModel(
                 scenario=ONE_ATOM["scenario"],
                 atom_ids=("l0",),
-                weights=lambda sc: [1.0],
-                side1=lambda sc: [(entry, False, False, False)],
-                side2=lambda sc: [(1.0, 0.0, 0.0, 0.0)],
+                weights=lambda a, b: [1.0],
+                side1=lambda a, a_prime: [(entry, False, False, False)],
+                side2=lambda b, b_prime: [(1.0, 0.0, 0.0, 0.0)],
             )
             check_factorizability(model)
 
@@ -656,6 +635,13 @@ class TestPairTargets:
         assert targets.correlators().as_tuple() == pytest.approx(
             c.as_tuple(), abs=ANALYTIC_TOL
         )
+
+    @pytest.mark.parametrize("e", [1.0 + 5e-13, -1.0 - 5e-13])
+    def test_correlator_past_one_within_slack_builds(self, e):
+        # CorrelatorSet admits |e| up to 1 + 1e-12; a cell (1 - |e|) / 4
+        # was then negative, and PairDistribution refused it.
+        targets = pair_targets_from_correlators(CorrelatorSet(e, 0.0, 0.0, 0.0))
+        assert targets.ab.probs == ((0.5, 0.0, 0.0, 0.5) if e > 0 else (0.0, 0.5, 0.5, 0.0))
 
     @given(scenarios)
     @settings(max_examples=25)

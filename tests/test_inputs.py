@@ -121,9 +121,9 @@ BOUNDARIES = {
     "HVModel-atom_ids": lambda v: HVModel(
         scenario=ONE_ATOM["scenario"],
         atom_ids=v,
-        weights=lambda sc: [1.0],
-        side1=lambda sc: [(1.0, 0.0, 0.0, 0.0)],
-        side2=lambda sc: [(1.0, 0.0, 0.0, 0.0)],
+        weights=lambda a, b: [1.0],
+        side1=lambda a, a_prime: [(1.0, 0.0, 0.0, 0.0)],
+        side2=lambda b, b_prime: [(1.0, 0.0, 0.0, 0.0)],
     ),
 }
 
