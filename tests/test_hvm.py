@@ -294,6 +294,46 @@ class TestCheckFactorizability:
         for component, angles in calls:
             assert angles == expected[component]
 
+    @pytest.mark.parametrize(
+        "component, setting",
+        [
+            ("weights", "a_prime"), ("weights", "b_prime"), ("side1", "b"),
+            ("side1", "b_prime"), ("side2", "a"), ("side2", "a_prime"),
+        ],
+    )
+    def test_signaling_model_fails(self, component, setting):
+        # One component reads a setting it may not, as a third angle after its
+        # CONTEXT pair: the weights a second-round analyzer, or a side one of
+        # the opposite side's analyzers. It is never handed that setting, so
+        # the model cannot be built.
+        def table(angle):
+            q = 0.25 * (1.0 + math.cos(angle))
+            return [q, 1.0 - q] if component == "weights" else [(q, 0.5 - q, 0.25, 0.25)] * 2
+
+        signaling = {
+            ("weights", "a_prime"): lambda a, b, a_prime: table(a_prime),
+            ("weights", "b_prime"): lambda a, b, b_prime: table(b_prime),
+            ("side1", "b"): lambda a, a_prime, b: table(b),
+            ("side1", "b_prime"): lambda a, a_prime, b_prime: table(b_prime),
+            ("side2", "a"): lambda b, b_prime, a: table(a),
+            ("side2", "a_prime"): lambda b, b_prime, a_prime: table(a_prime),
+        }
+        parts = {
+            "weights": lambda a, b: [0.5, 0.5],
+            "side1": lambda a, a_prime: [(0.25, 0.25, 0.25, 0.25)] * 2,
+            "side2": lambda b, b_prime: [(0.25, 0.25, 0.25, 0.25)] * 2,
+        }
+        parts[component] = signaling[component, setting]
+        with pytest.raises(TypeError, match=f"missing 1 required positional argument: '{setting}'$"):
+            HVModel(Scenario(0.3, 1.7, 2.2, 5.1), ("l0", "l1"), **parts)
+
+    def test_weights_reading_unlisted_setting_fails(self):
+        # sign_model hands its weight a and b only, as CONTEXT lists them.
+        with pytest.raises(TypeError, match="missing 1 required positional argument: 'a_prime'$"):
+            sign_model(
+                lambda alpha, beta, a, b, a_prime: 0.25 * (1.0 - alpha * beta * math.cos(a_prime - b))
+            )
+
     def test_numpy_array_tables(self):
         # Arrays are sequences to the table rule, and every reader gets floats.
         model = HVModel(
@@ -351,6 +391,42 @@ class TestCheckFactorizability:
         for model in (built, load_model(path)):
             with pytest.raises(DistributionError, match=r"^response probability is invalid: 1e\+308$"):
                 check_factorizability(model)
+
+    @pytest.mark.parametrize("component", ["weights", "side1", "side2"])
+    def test_nan_at_a_probe_scenario_rejected(self, component):
+        # Finite while the component's own angles are 0, NaN once one moves.
+        # Moving a setting it may not read, as the deleted probe did, leaves
+        # it finite; a model whose scenario moves one of its own angles is
+        # rejected, since each table is checked at the model's scenario.
+        unread, own_angle = {
+            "weights": ("a_prime", "b"), "side1": ("b", "a_prime"), "side2": ("a", "b_prime"),
+        }[component]
+        own = Scenario(0.0, 0.0, 0.0, 0.0)
+        steady = {"weights": 1.0, "side1": (1.0, 0.0, 0.0, 0.0), "side2": (1.0, 0.0, 0.0, 0.0)}
+        nan = math.nan if component == "weights" else (math.nan,) * 4
+        parts = {name: (lambda x, y, value=value: [value]) for name, value in steady.items()}
+        parts[component] = lambda x, y: [steady[component] if x == y == 0.0 else nan]
+        for scenario in (own, replace(own, **{unread: 1.0})):
+            assert check_factorizability(HVModel(scenario, ("l0",), **parts)).passed
+        with pytest.raises(DistributionError):
+            check_factorizability(HVModel(replace(own, **{own_angle: 1.0}), ("l0",), **parts))
+
+    @pytest.mark.parametrize("side", ["side1", "side2"])
+    def test_short_table_at_a_probe_scenario_rejected(self, side):
+        # Four entries while the side's own angles are 0, three once one
+        # moves. Moving the opposite side's analyzer, as the deleted probe
+        # did, keeps four; moving the side's own second analyzer is rejected.
+        opposite, own_angle = {"side1": ("b", "a_prime"), "side2": ("a", "b_prime")}[side]
+        full = (1.0, 0.0, 0.0, 0.0)
+        parts = {name: lambda x, y: [full] for name in ("side1", "side2")}
+        parts[side] = lambda x, y: [full if x == y == 0.0 else full[:3]]
+        own = ONE_ATOM["scenario"]
+        for scenario in (own, replace(own, **{opposite: 1.0})):
+            assert check_factorizability(HVModel(scenario, ("l0",), lambda a, b: [1.0], **parts)).passed
+        with pytest.raises(DistributionError, match="^response table must be a sequence of 4"):
+            check_factorizability(
+                HVModel(replace(own, **{own_angle: 1.0}), ("l0",), lambda a, b: [1.0], **parts)
+            )
 
 
 #: Arguments of a valid one-atom model_from_tables call.
