@@ -70,7 +70,6 @@ from ._shards import split
 from .errors import BoundViolationError, ConfigError, EprbLabError, integer, real
 from .hvm import (
     CONTEXT,
-    _FACTORIZABILITY_TOL,
     build_contextual_model,
     check_factorizability,
     induced_distribution,
@@ -87,6 +86,7 @@ from .inequality import (
 from .quantum import (
     CROSS_PAIRS,
     SETTINGS,
+    _PROB_TOL,
     Mode,
     OutcomeQuadruple,
     Scenario,
@@ -461,7 +461,7 @@ def _payload_hvm_check(config: RunConfig) -> _Payload:
     exact = grand_joint_quantum(scenario)
     induced = induced_distribution(model)
     reconstruction_dev = max(abs(p - q) for p, q in zip(induced.probs, exact.probs))
-    passed = fact.passed and reconstruction_dev <= _FACTORIZABILITY_TOL
+    passed = fact.passed and reconstruction_dev <= _PROB_TOL
     payload = {
         "atom_ids": list(model.atom_ids),
         "weights": list(model.table("weights")),

@@ -65,7 +65,7 @@ from .errors import (
     real,
     sequence,
 )
-from .inequality import CLASSICAL_BOUND
+from .inequality import BOUND_TOL, CLASSICAL_BOUND
 from .linfeas import solve_equality_feasibility
 from .quantum import (
     CROSS_PAIRS,
@@ -75,6 +75,7 @@ from .quantum import (
     QUADRUPLES,
     SETTINGS,
     SIGN_PAIRS,
+    _PROB_TOL,
     CorrelatorSet,
     GrandJointDistribution,
     Mode,
@@ -242,30 +243,24 @@ class FactorizabilityReport:
     normalization_error: float
 
 
-#: Slack on negative response probabilities, normalization and, in the
-#: ``hvm-check`` report, reconstruction of the grand joint.
-_FACTORIZABILITY_TOL = 1e-12
-
-
 def check_factorizability(model: HVModel) -> FactorizabilityReport:
     """Verify the normalization of a model's tables at its scenario.
 
     Setting independence holds by the model's form (:class:`HVModel`), so
     ``max_deviation`` is 0.0. The weights and each response table must sum
-    to 1 within 1e-12 for the report to pass; an entry outside
-    [-1e-12, 1 + 1e-12] raises :class:`DistributionError`.
+    to 1 within ``_PROB_TOL`` for the report to pass; an entry outside
+    [-``_PROB_TOL``, 1 + ``_PROB_TOL``] raises :class:`DistributionError`.
     """
-    tol = _FACTORIZABILITY_TOL
     normalization = 0.0
     for component in CONTEXT:
         table = model.table(component)
         for dist in (table,) if component == "weights" else table:  # a side holds one per atom
             for p in dist:
-                if not -tol <= p <= 1.0 + tol:  # also NaN; so no fsum overflows
+                if not -_PROB_TOL <= p <= 1.0 + _PROB_TOL:  # also NaN; so no fsum overflows
                     raise DistributionError(f"response probability is invalid: {p!r}")
             normalization = max(normalization, abs(math.fsum(dist) - 1.0))
     return FactorizabilityReport(
-        passed=normalization <= tol, max_deviation=0.0, normalization_error=normalization
+        passed=normalization <= _PROB_TOL, max_deviation=0.0, normalization_error=normalization
     )
 
 
@@ -407,8 +402,8 @@ def _pair_cells(x: float, y: float, e: float) -> tuple[float, ...]:
 
 def pair_targets_from_correlators(correlators: CorrelatorSet) -> PairTargets:
     """Targets with unbiased marginals: p(s1, s2) = (1 + s1*s2*e) / 4, each
-    ``e`` clamped to [-1, 1], past which :class:`CorrelatorSet` admits 1e-12
-    so that no cell is negative."""
+    ``e`` clamped to [-1, 1], past which :class:`CorrelatorSet` admits
+    ``_PROB_TOL``, so that no cell is negative."""
     return PairTargets(**{
         name: PairDistribution(*pair, _pair_cells(0.0, 0.0, min(1.0, max(-1.0, e))))
         for (name, pair), e in zip(CROSS_PAIRS.items(), correlators.as_tuple())
@@ -471,9 +466,6 @@ def chsh_variant_values(correlators: CorrelatorSet) -> dict[tuple[int, int, int,
     }
 
 
-#: Slack on the shared marginals, the CHSH variants and the LP's residual.
-_FEASIBILITY_TOL = 1e-9
-
 #: Linear system over the 16 quadruples' weights: a row per target cell,
 #: the pairs in ``CROSS_PAIRS`` order and their cells in canonical order,
 #: then the row that sums the weights to 1.
@@ -490,12 +482,12 @@ _FEASIBILITY_ROWS.setflags(write=False)
 
 def _means(targets: PairTargets) -> dict[str, float]:
     """Each observable's mean over the two pairs that hold it; raises
-    :class:`InconsistentTargetsError` where their P(+1) differ by over 1e-9."""
+    :class:`InconsistentTargetsError` where their P(+1) differ by over BOUND_TOL."""
     means = {}
     for obs in OBSERVABLES:
         m1, m2 = [getattr(targets, name).marginal(obs, 1)
                   for name, pair in CROSS_PAIRS.items() if obs in pair]
-        if abs(m1 - m2) > _FEASIBILITY_TOL:
+        if abs(m1 - m2) > BOUND_TOL:
             raise InconsistentTargetsError(
                 f"targets disagree on P({obs}=+1): {m1!r} vs {m2!r}"
             )
@@ -509,14 +501,14 @@ def noncontextual_feasibility(targets: PairTargets) -> FeasibilityResult:
 
     Fine's theorem decides (A. Fine, PRL 48, 291, 1982): for consistent
     targets a joint exists exactly when no CHSH sign variant exceeds 2.
-    The verdict is "feasible" when every variant is at most ``2 + 1e-9``;
+    The verdict is "feasible" when no variant exceeds ``2 + BOUND_TOL``;
     otherwise the largest variant is the certificate. A feasible verdict
     carries a witness from linear feasibility over the 16 outcome
     quadruples (the mixture weights of the deterministic assignments).
     Where the targets' own cells admit none, one retry rebuilds each pair
-    from its averaged means and its correlator, all scaled by 1 - 5e-10.
+    from its averaged means and its correlator, all scaled by 1 - BOUND_TOL/2.
     """
-    tol = _FEASIBILITY_TOL
+    tol = BOUND_TOL
     means = _means(targets)
     correlators = targets.correlators()
     variants = chsh_variant_values(correlators)
@@ -532,17 +524,17 @@ def noncontextual_feasibility(targets: PairTargets) -> FeasibilityResult:
     # Near a facet the phase-1 residual is about 2.5 times the CHSH excess,
     # and shared marginals may differ by tol: both can exceed tol. Rebuilt
     # pairs share the averaged marginals, and k = 1 - tol/2 (a tol/2 mix
-    # toward uniform) scales every variant to at most
-    # (CLASSICAL_BOUND + tol) * k < CLASSICAL_BOUND, where Fine's theorem
-    # guarantees a joint. No cell moves by more than 0.875 * tol. A
-    # generator: built only if the targets' own cells admit no witness.
+    # toward uniform) scales every variant to at most (CLASSICAL_BOUND +
+    # tol) * k < CLASSICAL_BOUND, where Fine's theorem guarantees a joint.
+    # No cell moves by more than 0.875 * tol, as the marginal check, Fine's
+    # test and k share tol. A generator: built only if the own cells fail.
     k = 1.0 - 0.5 * tol
     rebuilt = (
         p for (first, second), e in zip(CROSS_PAIRS.values(), correlators.as_tuple())
         for p in _pair_cells(k * means[first], k * means[second], k * e)
     )
     for cells in (own, rebuilt):
-        result = solve_equality_feasibility(_FEASIBILITY_ROWS, np.array([*cells, 1.0]), tol=tol)
+        result = solve_equality_feasibility(_FEASIBILITY_ROWS, np.array([*cells, 1.0]))
         if result.feasible:
             probs = result.x / result.x.sum()
             return FeasibilityResult(

@@ -40,11 +40,14 @@ __all__ = [
 #: Largest |S| any joint distribution over the four outcomes allows.
 CLASSICAL_BOUND = 2.0
 
-#: Slack used when asserting the bound on floating-point values.
+#: Slack on |S| <= 2 in floats, and so on what Fine's test reads (hvm, linfeas).
 BOUND_TOL = 1e-9
 
 #: Refuse scans whose cell count would exhaust memory.
 _MAX_GRID_CELLS = 20_000_000
+
+#: A multiple of a grid step this close below 2*pi is 2*pi, so no axis point.
+_AXIS_END_TOL = 1e-12
 
 #: The angles S takes in each mode, in angle-tuple order, as the names of
 #: the ``Scenario`` attributes that hold them.
@@ -79,7 +82,7 @@ def chsh_value(correlators: CorrelatorSet) -> float:
     """Evaluate ``S = e_ab + e_ab' + e_a'b' - e_a'b``.
 
     :class:`CorrelatorSet` has already checked that each correlator is
-    finite and lies in [-1, 1] within 1e-12.
+    finite and lies in [-1, 1] within ``quantum._PROB_TOL``.
     """
     return (
         correlators.e_ab
@@ -195,8 +198,8 @@ class ScanReport:
     cell order: the render formats each of ``values`` once. No array of
     every cell's S is kept: a slab is computed from small tables when it is
     asked for. ``argmax_angles`` is the lexicographically first cell whose
-    |S| lies within 1e-9 of ``max_abs_s`` (float rounding can split cells
-    that are equal in exact arithmetic).
+    |S| lies within ``BOUND_TOL`` of ``max_abs_s`` (float rounding can
+    split cells that are equal in exact arithmetic).
     """
 
     mode: Mode
@@ -219,7 +222,7 @@ def _grid_axis(step: float, k: int) -> np.ndarray:
         raise InvalidStepError(f"grid step must be a positive angle, got {step!r}")
     if step > TWO_PI:
         raise InvalidStepError(f"grid step exceeds the full circle: {step!r}")
-    n = (TWO_PI - 1e-12) / step  # inf for subnormal steps
+    n = (TWO_PI - _AXIS_END_TOL) / step  # inf for subnormal steps
     cells = math.ceil(n) ** k if math.isfinite(n) else math.inf
     if cells > _MAX_GRID_CELLS:
         raise InvalidStepError(
@@ -317,8 +320,8 @@ def scan_grid(mode: Mode, step: float) -> ScanReport:
             f"sequential closed form reached |S| = {max_abs!r}; this cannot "
             "happen in exact arithmetic and indicates a defect"
         )
-    # The first cell within 1e-9 of max |S| lies in the first slab that has one.
-    near = max_abs - 1e-9
+    # The first cell within BOUND_TOL of max |S| lies in the first slab that has one.
+    near = max_abs - BOUND_TOL
     r = int(np.argmax((hi >= near) | (lo <= -near)))
     row = cells(r)
     argmax_idx = r * row.shape[0] + int(np.argmax((row >= near) | (row <= -near)))
@@ -338,10 +341,10 @@ class OptimumReport:
     """The maximum of |S| over the mode's angle space.
 
     ``grad_norm`` is the 2-norm of the analytic gradient at the reported
-    angles; ``converged`` records whether it is at most 1e-9. ``s_value``
-    is the signed S evaluated at ``angles``. ``iterations`` is always 0:
-    the optimum is computed in closed form, and the field stays so that
-    the ``chsh-max`` CSV keeps its columns.
+    angles; ``converged`` records whether it is at most ``_GRAD_TOL``.
+    ``s_value`` is the signed S evaluated at ``angles``. ``iterations`` is
+    always 0: the optimum is computed in closed form, and the field stays
+    so that the ``chsh-max`` CSV keeps its columns.
     """
 
     mode: Mode
@@ -379,7 +382,7 @@ def maximize_chsh(mode: Mode, init_angles=None) -> OptimumReport:
     projects them onto the maximum that keeps their ``a``, lies nearest
     their ``a'`` and has the sign of S there (+ when S is 0). ``converged``
     records whether the analytic gradient norm at the reported angles is
-    at most 1e-9.
+    at most ``_GRAD_TOL``.
     """
     x = np.zeros(_n_angles(mode))
     init = x if init_angles is None else _check_angles(mode, init_angles)

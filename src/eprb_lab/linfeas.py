@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .inequality import BOUND_TOL  # the residual decides Fine's test, so takes its slack
+
 
 @dataclass(frozen=True)
 class LPResult:
@@ -32,8 +34,11 @@ class LPResult:
 #: Most pivots one solve may take.
 _MAX_PIVOTS = 10_000
 
+#: Ratios this close to the minimum tie for Bland's leaving rule.
+_RATIO_TIE_TOL = 1e-12
 
-def solve_equality_feasibility(a: np.ndarray, b: np.ndarray, tol: float = 1e-9) -> LPResult:
+
+def solve_equality_feasibility(a: np.ndarray, b: np.ndarray) -> LPResult:
     """Decide whether Ax = b admits a nonnegative solution.
 
     Minimizes the sum of artificial variables with Bland's rule (lowest
@@ -62,13 +67,13 @@ def solve_equality_feasibility(a: np.ndarray, b: np.ndarray, tol: float = 1e-9) 
     while iterations < _MAX_PIVOTS:
         entering = -1
         for j in range(n + m):
-            if cost[j] < -tol:
+            if cost[j] < -BOUND_TOL:
                 entering = j
                 break
         if entering < 0:
             break
         col = tableau[:, entering]
-        rows = np.flatnonzero(col > tol)
+        rows = np.flatnonzero(col > BOUND_TOL)
         if rows.size == 0:
             # Every pivot candidate is below tolerance, so the remaining
             # improvement is unresolvable at this precision; the residual
@@ -76,7 +81,7 @@ def solve_equality_feasibility(a: np.ndarray, b: np.ndarray, tol: float = 1e-9) 
             break
         ratios = tableau[rows, -1] / col[rows]
         best = ratios.min()
-        near = rows[ratios <= best + 1e-12]
+        near = rows[ratios <= best + _RATIO_TIE_TOL]
         leaving = min(near, key=lambda r: basis[r])
         pivot = tableau[leaving, entering]
         tableau[leaving] /= pivot
@@ -89,7 +94,7 @@ def solve_equality_feasibility(a: np.ndarray, b: np.ndarray, tol: float = 1e-9) 
         iterations += 1
 
     residual = float(-cost[-1])
-    if residual > tol:
+    if residual > BOUND_TOL:
         return LPResult(feasible=False, x=None, residual=residual, iterations=iterations)
 
     x = np.zeros(n)

@@ -58,6 +58,9 @@ __all__ = [
 
 TWO_PI = 2.0 * math.pi
 
+#: Slack on a probability: a distribution's sum, and |e| <= sum p <= 1 for a correlator.
+_PROB_TOL = 1e-12
+
 SIGNS: tuple[int, int] = (1, -1)
 
 SIGN_PAIRS: tuple[tuple[int, int], ...] = tuple(itertools.product(SIGNS, repeat=2))
@@ -196,8 +199,8 @@ class Scenario:
 def probabilities(values: Sequence, what: str, length: int) -> tuple[float, ...]:
     """``values`` as floats if they form a distribution: a sequence of
     ``length`` entries (``errors.sequence``), each a number
-    (``errors.real``), none negative, whose ``fsum`` lies within 1e-12 of
-    1. Otherwise raises ``DistributionError`` naming ``what``."""
+    (``errors.real``), none negative, whose ``fsum`` lies within
+    ``_PROB_TOL`` of 1. Otherwise raises ``DistributionError`` naming ``what``."""
     values = sequence(values, f"{what} list", DistributionError, length)
     probs = tuple([real(p, what, DistributionError) for p in values])
     for p in probs:
@@ -207,7 +210,7 @@ def probabilities(values: Sequence, what: str, length: int) -> tuple[float, ...]
         total = math.fsum(probs)
     except OverflowError:  # entries near the float maximum
         total = math.inf
-    if abs(total - 1.0) > 1e-12:
+    if abs(total - 1.0) > _PROB_TOL:
         raise DistributionError(f"{what} sum is {total!r}, not 1")
     return probs
 
@@ -217,7 +220,7 @@ class GrandJointDistribution:
     """Joint distribution over the 16 outcome quadruples.
 
     ``probs`` follows the canonical ``QUADRUPLES`` order. Entries must be
-    nonnegative and sum to 1 within 1e-12.
+    nonnegative and sum to 1 within ``_PROB_TOL``.
     """
 
     probs: tuple[float, ...]
@@ -275,14 +278,11 @@ class PairDistribution:
         raise UnknownPairError(f"{which!r} is not part of pair ({self.first}, {self.second})")
 
 
-_CORRELATOR_TOL = 1e-12
-
-
 @dataclass(frozen=True)
 class CorrelatorSet:
     """The four cross-particle correlators of one scenario, a field
     ``e_<pair>`` per ``CROSS_PAIRS`` entry, in its order. Each value must
-    lie in [-1, 1] within 1e-12."""
+    lie in [-1, 1] within ``_PROB_TOL``, as |e| <= sum p <= 1 + ``_PROB_TOL``."""
 
     e_ab: float
     e_ab_prime: float
@@ -292,7 +292,7 @@ class CorrelatorSet:
     def __post_init__(self) -> None:
         for name, value in self.as_dict().items():
             value = real(value, f"correlator {name}", CorrelatorRangeError)
-            if abs(value) > 1.0 + _CORRELATOR_TOL:
+            if abs(value) > 1.0 + _PROB_TOL:
                 raise CorrelatorRangeError(f"correlator {name} out of range: {value!r}")
             object.__setattr__(self, name, value)
 

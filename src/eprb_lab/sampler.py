@@ -83,14 +83,19 @@ def uniforms(seed: int, start: int, count: int) -> np.ndarray:
     integer(seed, "seed", DistributionError, high=_U64_MAX)
     integer(start, "draw start", DistributionError, high=_U64_MAX + 1)
     integer(count, "draw count", DistributionError, high=_U64_MAX + 1 - start)
-    # seed + (start + 1 + j) * GOLDEN, mod 2**64, for j = 0..count-1.
-    z = np.arange(count, dtype=np.uint64)
-    z *= np.uint64(GOLDEN)
-    z += np.uint64((seed + (start + 1) * GOLDEN) & _U64_MAX)
-    work = np.empty_like(z)
+    steps = np.arange(count, dtype=np.uint64)
+    steps *= np.uint64(GOLDEN)
+    # Two arrays of ``count`` words in all: the doubles reuse the scratch.
+    return _fill_uniforms(seed, start, steps, steps, np.empty_like(steps))
+
+
+def _fill_uniforms(seed, start, steps: np.ndarray, z, work) -> np.ndarray:
+    """The uniforms of draws start..start+len(steps)-1, given ``steps[j] = j * GOLDEN``,
+    computed in the caller's uint64 ``z`` (may be ``steps``) and ``work``; a view of ``work``."""
+    # seed + (start + 1 + j) * GOLDEN, mod 2**64, for j in range(len(steps)).
+    np.add(steps, np.uint64((seed + (start + 1) * GOLDEN) & _U64_MAX), out=z)
     _mix64(z, work)
     z >>= np.uint64(11)
-    # The doubles reuse the scratch buffer: two arrays of ``count`` words in all.
     return np.multiply(z, _INV_2_53, out=work.view(np.float64))
 
 
@@ -142,10 +147,14 @@ def _tally(distribution: GrandJointDistribution, seed: int, start: int, stop: in
     live = levels[levels < 1.0]
     below = np.full(levels.size, stop - start, dtype=np.int64)
     below[:live.size] = 0
+    steps = np.arange(min(_TALLY_BLOCK, stop - start), dtype=np.uint64)
+    steps *= np.uint64(GOLDEN)  # one set of block buffers serves every block
+    z, work, mask = np.empty_like(steps), np.empty_like(steps), np.empty(steps.size, bool)
     for lo in range(start, stop, _TALLY_BLOCK):
-        draws = uniforms(seed, lo, min(_TALLY_BLOCK, stop - lo))
+        m = min(_TALLY_BLOCK, stop - lo)
+        draws = _fill_uniforms(seed, lo, steps[:m], z[:m], work[:m])
         for k, edge in enumerate(live):
-            below[k] += np.count_nonzero(draws < edge)
+            below[k] += np.count_nonzero(np.less(draws, edge, out=mask[:m]))
     return np.diff(below[level_of], prepend=0)
 
 

@@ -848,7 +848,7 @@ class TestNoncontextualFeasibility:
         monkeypatch.setattr(hvm, "solve_equality_feasibility", spied)
         assert noncontextual_feasibility(PairTargets(**pairs)).verdict is Verdict.FEASIBLE
         assert len(rhs) == 2
-        assert np.max(np.abs(rhs[1] - rhs[0])) <= 0.875 * hvm._FEASIBILITY_TOL
+        assert np.max(np.abs(rhs[1] - rhs[0])) <= 0.875 * hvm.BOUND_TOL
 
     def test_sign_variants_structure(self):
         assert len(CHSH_SIGN_VARIANTS) == 8

@@ -235,6 +235,19 @@ class TestScanGrid:
         assert report.max_abs_s == pytest.approx(TSIRELSON, abs=BOUND_TOL)
         np.testing.assert_allclose(report.argmax_angles, MAGIC_ANGLES, atol=ANALYTIC_TOL)
 
+    @pytest.mark.parametrize(
+        "step_deg, points",
+        [
+            (30.0, 12), (30 * (1 - 1e-14), 12), (30 * (1 - 1e-11), 13),
+            (3.6, 100), (3.6 * (1 - 1e-11), 101),
+        ],
+    )
+    def test_axis_ends_within_its_slack_of_two_pi(self, step_deg, points):
+        # A multiple of the step less than _AXIS_END_TOL (1e-12 rad) below 2*pi
+        # is 2*pi and no axis point. At 30(1 - 1e-11) deg the 12th multiple
+        # is 6.3e-11 rad short of 2*pi, so it is a real grid point.
+        assert scan_grid(Mode.SEQUENTIAL, math.radians(step_deg)).axis.size == points
+
     def test_degenerate_full_circle_step(self):
         report = scan_grid(Mode.SEQUENTIAL, TWO_PI)
         assert report.n_cells == 1

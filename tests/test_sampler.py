@@ -314,7 +314,9 @@ class TestSample:
         d = GrandJointDistribution(probs)
         cdf = _cdf(d)
         draws = np.concatenate([cdf[cdf < 1.0], [0.0, 1.0 - 2.0**-53]])
-        monkeypatch.setattr(sampler, "uniforms", lambda seed, lo, count: draws[lo:lo + count])
+        monkeypatch.setattr(
+            sampler, "_fill_uniforms", lambda seed, lo, steps, z, work: draws[lo:lo + steps.size]
+        )
         counts = _tally(d, 0, 0, draws.size)
         assert np.array_equal(counts, searchsorted_tally(d, draws))
         if np.all(np.diff(cdf) > 0.0):
